@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import AffineMap
+from .walk import AffineMap, linear_word
 
 __all__ = [
     "Gate",
@@ -270,43 +270,32 @@ def weyl_circuit(d: int, n: int, p: int, q: int) -> GateList:
     return GateList(d, n, tuple(gates))
 
 
-# Generator words in circuit order (first gate acts first); the dense
-# counterparts live in margulis.phasespace._generator_tables.
-def _word_gates(d: int, n: int, symbol: str, keep_trivial: bool) -> tuple[Gate, ...]:
+def _primitive_gates(d: int, n: int, keep_trivial: bool) -> dict[str, tuple[Gate, ...]]:
+    """Gate lists of the primitives that the words in LINEAR_PARTS use."""
     qft = _qft_gates(d, n)
-    if symbol == "S1":
-        return quadratic_circuit(d, n, +1, keep_trivial).gates
-    if symbol == "S1inv":
-        return quadratic_circuit(d, n, -1, keep_trivial).gates
-    if symbol == "S2":
-        return inverse_gates(qft) + quadratic_circuit(d, n, -1, keep_trivial).gates + qft
-    if symbol == "S2inv":
-        return inverse_gates(qft) + quadratic_circuit(d, n, +1, keep_trivial).gates + qft
-    raise ValueError(f"no circuit word for symbol {symbol!r}")
+    return {"Q+": quadratic_circuit(d, n, +1, keep_trivial).gates,
+            "Q-": quadratic_circuit(d, n, -1, keep_trivial).gates,
+            "F": qft,
+            "Finv": inverse_gates(qft)}
 
 
 def affine_circuit(d: int, n: int, T: AffineMap, keep_trivial: bool = False) -> GateList:
     """Gate list for the unitary implementing the affine map T on N = d^n.
 
     Equals ``phasespace.affine_unitary`` up to a global phase; supported
-    linear parts are the four walk generators and the identity.
+    linear parts are the identity and the symbols of
+    :data:`margulis.walk.LINEAR_PARTS`.  A word in matrix order acts last
+    factor first, so its primitives are emitted in reverse.
     """
     _require_odd_d(d)
     N = d ** n
     if T.modulus != N:
         raise ValueError(f"map modulus {T.modulus} != d^n = {N}")
-    lin = {((1, 2 % N), (0, 1)): "S1",
-           ((1, (-2) % N), (0, 1)): "S1inv",
-           ((1, 0), (2 % N, 1)): "S2",
-           ((1, 0), ((-2) % N, 1)): "S2inv"}
-    if T.linear == ((1, 0), (0, 1)):
-        word: tuple[Gate, ...] = ()
-    elif T.linear in lin:
-        word = _word_gates(d, n, lin[T.linear], keep_trivial)
-    else:
-        raise ValueError(f"unsupported linear part {T.linear} mod {N}")
+    word = linear_word(T.linear, N)
+    prims = _primitive_gates(d, n, keep_trivial)
+    gates = tuple(g for p in reversed(word) for g in prims[p])
     disp = weyl_circuit(d, n, T.shift[0], T.shift[1])
-    return GateList(d, n, word + disp.gates,
+    return GateList(d, n, gates + disp.gates,
                     phase_num=disp.phase_num, phase_den=disp.phase_den)
 
 

@@ -163,8 +163,8 @@ def _verify_checks(N: int, seed: int, trials: int) -> list[tuple[str, float]]:
     for T in margulis_generators(N):
         approx = evaluate(affine_circuit(d, n, T))
         dense = affine_unitary(ctx, T)
-        t = abs(np.trace(approx.conj().T @ dense))
-        dev = max(dev, float(abs(t - N)))
+        _, phase = equal_up_to_phase(approx, dense)
+        dev = max(dev, float(np.linalg.norm(dense - phase * approx)))
     checks.append(("circuit_equivalence", dev))
     return checks
 

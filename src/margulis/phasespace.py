@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .walk import AffineMap, GridDist, _require_odd_modulus
+from .walk import (LINEAR_PARTS, AffineMap, GridDist, _require_odd_modulus,
+                   linear_word)
 
 __all__ = [
     "PhaseSpaceContext",
@@ -171,35 +172,21 @@ def quadratic_phase(ctx: PhaseSpaceContext, sign: int) -> np.ndarray:
     return np.diag(_phases(ctx, sign * j * j))
 
 
-def _sl2(ctx: PhaseSpaceContext, rows) -> tuple[tuple[int, int], tuple[int, int]]:
-    N = ctx.N
-    (a, b), (c, d) = rows
-    return ((a % N, b % N), (c % N, d % N))
-
-
 #: Word symbols accepted by :func:`metaplectic`.
-METAPLECTIC_GENERATORS = ("S1", "S1inv", "S2", "S2inv", "J")
+METAPLECTIC_GENERATORS = tuple(LINEAR_PARTS)
+
+# Dense unitaries of the primitives that the words in LINEAR_PARTS use.
+_PRIMITIVES = {
+    "Q+": lambda ctx: quadratic_phase(ctx, +1),
+    "Q-": lambda ctx: quadratic_phase(ctx, -1),
+    "F": fourier,
+    "Finv": lambda ctx: fourier(ctx).conj().T,
+}
 
 
-def _generator_tables(ctx: PhaseSpaceContext):
-    F = fourier(ctx)
-    Up = quadratic_phase(ctx, +1)
-    Um = quadratic_phase(ctx, -1)
-    unitaries = {
-        "S1": Up,
-        "S1inv": Um,
-        "S2": F @ Um @ F.conj().T,
-        "S2inv": F @ Up @ F.conj().T,
-        "J": F,
-    }
-    matrices = {
-        "S1": _sl2(ctx, ((1, 2), (0, 1))),
-        "S1inv": _sl2(ctx, ((1, -2), (0, 1))),
-        "S2": _sl2(ctx, ((1, 0), (2, 1))),
-        "S2inv": _sl2(ctx, ((1, 0), (-2, 1))),
-        "J": _sl2(ctx, ((0, 1), (-1, 0))),
-    }
-    return unitaries, matrices
+def _word_unitary(ctx: PhaseSpaceContext, word) -> np.ndarray:
+    """Product of the primitives in a nonempty word, left to right."""
+    return reduce(np.matmul, (_PRIMITIVES[p](ctx) for p in word))
 
 
 def metaplectic(ctx: PhaseSpaceContext, word) -> np.ndarray:
@@ -211,29 +198,23 @@ def metaplectic(ctx: PhaseSpaceContext, word) -> np.ndarray:
     word = list(word)
     if not word:
         raise ValueError("word must be nonempty")
-    unitaries, _ = _generator_tables(ctx)
-    try:
-        mats = [unitaries[s] for s in word]
-    except KeyError as err:
-        raise ValueError(
-            f"unknown generator symbol {err.args[0]!r}; "
-            f"expected one of {METAPLECTIC_GENERATORS}") from None
-    out = mats[0]
-    for m in mats[1:]:
-        out = out @ m
-    return out
+    for s in word:
+        if s not in LINEAR_PARTS:
+            raise ValueError(
+                f"unknown generator symbol {s!r}; "
+                f"expected one of {METAPLECTIC_GENERATORS}")
+    return reduce(np.matmul, (_word_unitary(ctx, LINEAR_PARTS[s][1]) for s in word))
 
 
 def word_matrix(ctx: PhaseSpaceContext, word) -> tuple[tuple[int, int], tuple[int, int]]:
     """SL(2, Z_N) matrix product of a generator word (left-to-right)."""
-    _, matrices = _generator_tables(ctx)
     N = ctx.N
     acc = ((1, 0), (0, 1))
     for s in word:
-        if s not in matrices:
+        if s not in LINEAR_PARTS:
             raise ValueError(f"unknown generator symbol {s!r}")
         (a, b), (c, d) = acc
-        (e, f_), (g, h) = matrices[s]
+        (e, f_), (g, h) = LINEAR_PARTS[s][0]
         acc = (((a * e + b * g) % N, (a * f_ + b * h) % N),
                ((c * e + d * g) % N, (c * f_ + d * h) % N))
     return acc
@@ -242,21 +223,13 @@ def word_matrix(ctx: PhaseSpaceContext, word) -> tuple[tuple[int, int], tuple[in
 def affine_unitary(ctx: PhaseSpaceContext, T: AffineMap) -> np.ndarray:
     """Unitary U_T = w(shift) mu(linear) with U_T A(v) U_T^dag = A(T(v)).
 
-    Supports linear parts that are a single metaplectic generator (or the
-    identity); all eight walk maps qualify.
+    Supports linear parts that are the identity or one symbol of
+    :data:`margulis.walk.LINEAR_PARTS`; all eight walk maps qualify.
     """
     if T.modulus != ctx.N:
         raise ValueError(f"map modulus {T.modulus} != context N {ctx.N}")
-    unitaries, matrices = _generator_tables(ctx)
-    ident = _sl2(ctx, ((1, 0), (0, 1)))
-    if T.linear == ident:
-        mu = np.eye(ctx.N, dtype=complex)
-    else:
-        by_matrix = {m: s for s, m in matrices.items()}
-        symbol = by_matrix.get(T.linear)
-        if symbol is None:
-            raise ValueError(f"unsupported linear part {T.linear} mod {ctx.N}")
-        mu = unitaries[symbol]
+    word = linear_word(T.linear, ctx.N)
+    mu = _word_unitary(ctx, word) if word else np.eye(ctx.N, dtype=complex)
     p, q = T.shift
     return weyl(ctx, p, q) @ mu
 

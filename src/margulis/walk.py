@@ -11,6 +11,7 @@ maps, the step, the dense stochastic matrix of the step, and its spectrum.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +21,11 @@ __all__ = [
     "GridDist",
     "SpectralReport",
     "GENERATOR_LABELS",
+    "LINEAR_PARTS",
+    "WALK_MAPS",
     "GABBER_GALIL_BOUND",
     "generator_data",
+    "linear_word",
     "margulis_generators",
     "generator_map",
     "apply_affine",
@@ -36,34 +40,52 @@ __all__ = [
 #: Upper bound sqrt(2)*5/8 on the subdominant eigenvalue, independent of N.
 GABBER_GALIL_BOUND = math.sqrt(2.0) * 5.0 / 8.0
 
-# Linear parts and shifts of the four generators over Z^2 (unreduced).
-# The inverses are derived; together the eight maps form the walk's edge set.
-_S1 = ((1, 2), (0, 1))
-_S2 = ((1, 0), (2, 1))
-_GENERATOR_DATA = (
-    ("T1", _S1, (0, 0)),
-    ("T2", _S1, (1, 0)),
-    ("T3", _S2, (0, 0)),
-    ("T4", _S2, (0, -1)),
-)
+#: Linear-part symbol -> (SL(2, Z) matrix, metaplectic word).  A word is in
+#: matrix order over Q+/Q- (quadratic phase of sign +-1) and F/Finv (DFT);
+#: its unitary moves phase-point labels by the matrix.
+LINEAR_PARTS = {
+    "S1": (((1, 2), (0, 1)), ("Q+",)),
+    "S1inv": (((1, -2), (0, 1)), ("Q-",)),
+    "S2": (((1, 0), (2, 1)), ("F", "Q-", "Finv")),
+    "S2inv": (((1, 0), (-2, 1)), ("F", "Q+", "Finv")),
+    "J": (((0, 1), (-1, 0)), ("F",)),
+}
+
+#: The eight walk maps, label -> (linear-part symbol, shift over Z^2).
+WALK_MAPS = {
+    "T1": ("S1", (0, 0)), "T2": ("S1", (1, 0)),
+    "T3": ("S2", (0, 0)), "T4": ("S2", (0, -1)),
+    "T1inv": ("S1inv", (0, 0)), "T2inv": ("S1inv", (-1, 0)),
+    "T3inv": ("S2inv", (0, 0)), "T4inv": ("S2inv", (0, 1)),
+}
 
 #: Labels for the eight maps returned by :func:`margulis_generators`, in order.
-GENERATOR_LABELS = ("T1", "T2", "T3", "T4", "T1inv", "T2inv", "T3inv", "T4inv")
+GENERATOR_LABELS = tuple(WALK_MAPS)
 
 
 def generator_data() -> tuple[tuple[str, tuple, tuple], ...]:
     """All eight maps as exact integer (label, linear, shift) triples over Z^2.
 
-    Inverses are computed by the integer adjugate (the linear parts have
-    determinant 1 over Z).  The same data, reduced mod N, drives the lattice
-    walk; over the reals it drives the moment maps.
+    The same data, reduced mod N, drives the lattice walk; over the reals it
+    drives the moment maps.
     """
-    out = list(_GENERATOR_DATA)
-    for name, ((a, b), (c, d)), (s, t) in _GENERATOR_DATA:
-        inv = ((d, -b), (-c, a))
-        ishift = (-(inv[0][0] * s + inv[0][1] * t), -(inv[1][0] * s + inv[1][1] * t))
-        out.append((name + "inv", inv, ishift))
-    return tuple(out)
+    return tuple((label, LINEAR_PARTS[symbol][0], shift)
+                 for label, (symbol, shift) in WALK_MAPS.items())
+
+
+def _mod(matrix, N: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    (a, b), (c, d) = matrix
+    return ((a % N, b % N), (c % N, d % N))
+
+
+def linear_word(linear, N: int) -> tuple[str, ...]:
+    """Word of a linear part reduced mod N; () for the identity."""
+    if linear == ((1, 0), (0, 1)):
+        return ()
+    for matrix, word in LINEAR_PARTS.values():
+        if _mod(matrix, N) == linear:
+            return word
+    raise ValueError(f"unsupported linear part {linear} mod {N}")
 
 
 def _require_odd_modulus(N: int) -> None:
@@ -89,11 +111,10 @@ class AffineMap:
         _require_odd_modulus(self.modulus)
         N = self.modulus
         (a, b), (c, d) = self.linear
-        lin = ((a % N, b % N), (c % N, d % N))
         sh = (self.shift[0] % N, self.shift[1] % N)
         if (a * d - b * c) % N != 1:
             raise ValueError(f"linear part {self.linear} has det != 1 mod {N}")
-        object.__setattr__(self, "linear", lin)
+        object.__setattr__(self, "linear", _mod(self.linear, N))
         object.__setattr__(self, "shift", sh)
 
     def __call__(self, v: tuple[int, int]) -> tuple[int, int]:
@@ -188,6 +209,19 @@ class GridDist:
         return GridDist(N, np.asarray(vec, dtype=float).reshape(N, N))
 
 
+def _pullback_indices(N: int) -> Iterator[np.ndarray]:
+    """Per walk map T, the array k with k[p, q] = flat index of T^{-1}(p, q).
+
+    Yielded one map at a time, so a large lattice holds one array at once.
+    """
+    pp, qq = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
+    for T in margulis_generators(N):
+        Ti = T.inverse()
+        (a, b), (c, d) = Ti.linear
+        s, t = Ti.shift
+        yield (a * pp + b * qq + s) % N * N + (c * pp + d * qq + t) % N
+
+
 def walk_step(f: GridDist) -> GridDist:
     """One expander step: average of f o T^{-1} over the eight maps.
 
@@ -195,13 +229,10 @@ def walk_step(f: GridDist) -> GridDist:
     fixed point.
     """
     N = f.modulus
-    pp, qq = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
     out = np.zeros((N, N))
-    for T in margulis_generators(N):
-        Ti = T.inverse()
-        (a, b), (c, d) = Ti.linear
-        s, t = Ti.shift
-        out += f.values[(a * pp + b * qq + s) % N, (c * pp + d * qq + t) % N]
+    flat = f.values.reshape(-1)
+    for k in _pullback_indices(N):
+        out += flat[k]
     return GridDist(N, out / 8.0)
 
 
@@ -222,15 +253,11 @@ def walk_matrix(N: int, max_modulus: int = 49) -> np.ndarray:
         raise ValueError(
             f"N={N} exceeds the walk_matrix cap {max_modulus}; "
             "pass max_modulus explicitly to override")
-    n = N * N
-    M = np.zeros((n, n))
-    gens = margulis_generators(N)
-    for p in range(N):
-        for q in range(N):
-            v = p * N + q
-            for T in gens:
-                up, uq = apply_affine(T, (p, q))
-                M[up * N + uq, v] += 0.125
+    M = np.zeros((N * N, N * N))
+    rows = np.arange(N * N)
+    for k in _pullback_indices(N):
+        # Each map is a bijection, so no (row, column) pair repeats here.
+        M[rows, k.ravel()] += 0.125
     return M
 
 
@@ -238,9 +265,9 @@ def walk_matrix(N: int, max_modulus: int = 49) -> np.ndarray:
 class SpectralReport:
     """Spectrum summary of a walk (or channel) matrix.
 
-    ``lam`` is the largest absolute eigenvalue on the orthogonal complement
-    of the uniform vector; ``spectrum`` is the full spectrum sorted by
-    descending absolute value.
+    ``spectrum`` is the full spectrum sorted by descending absolute value;
+    ``lam`` is ``abs(spectrum[1])``, the largest absolute eigenvalue on the
+    orthogonal complement of the uniform vector.
     """
 
     modulus: int
@@ -255,6 +282,9 @@ class SpectralReport:
 def spectral_report(M: np.ndarray, *, modulus: int = 0, degree: int = 8,
                     tol: float = 1e-10) -> SpectralReport:
     """Eigenvalues of a symmetric stochastic matrix and its mixing rate.
+
+    ``lam`` is read off the one eigensolve; a degenerate eigenvalue 1 (a
+    disconnected walk) survives as ``lam == 1``.
 
     Parameters
     ----------
@@ -280,9 +310,7 @@ def spectral_report(M: np.ndarray, *, modulus: int = 0, degree: int = 8,
     spectrum = tuple(sorted((float(x) for x in eigvals), key=abs, reverse=True))
     if abs(spectrum[0] - 1.0) > tol:
         raise ValueError(f"largest eigenvalue {spectrum[0]!r} is not 1 within {tol}")
-    # Deflate the uniform direction; degenerate eigenvalue 1 elsewhere survives.
-    deflated = M - np.full((n, n), 1.0 / n)
-    lam = float(np.max(np.abs(np.linalg.eigvalsh(deflated))))
+    lam = abs(spectrum[1])
     return SpectralReport(modulus=modulus, degree=degree, lam=lam, spectrum=spectrum)
 
 
@@ -311,8 +339,16 @@ def grid_from_csv(text: str) -> GridDist:
     if N * N != len(triples):
         raise ValueError(f"expected a square table, got {len(triples)} rows")
     vals = np.zeros((N, N))
-    for p, q, v in triples:
-        vals[int(p), int(q)] = float(v)
+    seen = bytearray(N * N)
+    # N*N rows that are in range and pairwise distinct cover every cell.
+    for line, (p, q, v) in zip(rows[1:], triples):
+        p, q = int(p), int(q)
+        if not (0 <= p < N and 0 <= q < N):
+            raise ValueError(f"row {line!r}: index outside 0..{N - 1}")
+        if seen[p * N + q]:
+            raise ValueError(f"row {line!r}: duplicate cell ({p}, {q})")
+        seen[p * N + q] = 1
+        vals[p, q] = float(v)
     return GridDist(N, vals)
 
 

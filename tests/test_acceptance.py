@@ -80,14 +80,12 @@ def test_criterion_4_spectral_gap_bound_and_golden_values():
         qlam = expander_lambda(margulis_channel(PhaseSpaceContext(N)))
         quantum_gap = max(quantum_gap, abs(qlam - computed[str(N)]))
     assert quantum_gap < 1e-8
+    # The oracle is checked in; a test run never writes it.
     golden_path = GOLDEN_DIR / "lambdas.json"
-    if golden_path.exists():
-        golden = json.loads(golden_path.read_text())
-        for key, value in computed.items():
-            assert value == pytest.approx(golden[key], abs=1e-10)
-    else:
-        GOLDEN_DIR.mkdir(exist_ok=True)
-        golden_path.write_text(json.dumps(computed, indent=2) + "\n")
+    assert golden_path.exists(), f"missing golden file {golden_path}"
+    golden = json.loads(golden_path.read_text())
+    for key, value in computed.items():
+        assert value == pytest.approx(golden[key], abs=1e-10)
     report("4 PASS - classical lambda <= 0.883884+1e-6 for odd N in 3..15; "
            f"quantum matches classical to {quantum_gap:.3e}; golden file checked")
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,19 @@ class TestSerialization:
         assert [ln.split(",")[:2] for ln in lines[1:4]] == [["0", "0"], ["1", "0"], ["2", "0"]]
         g = grid_from_csv(text)
         assert np.allclose(f.values, g.values, atol=0)
+
+    @pytest.mark.parametrize("bad_cell, reason", [
+        ("-1,0", "outside"),   # a negative index must not wrap to N-1
+        ("3,0", "outside"),
+        ("1,0", "duplicate"),  # would overwrite (1,0) and leave (2,0) unset
+    ])
+    def test_csv_rejects_malformed_rows(self, bad_cell, reason):
+        lines = grid_to_csv(GridDist.uniform(3)).splitlines()
+        assert lines[3].startswith("2,0,")
+        bad_row = bad_cell + lines[3][3:]
+        lines[3] = bad_row
+        with pytest.raises(ValueError, match=rf"row '{re.escape(bad_row)}'.*{reason}"):
+            grid_from_csv("\n".join(lines) + "\n")
 
     def test_pgm_format_and_rescale(self):
         f = GridDist.delta(3)
