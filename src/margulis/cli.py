@@ -52,6 +52,13 @@ def _odd_int(text: str) -> int:
     return n
 
 
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is negative")
+    return n
+
+
 def _odd_int_list(text: str) -> list[int]:
     return [_odd_int(t) for t in text.split(",") if t]
 
@@ -131,7 +138,14 @@ def _verify_checks(N: int, seed: int, trials: int) -> list[tuple[str, float]]:
     basis = phase_point_basis(ctx)
     checks = []
 
-    gram = np.einsum("vij,wji->vw", basis, basis) / N
+    # gram[v, w] = tr(A_v A_w) / N: the flattened operators times their
+    # flattened transposes.  Transposing N operators at a time keeps the
+    # copy at N^3 entries; a second N^4 stack raised the command's peak RSS.
+    flat = basis.reshape(N * N, N * N)
+    gram = np.empty((N * N, N * N), dtype=complex)
+    for p in range(N):
+        block = slice(p * N, (p + 1) * N)
+        gram[:, block] = flat @ basis[block].transpose(0, 2, 1).reshape(N, N * N).T / N
     checks.append(("orthonormality",
                    float(np.max(np.abs(gram - np.eye(N * N))))))
 
@@ -275,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("walk", help="iterate the walk from a point mass")
     p.add_argument("--N", type=_odd_int, default=7)
-    p.add_argument("--steps", type=int, default=3)
+    p.add_argument("--steps", type=_count, default=3)
     p.add_argument("--start", type=_point, default=(0, 0), metavar="P,Q")
     p.add_argument("--fixed-scale", action="store_true",
                    help="share one grayscale range across frames")
@@ -293,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="operator-identity check bundle")
     p.add_argument("--N", type=_odd_int, default=7)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_count, default=20)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument("--out", help="also write the JSON report to this path")
@@ -305,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("circuit", help="synthesize walk unitaries as gate lists")
     p.add_argument("--d", type=_odd_int, default=3, help="qudit dimension (odd)")
-    p.add_argument("--qudits", "-n", type=int, default=2)
+    p.add_argument("--qudits", "-n", type=_count, default=2)
     p.add_argument("--transform", choices=GENERATOR_LABELS + ("all",), default="all")
     p.add_argument("--check", action="store_true",
                    help="compare against the dense unitary")
@@ -318,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=_gamma, default=CovMatrix(1.0, 0.0, 1.0),
                    metavar="A,B,C")
     p.add_argument("--mean", type=_mean, default=MeanVector(0.0, 0.0), metavar="X,P")
-    p.add_argument("--iters", type=int, default=4)
+    p.add_argument("--iters", type=_count, default=4)
     p.add_argument("--map", choices=("g", "f"), default="g")
     p.add_argument("--out")
     p.set_defaults(func=cmd_moments)
@@ -333,8 +347,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as err:
+        # Values only the library can judge, and unreadable or unwritable
+        # paths, are usage errors as much as the ones argparse catches.
+        print(f"{parser.prog}: error: {err}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

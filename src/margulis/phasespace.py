@@ -14,6 +14,17 @@ Conventions, all pinned by tests:
   phase-point labels by S1 = [[1, 2], [0, 1]], its adjoint by S1^{-1}.
 * Conjugating these representatives moves Weyl operators without any stray
   phase: mu(S) w(a) mu(S)^dag = w(S a) exactly.
+* A(p,q) |m> = omega^{2p(q-m)} |2q-m>, so every nonzero entry of A(p,q)
+  lies on the antidiagonal n + m = 2q (mod N).  The Wigner transform is
+  therefore one DFT per lattice column q (Wootters 1987; Gross 2006):
+
+      W[p,q] = (1/N) sum_y omega^{2py} rho[q-y, q+y],
+
+  indices mod N.  ``wigner`` gathers g[q,y] = rho[q-y, q+y] and reads
+  entry 2p mod N of ``numpy.fft.ifft`` along y; ``inverse_wigner`` is the
+  transpose, rho[q+y, q-y] = sum_p W[p,q] omega^{2py}.  Neither touches
+  ``phase_point_basis``, whose N^2 x N x N stack (O(N^4) memory) is kept
+  as the test oracle for these formulas.
 """
 
 from __future__ import annotations
@@ -127,15 +138,27 @@ def _phase_point_stack(N: int) -> np.ndarray:
 
 
 def phase_point_basis(ctx: PhaseSpaceContext) -> np.ndarray:
-    """All N^2 phase-point operators stacked as [p*N+q, :, :] (read-only)."""
+    """All N^2 phase-point operators stacked as [p*N+q, :, :] (read-only).
+
+    Dense and cached: O(N^4) time and memory on first use per N.  No
+    transform in this package uses it; it is the oracle that the closed-form
+    ``wigner`` and ``inverse_wigner`` are tested against.
+    """
     return _phase_point_stack(ctx.N)
+
+
+def _antidiagonal_indices(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (q-y, q+y) mod N, both indexed [q, y]."""
+    q = np.arange(N)[:, None]
+    y = np.arange(N)[None, :]
+    return (q - y) % N, (q + y) % N
 
 
 def wigner(ctx: PhaseSpaceContext, rho: np.ndarray) -> GridDist:
     """Wigner table W[p,q] = tr(A(p,q) rho) / N of a hermitian operator.
 
     The table is real and sums to tr(rho).  Non-hermitian input is rejected
-    rather than silently projected.
+    rather than silently projected.  Costs one length-N FFT per column q.
     """
     rho = np.asarray(rho, dtype=complex)
     N = ctx.N
@@ -143,15 +166,22 @@ def wigner(ctx: PhaseSpaceContext, rho: np.ndarray) -> GridDist:
         raise ValueError(f"expected a {N}x{N} operator, got shape {rho.shape}")
     if not np.allclose(rho, rho.conj().T, atol=1e-10):
         raise ValueError("wigner requires a hermitian operator")
-    table = np.einsum("vij,ji->v", phase_point_basis(ctx), rho) / N
-    return GridDist(N, table.real.reshape(N, N))
+    minus, plus = _antidiagonal_indices(N)
+    table = np.fft.ifft(rho[minus, plus], axis=1)[:, 2 * np.arange(N) % N]
+    return GridDist(N, table.real.T)
 
 
 def inverse_wigner(ctx: PhaseSpaceContext, table: GridDist) -> np.ndarray:
     """Operator with the given Wigner table: sum_a table(a) A(a)."""
     if table.modulus != ctx.N:
         raise ValueError(f"table modulus {table.modulus} != context N {ctx.N}")
-    return np.einsum("v,vij->ij", table.values.reshape(-1), phase_point_basis(ctx))
+    N = ctx.N
+    # sums[q, k] = sum_p table[p, q] omega^{pk}
+    sums = N * np.fft.ifft(table.values.T, axis=1)
+    minus, plus = _antidiagonal_indices(N)
+    rho = np.empty((N, N), dtype=complex)
+    rho[plus, minus] = sums[:, 2 * np.arange(N) % N]
+    return rho
 
 
 def fourier(ctx: PhaseSpaceContext) -> np.ndarray:

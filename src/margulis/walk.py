@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -222,6 +223,23 @@ def _pullback_indices(N: int) -> Iterator[np.ndarray]:
         yield (a * pp + b * qq + s) % N * N + (c * pp + d * qq + t) % N
 
 
+@lru_cache(maxsize=4)
+def _pullback_stack(N: int) -> np.ndarray:
+    """The eight pullback index arrays, stacked read-only, built once per N.
+
+    Used by walk_step; 8 N^2 machine integers, about 10 MB at N=401.
+    walk_matrix streams _pullback_indices instead: its O(N^4) cost dwarfs
+    the index build, and cached index arrays left between its large
+    temporaries raised the peak RSS of repeated dense eigensolves by
+    several MB.
+    """
+    stack = np.empty((8, N, N), dtype=np.intp)
+    for k, indices in zip(stack, _pullback_indices(N)):
+        k[...] = indices
+    stack.setflags(write=False)
+    return stack
+
+
 def walk_step(f: GridDist) -> GridDist:
     """One expander step: average of f o T^{-1} over the eight maps.
 
@@ -231,7 +249,8 @@ def walk_step(f: GridDist) -> GridDist:
     N = f.modulus
     out = np.zeros((N, N))
     flat = f.values.reshape(-1)
-    for k in _pullback_indices(N):
+    # One map at a time keeps the temporaries at N^2 floats, not 8 N^2.
+    for k in _pullback_stack(N):
         out += flat[k]
     return GridDist(N, out / 8.0)
 

@@ -5,8 +5,8 @@ from margulis.channel import (IntertwiningReport, KrausChannel, apply_channel,
                               expander_lambda, margulis_channel,
                               random_hermitian, superoperator, unvectorize,
                               vectorize, verify_wigner_intertwining)
-from margulis.phasespace import (PhaseSpaceContext, inverse_wigner,
-                                 phase_point_basis, wigner)
+from margulis.phasespace import (PhaseSpaceContext, _phase_point_stack,
+                                 inverse_wigner, phase_point_basis, wigner)
 from margulis.walk import GridDist, spectral_report, walk_matrix, walk_step
 
 
@@ -220,6 +220,24 @@ class TestIntertwining:
         rho = random_hermitian(N, rng)
         assert np.allclose(wigner(ctx, apply_channel(ch, rho)).values,
                            walk_step(wigner(ctx, rho)).values, atol=1e-11)
+
+    @pytest.mark.parametrize("N", [63, 101])
+    def test_large_lattice_matches_walk_table(self, N):
+        ctx = PhaseSpaceContext(N)
+        ch = margulis_channel(ctx)
+        rho = random_hermitian(N, np.random.default_rng(27))
+        left = wigner(ctx, apply_channel(ch, rho)).values
+        right = walk_step(wigner(ctx, rho)).values
+        assert np.max(np.abs(left - right)) < 1e-10
+
+    def test_transforms_never_build_the_phase_point_stack(self):
+        _phase_point_stack.cache_clear()
+        ctx = PhaseSpaceContext(63)
+        rho = random_hermitian(63, np.random.default_rng(28))
+        inverse_wigner(ctx, wigner(ctx, rho))
+        # The eigen-lift stage needs the dense walk matrix, capped at N=49.
+        assert verify_wigner_intertwining(PhaseSpaceContext(15), trials=3).passed
+        assert _phase_point_stack.cache_info().currsize == 0
 
 
 class TestKrausValidation:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import margulis
 from margulis.circuits import evaluate, gate_list_from_jsonl
 from margulis.cli import main
 from margulis.phasespace import PhaseSpaceContext, affine_unitary, operator_from_json
@@ -152,6 +157,37 @@ class TestContractionCommand:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["walk", "--steps", "-1"],
+        ["moments", "--iters", "-3"],
+        ["verify", "--trials", "-2"],
+        ["circuit", "--qudits", "0"],
+        ["contraction", "--delta", "0"],
+        ["contraction", "--R", "2"],
+        ["spectrum", "--N", "51"],
+        ["verify", "--compare-operators", "{missing}"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_bad_input_is_usage_error(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MARGULIS_OUT", str(tmp_path))
+        argv = [a.format(missing=tmp_path / "missing") for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as err:
+            code = err.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_library_error_exits_2_in_a_real_process(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "margulis", "contraction", "--delta", "0",
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(margulis.__file__).parents[1])})
+        assert proc.returncode == 2
+        assert proc.stderr == "margulis: error: delta must be positive, got 0.0\n"
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

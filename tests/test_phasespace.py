@@ -199,6 +199,19 @@ class TestWigner:
         with pytest.raises(ValueError, match="modulus"):
             inverse_wigner(PhaseSpaceContext(5), GridDist.delta(7))
 
+    @pytest.mark.parametrize("N", [3, 5, 7, 9, 15, 25, 27, 31])
+    def test_closed_form_matches_phase_point_oracle(self, N):
+        ctx = PhaseSpaceContext(N)
+        basis = phase_point_basis(ctx)
+        rng = np.random.default_rng(100 + N)
+        g = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        rho = (g + g.conj().T) / 2
+        expected = np.einsum("vij,ji->v", basis, rho).real.reshape(N, N) / N
+        table = wigner(ctx, rho)
+        assert np.max(np.abs(table.values - expected)) < 1e-13
+        oracle = np.einsum("v,vij->ij", table.values.reshape(-1), basis)
+        assert np.max(np.abs(inverse_wigner(ctx, table) - oracle)) < 1e-13
+
 
 class TestFourier:
     def test_matrix_entries_n3(self):
