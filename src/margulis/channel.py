@@ -115,17 +115,14 @@ def expander_lambda(ch: KrausChannel, max_dim: int = 9) -> float:
     """Largest singular value of the channel off the identity direction.
 
     Computed from the dense superoperator, which is hermitian here, so the
-    singular values are absolute eigenvalues.
+    singular values are absolute eigenvalues; the identity direction holds the
+    largest, 1, so lambda is the second largest.
     """
     M = superoperator(ch, max_dim=max_dim)
     if not np.allclose(M, M.conj().T, atol=1e-10):
         raise ValueError("superoperator is not hermitian; expander_lambda "
                          "expects an inverse-closed unitary mixture")
-    n2 = M.shape[0]
-    ident = np.eye(ch.dim, dtype=complex)
-    u = vectorize(ident) / np.sqrt(ch.dim)
-    deflated = M - np.outer(u, u.conj())
-    return float(np.max(np.abs(np.linalg.eigvalsh(deflated))))
+    return float(np.sort(np.abs(np.linalg.eigvalsh(M)))[-2])
 
 
 @dataclass(frozen=True)

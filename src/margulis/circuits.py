@@ -23,6 +23,7 @@ Synthesized families:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,59 +128,44 @@ def undigits(js, d: int) -> int:
     return out
 
 
-def _digit_arrays(d: int, n: int) -> np.ndarray:
-    """Array D[l-1, j] = j_l for all basis labels j."""
-    j = np.arange(d ** n)
-    return np.stack([(j // d ** (n - l)) % d for l in range(1, n + 1)])
+def _apply(gate: Gate, n: int, reg: np.ndarray) -> np.ndarray:
+    """One gate on a register shaped (d,)*n + (columns,); qudit l is axis l-1."""
+    if gate.kind == "reverse":
+        # |j_1 ... j_n> -> |j_n ... j_1>
+        return reg.transpose(tuple(range(n - 1, -1, -1)) + (n,))
+    d = gate.d
+    j = np.arange(d)
+    if gate.kind in ("fourier", "fourier_inv"):
+        sign = 1 if gate.kind == "fourier" else -1
+        f = np.exp(sign * 2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
+        axis = gate.targets[0] - 1
+        return np.moveaxis(np.tensordot(f, reg, axes=(1, axis)), 0, axis)
+    # Digit j_t shaped to broadcast along register axis t-1; the exponent is
+    # the product of the target digits, squared for a single quadratic_phase.
+    x = [j.reshape((d,) + (1,) * (n + 1 - t)) for t in gate.targets]
+    e = x[0] ** 2 if gate.kind == "quadratic_phase" else math.prod(x)
+    return reg * np.exp(2j * np.pi * gate.c * (e % gate.M) / gate.M)
 
 
 def gate_matrix(gate: Gate, n: int) -> np.ndarray:
     """Dense matrix of one gate on the full d^n-dimensional register."""
-    d = gate.d
-    dim = d ** n
-    if gate.kind in _DIAGONAL_KINDS:
-        dig = _digit_arrays(d, n)
-        if gate.kind == "linear_phase":
-            e = dig[gate.targets[0] - 1]
-        elif gate.kind == "quadratic_phase":
-            e = dig[gate.targets[0] - 1] ** 2
-        else:
-            e = dig[gate.targets[0] - 1] * dig[gate.targets[1] - 1]
-        return np.diag(np.exp(2j * np.pi * gate.c * (e % gate.M) / gate.M))
-    if gate.kind in ("fourier", "fourier_inv"):
-        jk = np.outer(np.arange(d), np.arange(d))
-        f = np.exp(2j * np.pi * jk / d) / np.sqrt(d)
-        if gate.kind == "fourier_inv":
-            f = f.conj().T
-        t = gate.targets[0]
-        return np.kron(np.kron(np.eye(d ** (t - 1)), f), np.eye(d ** (n - t)))
-    # reverse: |j_1 ... j_n> -> |j_n ... j_1>
-    perm = np.array([undigits(digits(j, d, n)[::-1], d) for j in range(dim)])
-    m = np.zeros((dim, dim), dtype=complex)
-    m[perm, np.arange(dim)] = 1.0
-    return m
+    return evaluate(GateList(gate.d, n, (gate,)))
 
 
 def evaluate(gl: GateList) -> np.ndarray:
     """Dense unitary of the list (first gate rightmost), phase included."""
-    acc = np.eye(gl.dim, dtype=complex)
+    reg = np.eye(gl.dim, dtype=complex).reshape((gl.d,) * gl.n + (gl.dim,))
     for g in gl.gates:
-        acc = gate_matrix(g, gl.n) @ acc
-    return gl.global_phase() * acc
+        reg = _apply(g, gl.n, reg)
+    return gl.global_phase() * reg.reshape(gl.dim, gl.dim)
 
 
 def inverse_gates(gates) -> tuple[Gate, ...]:
-    """Gate-by-gate inverse of a sequence, in reversed order."""
+    """Gate-by-gate inverse of a sequence, in reversed order: F and F^dag swap,
+    phase parameters c negate, and reverse (whose c is 0) is its own inverse."""
     flip = {"fourier": "fourier_inv", "fourier_inv": "fourier"}
-    out = []
-    for g in reversed(tuple(gates)):
-        if g.kind in flip:
-            out.append(Gate(flip[g.kind], g.d, g.targets))
-        elif g.kind == "reverse":
-            out.append(g)
-        else:
-            out.append(Gate(g.kind, g.d, g.targets, -g.c, g.M))
-    return tuple(out)
+    return tuple(Gate(flip.get(g.kind, g.kind), g.d, g.targets, -g.c, g.M)
+                 for g in reversed(tuple(gates)))
 
 
 def _require_odd_d(d: int) -> None:
@@ -265,9 +251,7 @@ def weyl_circuit(d: int, n: int, p: int, q: int) -> GateList:
     gates += list(_linear_phase_gates(d, n, p))
     inv2 = (N + 1) // 2
     num = (-inv2 * p * q) % N
-    if num:
-        return GateList(d, n, tuple(gates), phase_num=num, phase_den=N)
-    return GateList(d, n, tuple(gates))
+    return GateList(d, n, tuple(gates), phase_num=num, phase_den=N if num else 1)
 
 
 def _primitive_gates(d: int, n: int, keep_trivial: bool) -> dict[str, tuple[Gate, ...]]:
@@ -310,7 +294,7 @@ def equal_up_to_phase(A: np.ndarray, B: np.ndarray,
     B = np.asarray(B, dtype=complex)
     if A.shape != B.shape or A.shape[0] != A.shape[1]:
         raise ValueError(f"operators must be square and same shape, got {A.shape}, {B.shape}")
-    t = np.trace(A.conj().T @ B)
+    t = np.vdot(A, B)  # tr(A^dag B) without the d^n x d^n product
     ok = bool(abs(abs(t) - A.shape[0]) < tol)
     phase = t / abs(t) if abs(t) > 0 else complex(1.0)
     return ok, phase

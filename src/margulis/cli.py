@@ -26,16 +26,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import (expander_lambda, margulis_channel, superoperator,
-                      verify_wigner_intertwining)
+from .channel import margulis_channel, superoperator, verify_wigner_intertwining
 from .circuits import affine_circuit, equal_up_to_phase, evaluate, gate_list_to_jsonl
 from .continuous import (CovMatrix, MeanVector, TEST_FUNCTIONS,
                          contraction_check, discretize, moments_csv)
 from .phasespace import (PhaseSpaceContext, affine_unitary, fourier, parity,
                          phase_point_basis, quadratic_phase,
                          operator_from_json, operator_to_json, weyl)
-from .walk import (GABBER_GALIL_BOUND, GENERATOR_LABELS, GridDist,
-                   generator_map, grid_to_csv, grid_to_pgm, margulis_generators,
+from .walk import (DENSE_MAX_MODULUS, GABBER_GALIL_BOUND, GENERATOR_LABELS,
+                   GridDist, generator_map, grid_to_csv, grid_to_pgm, margulis_generators,
                    spectral_report, walk_matrix, walk_step)
 
 _FMT = ".17g"
@@ -52,15 +51,25 @@ def _odd_int(text: str) -> int:
     return n
 
 
-def _count(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"{n} is negative")
+def _dense_modulus(text: str) -> int:
+    n = _odd_int(text)
+    if n > DENSE_MAX_MODULUS:
+        raise argparse.ArgumentTypeError(
+            f"{n} exceeds the dense limit {DENSE_MAX_MODULUS}")
     return n
 
 
-def _odd_int_list(text: str) -> list[int]:
-    return [_odd_int(t) for t in text.split(",") if t]
+def _dense_modulus_list(text: str) -> list[int]:
+    return [_dense_modulus(t) for t in text.split(",") if t]
+
+
+def _int_at_least(lo: int):
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {n}")
+        return n
+    return integer
 
 
 def _point(text: str) -> tuple[int, int]:
@@ -112,7 +121,7 @@ def cmd_spectrum(args) -> int:
             M = superoperator(ch, max_dim=args.quantum_cap)
             eigs = sorted(np.linalg.eigvalsh(M).tolist(), key=abs, reverse=True)
             spectra += [f"{N},quantum,{i},{_fmt(v)}" for i, v in enumerate(eigs)]
-            lambdas.append(f"{N},quantum,{_fmt(expander_lambda(ch, max_dim=args.quantum_cap))},{bound}")
+            lambdas.append(f"{N},quantum,{_fmt(abs(eigs[1]))},{bound}")
     (out / "spectra.csv").write_text("\n".join(spectra) + "\n")
     (out / "lambdas.csv").write_text("\n".join(lambdas) + "\n")
     print(f"wrote spectra.csv and lambdas.csv for N in {args.N} to {out}")
@@ -183,9 +192,6 @@ def _verify_checks(N: int, seed: int, trials: int) -> list[tuple[str, float]]:
     return checks
 
 
-_GOLDEN_OPERATORS = ("fourier", "parity", "quadratic_plus", "quadratic_minus")
-
-
 def _reference_operators(ctx: PhaseSpaceContext) -> dict[str, np.ndarray]:
     ops = {"fourier": fourier(ctx), "parity": parity(ctx),
            "quadratic_plus": quadratic_phase(ctx, +1),
@@ -197,19 +203,21 @@ def _reference_operators(ctx: PhaseSpaceContext) -> dict[str, np.ndarray]:
 
 def cmd_verify(args) -> int:
     ctx = PhaseSpaceContext(args.N)
-    checks = _verify_checks(args.N, args.seed, args.trials)
+    golden = []
+    if args.compare_operators:
+        # Read the golden files before the checks, so a bad directory fails at once.
+        opdir = Path(args.compare_operators)
+        dev = 0.0
+        for name, op in _reference_operators(ctx).items():
+            gold = operator_from_json((opdir / f"{name}.json").read_text())
+            dev = max(dev, float(np.max(np.abs(gold - op))))
+        golden.append(("golden_operators", dev))
+    checks = _verify_checks(args.N, args.seed, args.trials) + golden
     if args.dump_operators:
         opdir = Path(args.dump_operators)
         opdir.mkdir(parents=True, exist_ok=True)
         for name, op in _reference_operators(ctx).items():
             (opdir / f"{name}.json").write_text(operator_to_json(op))
-    if args.compare_operators:
-        opdir = Path(args.compare_operators)
-        dev = 0.0
-        for name, op in _reference_operators(ctx).items():
-            golden = operator_from_json((opdir / f"{name}.json").read_text())
-            dev = max(dev, float(np.max(np.abs(golden - op))))
-        checks.append(("golden_operators", dev))
     items = [{"check": name, "max_deviation": dev, "tolerance": args.tol,
               "passed": dev < args.tol} for name, dev in checks]
     passed = all(item["passed"] for item in items)
@@ -289,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("walk", help="iterate the walk from a point mass")
     p.add_argument("--N", type=_odd_int, default=7)
-    p.add_argument("--steps", type=_count, default=3)
+    p.add_argument("--steps", type=_int_at_least(0), default=3)
     p.add_argument("--start", type=_point, default=(0, 0), metavar="P,Q")
     p.add_argument("--fixed-scale", action="store_true",
                    help="share one grayscale range across frames")
@@ -297,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_walk)
 
     p = sub.add_parser("spectrum", help="walk and channel spectra as CSV")
-    p.add_argument("--N", type=_odd_int_list, default=[3, 5, 7], metavar="N1,N2,...")
+    p.add_argument("--N", type=_dense_modulus_list, default=[3, 5, 7],
+                   metavar="N1,N2,...")
     p.add_argument("--mode", choices=("classical", "quantum", "both"), default="both")
     p.add_argument("--quantum-cap", type=int, default=9,
                    help="largest N for the dense superoperator")
@@ -305,9 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify", help="operator-identity check bundle")
-    p.add_argument("--N", type=_odd_int, default=7)
+    p.add_argument("--N", type=_dense_modulus, default=7)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=_count, default=20)
+    p.add_argument("--trials", type=_int_at_least(0), default=20)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument("--out", help="also write the JSON report to this path")
@@ -319,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("circuit", help="synthesize walk unitaries as gate lists")
     p.add_argument("--d", type=_odd_int, default=3, help="qudit dimension (odd)")
-    p.add_argument("--qudits", "-n", type=_count, default=2)
+    p.add_argument("--qudits", "-n", type=_int_at_least(1), default=2)
     p.add_argument("--transform", choices=GENERATOR_LABELS + ("all",), default="all")
     p.add_argument("--check", action="store_true",
                    help="compare against the dense unitary")
@@ -332,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=_gamma, default=CovMatrix(1.0, 0.0, 1.0),
                    metavar="A,B,C")
     p.add_argument("--mean", type=_mean, default=MeanVector(0.0, 0.0), metavar="X,P")
-    p.add_argument("--iters", type=_count, default=4)
+    p.add_argument("--iters", type=_int_at_least(0), default=4)
     p.add_argument("--map", choices=("g", "f"), default="g")
     p.add_argument("--out")
     p.set_defaults(func=cmd_moments)

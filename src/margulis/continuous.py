@@ -225,8 +225,7 @@ class SampledField:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        _require_delta(self.delta)
         side = 2 * self.R + 1
         vals = np.array(self.values, dtype=float)
         if vals.shape != (side, side):
@@ -242,6 +241,12 @@ class SampledField:
         return float(self.values.sum() * self.delta ** 2)
 
 
+def _require_delta(delta: float) -> None:
+    if not 0 < delta < math.inf:
+        raise ValueError(
+            f"delta must be {'finite' if delta > 0 else 'positive'}, got {delta}")
+
+
 def discretize(test_fn, delta: float, R: int) -> SampledField:
     """Cell averages of a test function by 4-point Gauss-Legendre per axis.
 
@@ -255,8 +260,7 @@ def discretize(test_fn, delta: float, R: int) -> SampledField:
             raise ValueError(
                 f"unknown test function {test_fn!r}; "
                 f"available: {sorted(TEST_FUNCTIONS)}") from None
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    _require_delta(delta)
     if test_fn.support_radius > R * delta:
         raise ValueError(
             f"support radius {test_fn.support_radius} exceeds grid extent "

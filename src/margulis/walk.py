@@ -25,6 +25,7 @@ __all__ = [
     "LINEAR_PARTS",
     "WALK_MAPS",
     "GABBER_GALIL_BOUND",
+    "DENSE_MAX_MODULUS",
     "generator_data",
     "linear_word",
     "margulis_generators",
@@ -40,6 +41,9 @@ __all__ = [
 
 #: Upper bound sqrt(2)*5/8 on the subdominant eigenvalue, independent of N.
 GABBER_GALIL_BOUND = math.sqrt(2.0) * 5.0 / 8.0
+
+#: Largest N for which walk_matrix builds the dense N^2 x N^2 matrix by default.
+DENSE_MAX_MODULUS = 49
 
 #: Linear-part symbol -> (SL(2, Z) matrix, metaplectic word).  A word is in
 #: matrix order over Q+/Q- (quadratic phase of sign +-1) and F/Finv (DFT);
@@ -255,7 +259,7 @@ def walk_step(f: GridDist) -> GridDist:
     return GridDist(N, out / 8.0)
 
 
-def walk_matrix(N: int, max_modulus: int = 49) -> np.ndarray:
+def walk_matrix(N: int, max_modulus: int = DENSE_MAX_MODULUS) -> np.ndarray:
     """Dense N^2 x N^2 matrix of walk_step in the point-mass basis.
 
     Basis index of the point (p, q) is p*N + q.  The matrix is symmetric and

@@ -73,7 +73,53 @@ class TestDigits:
             assert np.allclose(vec, acc)
 
 
+def column_by_definition(g, n, j):
+    """Image of the basis state |j> under g, written out from the gate kinds."""
+    d = g.d
+    js = digits(j, d, n)
+    col = np.zeros(d ** n, dtype=complex)
+    if g.kind == "reverse":
+        col[undigits(js[::-1], d)] = 1.0
+    elif g.kind in ("fourier", "fourier_inv"):
+        sign = 1 if g.kind == "fourier" else -1
+        t = g.targets[0] - 1
+        for k in range(d):
+            out = js[:t] + (k,) + js[t + 1:]
+            col[undigits(out, d)] = np.exp(sign * 2j * np.pi * js[t] * k / d) / np.sqrt(d)
+    else:
+        jt = [js[t - 1] for t in g.targets]
+        e = {"linear_phase": jt[0], "quadratic_phase": jt[0] ** 2,
+             "cphase": jt[0] * jt[-1]}[g.kind]
+        col[j] = np.exp(2j * np.pi * g.c * e / g.M)
+    return col
+
+
+GATES_BY_KIND = [
+    (3, Gate("linear_phase", 3, (2,), 2, 9)),
+    (3, Gate("quadratic_phase", 3, (3,), -1, 27)),
+    (3, Gate("cphase", 3, (1, 3), 2, 9)),
+    (3, Gate("cphase", 3, (3, 1), 2, 9)),
+    (3, Gate("fourier", 3, (1,))),
+    (3, Gate("fourier_inv", 3, (2,))),
+    (3, Gate("reverse", 3)),
+    (2, Gate("linear_phase", 5, (1,), 3, 25)),
+    (2, Gate("quadratic_phase", 5, (2,), 1, 5)),
+    (2, Gate("cphase", 5, (1, 2), -2, 25)),
+    (2, Gate("cphase", 5, (2, 1), -2, 25)),
+    (2, Gate("fourier", 5, (2,))),
+    (2, Gate("fourier_inv", 5, (1,))),
+    (2, Gate("reverse", 5)),
+]
+
+
 class TestEvaluate:
+    @pytest.mark.parametrize("n,g", GATES_BY_KIND, ids=[
+        "-".join([f"d{g.d}n{n}", g.kind, *map(str, g.targets)]) for n, g in GATES_BY_KIND])
+    def test_gate_matches_its_definition(self, n, g):
+        m = gate_matrix(g, n)
+        for j in range(g.d ** n):
+            assert np.allclose(m[:, j], column_by_definition(g, n, j), atol=1e-13)
+
     def test_empty_list_is_identity(self):
         gl = GateList(3, 2, ())
         assert np.allclose(evaluate(gl), np.eye(9))

@@ -163,8 +163,11 @@ class TestUsage:
         ["verify", "--trials", "-2"],
         ["circuit", "--qudits", "0"],
         ["contraction", "--delta", "0"],
+        ["contraction", "--delta", "nan"],
+        ["contraction", "--delta", "inf"],
         ["contraction", "--R", "2"],
         ["spectrum", "--N", "51"],
+        ["verify", "--N", "51"],
         ["verify", "--compare-operators", "{missing}"],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_input_is_usage_error(self, argv, tmp_path, capsys, monkeypatch):
@@ -177,7 +180,33 @@ class TestUsage:
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+        # Library parameter names mean nothing to someone typing flags.
+        assert "max_modulus" not in err and "modulus must be" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,named", [
+        (["circuit", "--qudits", "0"], "--qudits"),
+        (["spectrum", "--N", "3,51"], "--N: 51 exceeds the dense limit 49"),
+        (["verify", "--N", "51"], "--N: 51 exceeds the dense limit 49"),
+    ], ids=["circuit --qudits 0", "spectrum --N 3,51", "verify --N 51"])
+    def test_usage_error_names_the_flag(self, argv, named, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert named in capsys.readouterr().err
+
+    def test_golden_files_read_before_the_checks(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def checks(*args):
+            calls.append(args)
+            raise AssertionError("the checks ran before the golden files were read")
+
+        monkeypatch.setattr("margulis.cli._verify_checks", checks)
+        assert main(["verify", "--N", "5", "--compare-operators",
+                     str(tmp_path / "missing")]) == 2
+        assert calls == []
+        assert "fourier.json" in capsys.readouterr().err
 
     def test_library_error_exits_2_in_a_real_process(self, tmp_path):
         proc = subprocess.run(

@@ -216,6 +216,11 @@ class TestDiscretize:
         with pytest.raises(ValueError, match="shape"):
             SampledField(0.25, 3, np.zeros((5, 5)))
 
+    @pytest.mark.parametrize("delta", [0.0, -0.25, float("nan"), float("inf")])
+    def test_field_rejects_bad_delta(self, delta):
+        with pytest.raises(ValueError, match="delta must be"):
+            SampledField(delta, 2, np.zeros((5, 5)))
+
 
 class TestContractionCheck:
     @pytest.mark.parametrize("name", sorted(TEST_FUNCTIONS))
