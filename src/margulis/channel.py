@@ -4,18 +4,18 @@ The channel applies one of the unitaries implementing the walk maps, chosen
 uniformly at random.  On Wigner tables it acts exactly as the classical walk
 acts on distributions, so its superoperator spectrum coincides with the walk
 matrix spectrum; this module builds the channel, its dense superoperator,
-the mixing rate, and the explicit intertwining checks.
+the mixing rate, and a random-input check of that identity in both directions.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .phasespace import PhaseSpaceContext, affine_unitary, inverse_wigner, wigner
-from .walk import GridDist, margulis_generators, walk_matrix, walk_step
+from .walk import GridDist, margulis_generators, walk_step
 
 __all__ = [
     "KrausChannel",
@@ -127,36 +127,27 @@ def expander_lambda(ch: KrausChannel, max_dim: int = 9) -> float:
 
 @dataclass(frozen=True)
 class IntertwiningReport:
-    """Outcome of the Wigner-table equivalence checks.
+    """Outcome of the Wigner-table equivalence check in both directions.
 
     ``max_table_deviation``: worst entrywise gap between wigner(channel(rho))
-    and walk_step(wigner(rho)) over the random trials.
-    ``max_eigen_residual``: worst Frobenius residual of lifting a classical
-    walk eigenvector to an eigenoperator of the channel.
+    and walk_step(wigner(rho)) over the random operators rho.
+    ``max_lift_deviation``: worst entrywise gap between
+    channel(inverse_wigner(f)) and inverse_wigner(walk_step(f)) over the
+    random tables f.
     """
 
     modulus: int
     trials: int
     max_table_deviation: float
-    max_eigen_residual: float
-    table_tolerance: float
-    eigen_tolerance: float
+    max_lift_deviation: float
+    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return (self.max_table_deviation < self.table_tolerance
-                and self.max_eigen_residual < self.eigen_tolerance)
+        return max(self.max_table_deviation, self.max_lift_deviation) < self.tolerance
 
     def as_dict(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "trials": self.trials,
-            "max_table_deviation": self.max_table_deviation,
-            "max_eigen_residual": self.max_eigen_residual,
-            "table_tolerance": self.table_tolerance,
-            "eigen_tolerance": self.eigen_tolerance,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict())
@@ -167,16 +158,16 @@ def random_hermitian(N: int, rng: np.random.Generator) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
-def verify_wigner_intertwining(ctx: PhaseSpaceContext, trials: int = 20,
-                               seed: int = 0, table_tolerance: float = 1e-10,
-                               eigen_tolerance: float = 1e-8) -> IntertwiningReport:
+def verify_wigner_intertwining(ctx: PhaseSpaceContext, trials: int = 20, seed: int = 0,
+                               tolerance: float = 1e-10) -> IntertwiningReport:
     """Check that the channel acts on Wigner tables as the walk acts on grids.
 
-    Two checks: (a) wigner(channel(rho)) equals walk_step(wigner(rho))
-    entrywise on ``trials`` random hermitian rho; (b) each classical walk
-    eigenvector, pushed through inverse_wigner, is an eigenoperator of the
-    channel with the same eigenvalue (residual bounded by the eigensolver's
-    own accuracy, hence the looser default tolerance).
+    The identity is linear, so random inputs catch a wrong map with high
+    probability on each trial (Freivalds 1977).  Entrywise, on ``trials``
+    inputs each: (a) wigner(channel(rho)) against walk_step(wigner(rho)) for
+    random hermitian rho; then (b) the lift, channel(inverse_wigner(f)) against
+    inverse_wigner(walk_step(f)) for standard-normal tables f.  No walk matrix
+    is formed, so the check runs at any odd N.
     """
     N = ctx.N
     ch = margulis_channel(ctx)
@@ -188,15 +179,12 @@ def verify_wigner_intertwining(ctx: PhaseSpaceContext, trials: int = 20,
         right = walk_step(wigner(ctx, rho)).values
         max_dev = max(max_dev, float(np.max(np.abs(left - right))))
 
-    M = walk_matrix(N)
-    eigvals, eigvecs = np.linalg.eigh(M)
-    max_res = 0.0
-    for lam, vec in zip(eigvals, eigvecs.T):
-        op = inverse_wigner(ctx, GridDist.from_flat(N, vec))
-        res = np.linalg.norm(apply_channel(ch, op) - lam * op, ord="fro")
-        max_res = max(max_res, float(res))
+    max_lift = 0.0
+    for _ in range(trials):
+        f = GridDist(N, rng.standard_normal((N, N)))
+        left = apply_channel(ch, inverse_wigner(ctx, f))
+        right = inverse_wigner(ctx, walk_step(f))
+        max_lift = max(max_lift, float(np.max(np.abs(left - right))))
 
-    return IntertwiningReport(
-        modulus=N, trials=trials,
-        max_table_deviation=max_dev, max_eigen_residual=max_res,
-        table_tolerance=table_tolerance, eigen_tolerance=eigen_tolerance)
+    return IntertwiningReport(modulus=N, trials=trials, max_table_deviation=max_dev,
+                              max_lift_deviation=max_lift, tolerance=tolerance)

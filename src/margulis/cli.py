@@ -32,16 +32,10 @@ from .continuous import (CovMatrix, MeanVector, TEST_FUNCTIONS,
                          contraction_check, discretize, moments_csv)
 from .phasespace import (PhaseSpaceContext, affine_unitary, fourier, parity,
                          phase_point_basis, quadratic_phase,
-                         operator_from_json, operator_to_json, weyl)
+                         operator_from_json, operator_to_json)
 from .walk import (DENSE_MAX_MODULUS, GABBER_GALIL_BOUND, GENERATOR_LABELS,
-                   GridDist, generator_map, grid_to_csv, grid_to_pgm, margulis_generators,
-                   spectral_report, walk_matrix, walk_step)
-
-_FMT = ".17g"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), _FMT)
+                   AffineMap, GridDist, _fmt, generator_map, grid_to_csv, grid_to_pgm,
+                   margulis_generators, spectral_report, walk_matrix, walk_step)
 
 
 def _odd_int(text: str) -> int:
@@ -103,6 +97,10 @@ def cmd_walk(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    largest = max(args.N, default=0)
+    if args.mode != "classical" and largest > args.quantum_cap:
+        raise ValueError(f"N={largest} exceeds --quantum-cap {args.quantum_cap}; "
+                         "raise --quantum-cap to include it")
     out = _outdir(args)
     spectra = ["N,kind,index,eigenvalue"]
     lambdas = ["N,kind,lambda,bound"]
@@ -113,10 +111,6 @@ def cmd_spectrum(args) -> int:
             spectra += [f"{N},classical,{i},{_fmt(v)}" for i, v in enumerate(rep.spectrum)]
             lambdas.append(f"{N},classical,{_fmt(rep.lam)},{bound}")
         if args.mode in ("quantum", "both"):
-            if N > args.quantum_cap:
-                print(f"N={N} exceeds the quantum cap {args.quantum_cap}; "
-                      "raise --quantum-cap to include it", file=sys.stderr)
-                return 1
             ch = margulis_channel(PhaseSpaceContext(N))
             M = superoperator(ch, max_dim=args.quantum_cap)
             eigs = sorted(np.linalg.eigvalsh(M).tolist(), key=abs, reverse=True)
@@ -142,6 +136,19 @@ def _prime_power(N: int) -> tuple[int, int]:
     return N, 1
 
 
+def _covariance_deviation(ctx: PhaseSpaceContext, basis: np.ndarray, T: AffineMap,
+                          points) -> float:
+    """Worst Frobenius gap ||U_T A(v) U_T^dag - A(T(v))|| over the points v."""
+    N = ctx.N
+    U = affine_unitary(ctx, T)
+    dev = 0.0
+    for p, q in points:
+        tp, tq = T((p, q))
+        diff = U @ basis[p * N + q] @ U.conj().T - basis[tp * N + tq]
+        dev = max(dev, float(np.linalg.norm(diff)))
+    return dev
+
+
 def _verify_checks(N: int, seed: int, trials: int) -> list[tuple[str, float]]:
     ctx = PhaseSpaceContext(N)
     basis = phase_point_basis(ctx)
@@ -158,28 +165,20 @@ def _verify_checks(N: int, seed: int, trials: int) -> list[tuple[str, float]]:
     checks.append(("orthonormality",
                    float(np.max(np.abs(gram - np.eye(N * N))))))
 
-    dev = 0.0
-    for T in margulis_generators(N):
-        U = affine_unitary(ctx, T)
-        for p in range(N):
-            for q in range(N):
-                tp, tq = T((p, q))
-                diff = U @ basis[p * N + q] @ U.conj().T - basis[tp * N + tq]
-                dev = max(dev, float(np.linalg.norm(diff)))
-    checks.append(("covariance", dev))
+    lattice = [(p, q) for p in range(N) for q in range(N)]
+    checks.append(("covariance", max(_covariance_deviation(ctx, basis, T, lattice)
+                                     for T in margulis_generators(N))))
 
+    # Translation: covariance under the displacement v -> v + a at one point b.
     rng = np.random.default_rng(seed)
-    dev = 0.0
-    for _ in range(50):
-        ap, aq, bp, bq = (int(v) for v in rng.integers(0, N, size=4))
-        w = weyl(ctx, ap, aq)
-        diff = (w @ basis[bp * N + bq] @ w.conj().T
-                - basis[((ap + bp) % N) * N + (aq + bq) % N])
-        dev = max(dev, float(np.linalg.norm(diff)))
-    checks.append(("translation", dev))
+    checks.append(("translation", max(
+        _covariance_deviation(ctx, basis, AffineMap(((1, 0), (0, 1)), (ap, aq), N),
+                              [(bp, bq)])
+        for ap, aq, bp, bq in rng.integers(0, N, size=(50, 4)).tolist())))
 
     report = verify_wigner_intertwining(ctx, trials=trials, seed=seed)
     checks.append(("intertwining", report.max_table_deviation))
+    checks.append(("intertwining_lift", report.max_lift_deviation))
 
     d, n = _prime_power(N)
     dev = 0.0

@@ -176,7 +176,7 @@ class TestIntertwining:
         report = verify_wigner_intertwining(PhaseSpaceContext(7), trials=20, seed=42)
         assert isinstance(report, IntertwiningReport)
         assert report.max_table_deviation < 1e-10
-        assert report.max_eigen_residual < 1e-8
+        assert report.max_lift_deviation < 1e-10
         assert report.passed
         d = report.as_dict()
         assert d["passed"] is True and d["modulus"] == 7
@@ -230,13 +230,18 @@ class TestIntertwining:
         right = walk_step(wigner(ctx, rho)).values
         assert np.max(np.abs(left - right)) < 1e-10
 
+    @pytest.mark.parametrize("N", [51, 101])
+    def test_report_beyond_the_dense_walk_cap(self, N):
+        report = verify_wigner_intertwining(PhaseSpaceContext(N), trials=20, seed=42)
+        assert report.passed
+        assert max(report.max_table_deviation, report.max_lift_deviation) < 1e-10
+
     def test_transforms_never_build_the_phase_point_stack(self):
         _phase_point_stack.cache_clear()
         ctx = PhaseSpaceContext(63)
         rho = random_hermitian(63, np.random.default_rng(28))
         inverse_wigner(ctx, wigner(ctx, rho))
-        # The eigen-lift stage needs the dense walk matrix, capped at N=49.
-        assert verify_wigner_intertwining(PhaseSpaceContext(15), trials=3).passed
+        assert verify_wigner_intertwining(ctx, trials=3).passed
         assert _phase_point_stack.cache_info().currsize == 0
 
 

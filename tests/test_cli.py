@@ -10,7 +10,9 @@ import pytest
 import margulis
 from margulis.circuits import evaluate, gate_list_from_jsonl
 from margulis.cli import main
-from margulis.phasespace import PhaseSpaceContext, affine_unitary, operator_from_json
+from margulis.channel import verify_wigner_intertwining
+from margulis.phasespace import (PhaseSpaceContext, affine_unitary, inverse_wigner,
+                                 operator_from_json)
 from margulis.walk import generator_map, grid_from_csv
 
 
@@ -73,9 +75,11 @@ class TestSpectrumCommand:
         eigs = [float(r.split(",")[3]) for r in rows]
         assert max(eigs) == pytest.approx(1.0, abs=1e-10)
 
-    def test_quantum_cap_enforced(self, tmp_path):
+    def test_quantum_cap_enforced(self, tmp_path, capsys):
         assert main(["spectrum", "--N", "11", "--mode", "quantum",
-                     "--out", str(tmp_path)]) == 1
+                     "--out", str(tmp_path)]) == 2
+        assert "--quantum-cap" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
         assert main(["spectrum", "--N", "11", "--mode", "quantum",
                      "--quantum-cap", "11", "--out", str(tmp_path)]) == 0
 
@@ -100,7 +104,23 @@ class TestVerifyCommand:
         report = json.loads(capsys.readouterr().out)
         names = {c["check"] for c in report["checks"]}
         assert names == {"orthonormality", "covariance", "translation",
-                         "intertwining", "circuit_equivalence"}
+                         "intertwining", "intertwining_lift", "circuit_equivalence"}
+
+    def test_broken_lift_fails(self, monkeypatch, capsys):
+        # A scaled inverse transform would commute with both sides; an offset
+        # on one matrix entry that the channel moves does not.
+        def offset_lift(ctx, table):
+            rho = inverse_wigner(ctx, table)
+            rho[0, 0] += 1e-6
+            return rho
+
+        monkeypatch.setattr("margulis.channel.inverse_wigner", offset_lift)
+        report = verify_wigner_intertwining(PhaseSpaceContext(5), trials=20, seed=42)
+        assert report.max_table_deviation < 1e-10 < report.max_lift_deviation
+        assert main(["verify", "--N", "5"]) == 1
+        failed = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAIL")]
+        assert failed == ["intertwining_lift"]
 
     def test_even_n_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -167,6 +187,7 @@ class TestUsage:
         ["contraction", "--delta", "inf"],
         ["contraction", "--R", "2"],
         ["spectrum", "--N", "51"],
+        ["spectrum", "--N", "3,11"],
         ["verify", "--N", "51"],
         ["verify", "--compare-operators", "{missing}"],
     ], ids=lambda argv: " ".join(argv))
