@@ -54,7 +54,10 @@ def _dense_modulus(text: str) -> int:
 
 
 def _dense_modulus_list(text: str) -> list[int]:
-    return [_dense_modulus(t) for t in text.split(",") if t]
+    moduli = [_dense_modulus(t) for t in text.split(",") if t]
+    if not moduli:
+        raise argparse.ArgumentTypeError(f"expected at least one N, got {text!r}")
+    return moduli
 
 
 def _int_at_least(lo: int):
@@ -315,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="operator-identity check bundle")
     p.add_argument("--N", type=_dense_modulus, default=7)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=_int_at_least(0), default=20)
+    p.add_argument("--trials", type=_int_at_least(1), default=20)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument("--out", help="also write the JSON report to this path")

@@ -11,6 +11,7 @@ maps, the step, the dense stochastic matrix of the step, and its spectrum.
 from __future__ import annotations
 
 import math
+import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -346,33 +347,39 @@ def _fmt(x: float) -> str:
 
 def grid_to_csv(f: GridDist) -> str:
     """CSV dump with header p,q,value; q is the slow (outer) index."""
-    lines = ["p,q,value"]
-    for q in range(f.modulus):
-        for p in range(f.modulus):
-            lines.append(f"{p},{q},{_fmt(f.values[p, q])}")
-    return "\n".join(lines) + "\n"
+    qs, ps = np.indices((f.modulus, f.modulus)).reshape(2, -1).tolist()
+    rows = map("{},{},{:.17g}".format, ps, qs, f.values.T.ravel().tolist())
+    return "p,q,value\n" + "\n".join(rows) + "\n"
 
 
 def grid_from_csv(text: str) -> GridDist:
-    rows = [ln for ln in text.strip().splitlines() if ln]
+    """Inverse of grid_to_csv: each cell once, rows in any order, CRLF and blank lines ok."""
+    rows = [ln for ln in text.strip().splitlines() if ln] or [""]
     if rows[0].strip() != "p,q,value":
         raise ValueError(f"expected header 'p,q,value', got {rows[0]!r}")
-    triples = [ln.split(",") for ln in rows[1:]]
-    N = int(math.isqrt(len(triples)))
-    if N * N != len(triples):
-        raise ValueError(f"expected a square table, got {len(triples)} rows")
-    vals = np.zeros((N, N))
-    seen = bytearray(N * N)
-    # N*N rows that are in range and pairwise distinct cover every cell.
-    for line, (p, q, v) in zip(rows[1:], triples):
-        p, q = int(p), int(q)
-        if not (0 <= p < N and 0 <= q < N):
-            raise ValueError(f"row {line!r}: index outside 0..{N - 1}")
-        if seen[p * N + q]:
-            raise ValueError(f"row {line!r}: duplicate cell ({p}, {q})")
-        seen[p * N + q] = 1
-        vals[p, q] = float(v)
-    return GridDist(N, vals)
+    body = rows[1:]
+    N = math.isqrt(len(body))
+    if not body or N * N != len(body):
+        raise ValueError(f"expected a square table, got {len(body)} rows")
+    with warnings.catch_warnings():
+        # numpy < 2 reads an index such as 1.0 with only a DeprecationWarning.
+        warnings.simplefilter("error", DeprecationWarning)
+        cells = np.loadtxt(body, delimiter=",", comments=None, ndmin=1,
+                           dtype=[("p", np.int64), ("q", np.int64), ("value", np.float64)])
+    p, q = cells["p"], cells["q"]
+    outside = (p < 0) | (p >= N) | (q < 0) | (q >= N)
+    key = p * N + q
+    order = np.argsort(key, kind="stable")  # a cell's first row sorts ahead of its repeats
+    repeat = np.zeros(len(key), dtype=bool)
+    repeat[order[1:]] = np.diff(key[order]) == 0
+    bad = np.flatnonzero(outside | repeat)
+    if bad.size:
+        i = bad[0]
+        if outside[i]:
+            raise ValueError(f"row {body[i]!r}: index outside 0..{N - 1}")
+        raise ValueError(f"row {body[i]!r}: duplicate cell ({p[i]}, {q[i]})")
+    # N*N rows in range and pairwise distinct cover every cell: key[order] is 0 .. N*N - 1.
+    return GridDist(N, cells["value"][order].reshape(N, N))
 
 
 def grid_to_pgm(f: GridDist, lo: float | None = None, hi: float | None = None) -> str:
@@ -385,10 +392,10 @@ def grid_to_pgm(f: GridDist, lo: float | None = None, hi: float | None = None) -
     lo = float(vals.min()) if lo is None else float(lo)
     hi = float(vals.max()) if hi is None else float(hi)
     if hi > lo:
-        pix = np.rint((vals - lo) / (hi - lo) * 255.0).astype(int)
-        pix = np.clip(pix, 0, 255)
+        # Clip before the cast: a value far above hi overflows int.
+        pix = np.clip(np.rint((vals - lo) / (hi - lo) * 255.0), 0, 255).astype(int)
     else:
         pix = np.zeros_like(vals, dtype=int)
     lines = ["P2", f"{f.modulus} {f.modulus}", "255"]
-    lines += [" ".join(str(v) for v in row) for row in pix]
+    lines += [" ".join(map(str, row)) for row in pix.tolist()]
     return "\n".join(lines) + "\n"

@@ -181,6 +181,7 @@ class TestUsage:
         ["walk", "--steps", "-1"],
         ["moments", "--iters", "-3"],
         ["verify", "--trials", "-2"],
+        ["verify", "--trials", "0"],
         ["circuit", "--qudits", "0"],
         ["contraction", "--delta", "0"],
         ["contraction", "--delta", "nan"],
@@ -188,6 +189,7 @@ class TestUsage:
         ["contraction", "--R", "2"],
         ["spectrum", "--N", "51"],
         ["spectrum", "--N", "3,11"],
+        ["spectrum", "--N", ","],
         ["verify", "--N", "51"],
         ["verify", "--compare-operators", "{missing}"],
     ], ids=lambda argv: " ".join(argv))
@@ -209,7 +211,10 @@ class TestUsage:
         (["circuit", "--qudits", "0"], "--qudits"),
         (["spectrum", "--N", "3,51"], "--N: 51 exceeds the dense limit 49"),
         (["verify", "--N", "51"], "--N: 51 exceeds the dense limit 49"),
-    ], ids=["circuit --qudits 0", "spectrum --N 3,51", "verify --N 51"])
+        (["verify", "--trials", "0"], "--trials"),
+        (["spectrum", "--N", ","], "--N: expected at least one N"),
+    ], ids=["circuit --qudits 0", "spectrum --N 3,51", "verify --N 51", "verify --trials 0",
+            "spectrum --N ,"])
     def test_usage_error_names_the_flag(self, argv, named, capsys):
         with pytest.raises(SystemExit) as err:
             main(argv)

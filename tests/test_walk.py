@@ -1,4 +1,6 @@
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,58 @@ ODD_N = [3, 5, 7, 9, 15]
 def random_prob(N, rng):
     vals = rng.random((N, N))
     return GridDist(N, vals / vals.sum())
+
+
+# The per-cell codecs the array codecs replaced, kept as their reference.
+def _oracle_grid_to_csv(f):
+    lines = ["p,q,value"]
+    for q in range(f.modulus):
+        for p in range(f.modulus):
+            lines.append(f"{p},{q},{format(float(f.values[p, q]), '.17g')}")
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_grid_from_csv(text):
+    rows = [ln for ln in text.strip().splitlines() if ln]
+    if rows[0].strip() != "p,q,value":
+        raise ValueError(f"expected header 'p,q,value', got {rows[0]!r}")
+    triples = [ln.split(",") for ln in rows[1:]]
+    N = int(math.isqrt(len(triples)))
+    if N * N != len(triples):
+        raise ValueError(f"expected a square table, got {len(triples)} rows")
+    vals = np.zeros((N, N))
+    seen = bytearray(N * N)
+    for line, (p, q, v) in zip(rows[1:], triples):
+        p, q = int(p), int(q)
+        if not (0 <= p < N and 0 <= q < N):
+            raise ValueError(f"row {line!r}: index outside 0..{N - 1}")
+        if seen[p * N + q]:
+            raise ValueError(f"row {line!r}: duplicate cell ({p}, {q})")
+        seen[p * N + q] = 1
+        vals[p, q] = float(v)
+    return GridDist(N, vals)
+
+
+def _oracle_grid_to_pgm(f, lo=None, hi=None):
+    vals = f.values
+    lo = float(vals.min()) if lo is None else float(lo)
+    hi = float(vals.max()) if hi is None else float(hi)
+    if hi > lo:
+        pix = np.clip(np.rint((vals - lo) / (hi - lo) * 255.0).astype(int), 0, 255)
+    else:
+        pix = np.zeros_like(vals, dtype=int)
+    lines = ["P2", f"{f.modulus} {f.modulus}", "255"]
+    lines += [" ".join(str(v) for v in row) for row in pix]
+    return "\n".join(lines) + "\n"
+
+
+def _table(N, kind, rng):
+    return GridDist(N, {
+        "random": lambda: rng.random((N, N)),
+        "negative": lambda: rng.standard_normal((N, N)),
+        "tiny": lambda: rng.random((N, N)) * 1e-300,
+        "uniform": lambda: np.full((N, N), 1.0 / N**2),
+    }[kind]())
 
 
 class TestGenerators:
@@ -224,6 +278,73 @@ class TestSerialization:
         with pytest.raises(ValueError, match=rf"row '{re.escape(bad_row)}'.*{reason}"):
             grid_from_csv("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("kind", ["random", "negative", "tiny", "uniform"])
+    @pytest.mark.parametrize("N", [3, 25, 101])
+    def test_codecs_match_per_cell_oracle(self, N, kind):
+        f = _table(N, kind, np.random.default_rng(N))
+        text = grid_to_csv(f)
+        assert text == _oracle_grid_to_csv(f)
+        parsed = grid_from_csv(text).values.tobytes()
+        assert parsed == _oracle_grid_from_csv(text).values.tobytes() == f.values.tobytes()
+        for lo, hi in [(None, None), (-0.5, 0.5)]:
+            assert grid_to_pgm(f, lo, hi) == _oracle_grid_to_pgm(f, lo, hi)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_reader_names_the_same_first_bad_row_as_oracle(self, seed):
+        # Two rows get random indices in -1..N: out of range, repeated or
+        # (rarely) a harmless swap; the first bad row in file order is named.
+        rng = np.random.default_rng(seed)
+        N = 5
+        lines = grid_to_csv(_table(N, "random", rng)).splitlines()
+        body = [lines[1 + i] for i in rng.permutation(N * N)]
+        for i in rng.choice(N * N, size=2, replace=False):
+            p, q = rng.integers(-1, N + 1, size=2)
+            body[i] = f"{p},{q}," + body[i].split(",")[2]
+        text = "\n".join(["p,q,value"] + body) + "\n"
+        try:
+            expected = _oracle_grid_from_csv(text).values
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                grid_from_csv(text)
+        else:
+            assert grid_from_csv(text).values.tobytes() == expected.tobytes()
+
+    def test_reader_accepts_crlf_blank_lines_and_any_row_order(self):
+        rng = np.random.default_rng(6)
+        f = _table(7, "negative", rng)
+        lines = grid_to_csv(f).splitlines()
+        body = [lines[1 + i] for i in rng.permutation(49)]
+        text = "\r\n\r\n" + "\r\n\r\n".join([lines[0]] + body) + "\r\n\n"
+        assert grid_from_csv(text).values.tobytes() == f.values.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "\n \n",
+        "p,q,value\n",
+        "p,q,value\n\n\n",
+    ], ids=["empty", "blank", "header only", "header and blank lines"])
+    def test_reader_rejects_empty_tables_without_warning(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                grid_from_csv(text)
+
+    @pytest.mark.parametrize("row", [
+        "2,0",          # two fields
+        "2,0,0.1,0.2",  # four fields
+        "1.0,0,0.1",    # an index must be an integer
+        "2,0,nan",
+        "2,0,inf",
+        "2,0,0.1#",     # '#' is not a comment
+        "#2,0,0.1",
+        " ",
+    ])
+    def test_reader_rejects_malformed_fields(self, row):
+        lines = grid_to_csv(GridDist.uniform(3)).splitlines()
+        lines[3] = row
+        with pytest.raises(ValueError):
+            grid_from_csv("\n".join(lines) + "\n")
+
     def test_pgm_format_and_rescale(self):
         f = GridDist.delta(3)
         text = grid_to_pgm(f)
@@ -233,6 +354,11 @@ class TestSerialization:
         assert lines[2] == "255"
         pix = np.array([[int(v) for v in row.split()] for row in lines[3:]])
         assert pix[0, 0] == 255 and pix.min() == 0
+
+    def test_pgm_saturates_far_outside_the_range(self):
+        # (1 - 0) / 1e-300 * 255 is beyond any machine integer.
+        text = grid_to_pgm(GridDist.delta(3), lo=0.0, hi=1e-300)
+        assert text.splitlines()[3:] == ["255 0 0", "0 0 0", "0 0 0"]
 
     def test_pgm_constant_table(self):
         text = grid_to_pgm(GridDist.uniform(3))
