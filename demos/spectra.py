@@ -4,12 +4,15 @@
 The channel is a uniform mixture of the eight unitaries implementing the
 walk maps; expanding operators in the phase-point basis turns it into the
 classical walk matrix, so the two spectra coincide eigenvalue by eigenvalue.
+It then lists the walk's lambda(N) for every odd N up to the dense limit,
+each solved as the four reflection-parity blocks of the walk matrix.
 """
 
 import numpy as np
 
 from margulis import (GABBER_GALIL_BOUND, PhaseSpaceContext, margulis_channel,
                       spectral_report, superoperator, walk_matrix)
+from margulis.walk import DENSE_MAX_MODULUS
 
 print(f"subdominant-eigenvalue bound: sqrt(2)*5/8 = {GABBER_GALIL_BOUND:.6f}\n")
 
@@ -25,3 +28,9 @@ for N in (3, 5, 7):
     print(f"  top five eigenvalues: "
           + ", ".join(f"{v:.6f}" for v in classical.spectrum[:5]))
     print()
+
+print(f"lambda(N) for odd N up to {DENSE_MAX_MODULUS}, against the bound {GABBER_GALIL_BOUND:.6f}")
+print("   N  lambda(N)         bound - lambda  parity blocks")
+for N in range(3, DENSE_MAX_MODULUS + 1, 2):
+    rep = spectral_report(walk_matrix(N), modulus=N)
+    print(f"{N:4d}  {rep.lam:.12f}  {GABBER_GALIL_BOUND - rep.lam:14.6f}  {rep.blocks}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -67,6 +68,13 @@ def _int_at_least(lo: int):
             raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {n}")
         return n
     return integer
+
+
+def _positive_float(text: str) -> float:
+    x = float(text)
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text}")
+    return x
 
 
 def _point(text: str) -> tuple[int, int]:
@@ -310,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=_dense_modulus_list, default=[3, 5, 7],
                    metavar="N1,N2,...")
     p.add_argument("--mode", choices=("classical", "quantum", "both"), default="both")
-    p.add_argument("--quantum-cap", type=int, default=9,
+    p.add_argument("--quantum-cap", type=_int_at_least(3), default=9,
                    help="largest N for the dense superoperator")
     p.add_argument("--out")
     p.set_defaults(func=cmd_spectrum)
@@ -319,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=_dense_modulus, default=7)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=_int_at_least(1), default=20)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_positive_float, default=1e-10)
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument("--out", help="also write the JSON report to this path")
     p.add_argument("--dump-operators", metavar="DIR",

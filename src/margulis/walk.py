@@ -6,6 +6,12 @@ together with their inverses.  One step replaces a distribution f by the
 average of its pullbacks f o T^{-1} over the eight maps, which for this
 inverse-closed set equals the pushforward average.  The module exposes the
 maps, the step, the dense stochastic matrix of the step, and its spectrum.
+
+With h = 1/2 = (N + 1)/2 mod N, conjugation by either lattice reflection
+a(p, q) = (h - p, q) or b(p, q) = (p, -h - q) permutes the eight maps, so
+the walk matrix commutes with both.  Each reflection fixes exactly one point
+of an odd axis, and the dense spectrum is solved as the four blocks of
+a-parity times b-parity, of sizes ((N +- 1)/2) * ((N +- 1)/2).
 """
 
 from __future__ import annotations
@@ -291,24 +297,88 @@ class SpectralReport:
 
     ``spectrum`` is the full spectrum sorted by descending absolute value;
     ``lam`` is ``abs(spectrum[1])``, the largest absolute eigenvalue on the
-    orthogonal complement of the uniform vector.
+    orthogonal complement of the uniform vector.  ``blocks`` are the sizes
+    of the diagonal blocks actually eigensolved and ``residual`` is the
+    Frobenius norm of ``M V - V diag(w)`` over all of them.
     """
 
     modulus: int
     degree: int
     lam: float
     spectrum: tuple[float, ...]
+    blocks: tuple[int, ...] = ()
+    residual: float = 0.0
 
     def gap(self) -> float:
         return 1.0 - self.lam
+
+
+def _commutes_with_reflection(M4: np.ndarray, c: int) -> bool:
+    """Whether M4[r(p), :, r(s), :] == M4[p, :, s, :] exactly, r(x) = (c - x) mod N.
+
+    r maps the runs 0..c and c+1..N-1 onto themselves reversed, so the test
+    compares strided views and copies no N^4 array.
+    """
+    N = M4.shape[0]
+    runs = ((slice(0, c + 1), slice(c, None, -1)), (slice(c + 1, N), slice(N - 1, c, -1)))
+    return all(np.array_equal(M4[p, :, s], M4[rp, :, rs]) for p, rp in runs for s, rs in runs)
+
+
+def _axis_parities(c: int, N: int):
+    """Even and odd bases of the reflection x -> (c - x) mod N on Z_N, N odd.
+
+    Each is (cols, partners, weights, sign).  Folding a matrix's columns as
+    ``A[:, cols] + sign * A[:, partners]`` and keeping rows ``cols`` gives,
+    scaled by ``outer(weights, weights)``, its block in the basis e_fixed,
+    (e_x + sign e_r(x)) / sqrt(2) when the matrix commutes with r.  The
+    fixed point's column is folded onto itself, hence its weight sqrt(1/2).
+    """
+    x = np.arange(N)
+    r = (c - x) % N
+    fixed = c * (N + 1) // 2 % N
+    pairs = np.flatnonzero(x < r)
+    even = (np.r_[fixed, pairs], np.r_[fixed, r[pairs]],
+            np.r_[math.sqrt(0.5), np.ones(pairs.size)], 1.0)
+    return even, (pairs, r[pairs], np.ones(pairs.size), -1.0)
+
+
+def _eigen_blocks(M: np.ndarray, N: int) -> Iterator[np.ndarray]:
+    """Diagonal blocks of M whose spectra together make up M's spectrum.
+
+    The four reflection-parity blocks when M is N^2 x N^2 and commutes
+    exactly with both lattice reflections (see the module docstring), else
+    M itself.  Commutation makes the off-diagonal blocks exactly zero, and
+    the basis change is orthogonal, so residuals add in quadrature.  Blocks
+    are yielded one at a time, not held as a list.
+    """
+    h = (N + 1) // 2
+    if N < 3 or N % 2 == 0 or M.shape != (N * N, N * N):
+        yield M
+        return
+    M4 = M.reshape(N, N, N, N)
+    if not (_commutes_with_reflection(M4, h)
+            and _commutes_with_reflection(M4.transpose(1, 0, 3, 2), N - h)):
+        yield M
+        return
+    for rows_a, part_a, w_a, sign_a in _axis_parities(h, N):
+        for rows_b, part_b, w_b, sign_b in _axis_parities(N - h, N):
+            # On a walk matrix (entries multiples of 1/8) the folds are exact,
+            # and the block is exactly symmetric.
+            sub = M4[np.ix_(rows_a, rows_b)]
+            sub = sub[:, :, rows_a] + sign_a * sub[:, :, part_a]
+            sub = sub[..., rows_b] + sign_b * sub[..., part_b]
+            w = np.outer(w_a, w_b).ravel()
+            yield sub.reshape(w.size, w.size) * np.outer(w, w)
 
 
 def spectral_report(M: np.ndarray, *, modulus: int = 0, degree: int = 8,
                     tol: float = 1e-10) -> SpectralReport:
     """Eigenvalues of a symmetric stochastic matrix and its mixing rate.
 
-    ``lam`` is read off the one eigensolve; a degenerate eigenvalue 1 (a
-    disconnected walk) survives as ``lam == 1``.
+    ``lam`` is read off the eigensolve; a degenerate eigenvalue 1 (a
+    disconnected walk) survives as ``lam == 1``.  When ``modulus`` is N and
+    M is N^2 x N^2 with the walk's reflection symmetry, the four parity
+    blocks are solved in place of M, about 1/16 of the work.
 
     Parameters
     ----------
@@ -327,15 +397,22 @@ def spectral_report(M: np.ndarray, *, modulus: int = 0, degree: int = 8,
         raise ValueError("matrix must be square and symmetric")
     if not np.allclose(M.sum(axis=1), 1.0, atol=tol):
         raise ValueError("matrix must be row-stochastic")
-    eigvals, eigvecs = np.linalg.eigh(M)
-    residual = np.linalg.norm(M @ eigvecs - eigvecs * eigvals, ord="fro")
+    eigvals, sizes, squared_residual = [], [], 0.0
+    for block in _eigen_blocks(M, modulus):
+        w, V = np.linalg.eigh(block)
+        squared_residual += np.linalg.norm(block @ V - V * w, ord="fro") ** 2
+        eigvals.append(w)
+        sizes.append(w.size)
+    residual = math.sqrt(squared_residual)
     if residual > 1e-8 * max(1.0, np.linalg.norm(M, ord="fro")):
         raise RuntimeError(f"eigendecomposition residual too large: {residual:.3e}")
-    spectrum = tuple(sorted((float(x) for x in eigvals), key=abs, reverse=True))
+    # Ascending first, so ties in |x| keep the order one eigh of M gives.
+    spectrum = tuple(sorted(np.sort(np.concatenate(eigvals)).tolist(), key=abs, reverse=True))
     if abs(spectrum[0] - 1.0) > tol:
         raise ValueError(f"largest eigenvalue {spectrum[0]!r} is not 1 within {tol}")
     lam = abs(spectrum[1])
-    return SpectralReport(modulus=modulus, degree=degree, lam=lam, spectrum=spectrum)
+    return SpectralReport(modulus=modulus, degree=degree, lam=lam, spectrum=spectrum,
+                          blocks=tuple(sizes), residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,11 @@ class TestUsage:
         ["moments", "--iters", "-3"],
         ["verify", "--trials", "-2"],
         ["verify", "--trials", "0"],
+        ["verify", "--tol", "nan"],
+        ["verify", "--tol", "-1"],
+        ["verify", "--tol", "0"],
+        ["verify", "--tol", "inf"],
+        ["spectrum", "--mode", "classical", "--quantum-cap", "-4"],
         ["circuit", "--qudits", "0"],
         ["contraction", "--delta", "0"],
         ["contraction", "--delta", "nan"],
@@ -213,8 +218,14 @@ class TestUsage:
         (["verify", "--N", "51"], "--N: 51 exceeds the dense limit 49"),
         (["verify", "--trials", "0"], "--trials"),
         (["spectrum", "--N", ","], "--N: expected at least one N"),
+        (["verify", "--tol", "nan"], "--tol: expected a finite number > 0"),
+        (["verify", "--tol", "-1"], "--tol: expected a finite number > 0"),
+        (["verify", "--tol", "0"], "--tol: expected a finite number > 0"),
+        (["spectrum", "--mode", "classical", "--quantum-cap", "-4"],
+         "--quantum-cap: expected an integer >= 3"),
     ], ids=["circuit --qudits 0", "spectrum --N 3,51", "verify --N 51", "verify --trials 0",
-            "spectrum --N ,"])
+            "spectrum --N ,", "verify --tol nan", "verify --tol -1", "verify --tol 0",
+            "spectrum --quantum-cap -4"])
     def test_usage_error_names_the_flag(self, argv, named, capsys):
         with pytest.raises(SystemExit) as err:
             main(argv)

@@ -1,6 +1,8 @@
+import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from margulis.walk import (GABBER_GALIL_BOUND, GENERATOR_LABELS, AffineMap,
                            walk_matrix, walk_step)
 
 ODD_N = [3, 5, 7, 9, 15]
+REFERENCE_LAMBDAS = Path(__file__).parents[1] / "perfbench" / "reference_lambdas.json"
 
 
 def random_prob(N, rng):
@@ -238,6 +241,61 @@ class TestSpectralReport:
     def test_rejects_nonstochastic(self):
         with pytest.raises(ValueError, match="stochastic"):
             spectral_report(0.5 * np.eye(4))
+
+    @pytest.mark.parametrize("N", range(3, 50, 2))
+    def test_reflections_permute_the_walk_maps(self, N):
+        # a(p, q) = (h - p, q) and b(p, q) = (p, -h - q), h = 1/2 mod N, are
+        # v -> D v + o with D = diag(+-1); conjugation D L D negates the
+        # off-diagonal of L, and the shift becomes D (L o + s) + o.
+        h = (N + 1) // 2
+        maps = {(T.linear, T.shift) for T in margulis_generators(N)}
+        for D, o in (((-1, 1), (h, 0)), ((1, -1), (0, -h))):
+            conjugated = set()
+            for T in margulis_generators(N):
+                (a, b), (c, d) = T.linear
+                s = (a * o[0] + b * o[1] + T.shift[0], c * o[0] + d * o[1] + T.shift[1])
+                conjugated.add((((a % N, -b % N), (-c % N, d % N)),
+                                ((D[0] * s[0] + o[0]) % N, (D[1] * s[1] + o[1]) % N)))
+            assert conjugated == maps
+
+    @pytest.mark.parametrize("N", [3, 5, 7, 15, 21])
+    def test_walk_spectrum_solved_as_four_parity_blocks(self, N):
+        h = (N + 1) // 2
+        M = walk_matrix(N)
+        rep = spectral_report(M, modulus=N)
+        assert rep.blocks == (h * h, h * (h - 1), (h - 1) * h, (h - 1) ** 2)
+        assert np.max(np.abs(np.sort(rep.spectrum) - np.linalg.eigvalsh(M))) <= 1e-12
+        assert 0.0 <= rep.residual <= 1e-12
+
+    @pytest.mark.parametrize("N", [21, 27, 33])
+    def test_lambda_matches_reference(self, N):
+        reference = json.loads(REFERENCE_LAMBDAS.read_text())["lambdas"]
+        rep = spectral_report(walk_matrix(N), modulus=N)
+        assert rep.lam == pytest.approx(reference[str(N)], abs=1e-10)
+
+    @pytest.mark.parametrize("N", [5, 7, 9])
+    def test_relabelled_walk_is_one_block(self, N):
+        # A random relabelling of the lattice keeps the spectrum but almost
+        # surely breaks the reflection symmetry.
+        M = walk_matrix(N)
+        perm = np.random.default_rng(N).permutation(N * N)
+        rep = spectral_report(M[np.ix_(perm, perm)], modulus=N)
+        assert rep.blocks == (N * N,)
+        assert rep.lam == pytest.approx(spectral_report(M, modulus=N).lam, abs=1e-12)
+
+    @pytest.mark.parametrize("modulus,blocks", [(5, 4), (0, 1)], ids=["blocked", "single"])
+    def test_residual_check_catches_a_bad_eigensolve(self, modulus, blocks, monkeypatch):
+        M = walk_matrix(5)
+        assert len(spectral_report(M, modulus=modulus).blocks) == blocks
+        eigh = np.linalg.eigh
+
+        def shifted(A):
+            w, V = eigh(A)
+            return w + 1e-6, V
+
+        monkeypatch.setattr("margulis.walk.np.linalg.eigh", shifted)
+        with pytest.raises(RuntimeError, match="residual"):
+            spectral_report(M, modulus=modulus)
 
     @pytest.mark.parametrize("N", [5, 7])
     def test_iterates_converge_at_rate_lambda(self, N):
