@@ -27,16 +27,21 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import margulis_channel, superoperator, verify_wigner_intertwining
+from .channel import (margulis_channel, random_hermitian, superoperator,
+                      verify_wigner_intertwining)
 from .circuits import affine_circuit, equal_up_to_phase, evaluate, gate_list_to_jsonl
 from .continuous import (CovMatrix, MeanVector, TEST_FUNCTIONS,
                          contraction_check, discretize, moments_csv)
-from .phasespace import (PhaseSpaceContext, affine_unitary, fourier, parity,
-                         phase_point_basis, quadratic_phase,
-                         operator_from_json, operator_to_json)
+from .phasespace import (PhaseSpaceContext, affine_unitary, fourier, inverse_wigner,
+                         parity, quadratic_phase, operator_from_json, operator_to_json,
+                         wigner)
 from .walk import (DENSE_MAX_MODULUS, GABBER_GALIL_BOUND, GENERATOR_LABELS,
-                   AffineMap, GridDist, _fmt, generator_map, grid_to_csv, grid_to_pgm,
-                   margulis_generators, spectral_report, walk_matrix, walk_step)
+                   AffineMap, GridDist, _fmt, _pullback_index, generator_map, grid_to_csv,
+                   grid_to_pgm, margulis_generators, spectral_report, walk_matrix,
+                   walk_step)
+
+#: Largest N verify accepts: 3^5, so circuit_equivalence still runs on 5 qudits.
+VERIFY_MAX_MODULUS = 243
 
 
 def _odd_int(text: str) -> int:
@@ -46,16 +51,17 @@ def _odd_int(text: str) -> int:
     return n
 
 
-def _dense_modulus(text: str) -> int:
-    n = _odd_int(text)
-    if n > DENSE_MAX_MODULUS:
-        raise argparse.ArgumentTypeError(
-            f"{n} exceeds the dense limit {DENSE_MAX_MODULUS}")
-    return n
+def _odd_at_most(limit: int, kind: str):
+    def modulus(text: str) -> int:
+        n = _odd_int(text)
+        if n > limit:
+            raise argparse.ArgumentTypeError(f"{n} exceeds the {kind} limit {limit}")
+        return n
+    return modulus
 
 
 def _dense_modulus_list(text: str) -> list[int]:
-    moduli = [_dense_modulus(t) for t in text.split(",") if t]
+    moduli = [_odd_at_most(DENSE_MAX_MODULUS, "dense")(t) for t in text.split(",") if t]
     if not moduli:
         raise argparse.ArgumentTypeError(f"expected at least one N, got {text!r}")
     return moduli
@@ -147,45 +153,42 @@ def _prime_power(N: int) -> tuple[int, int]:
     return N, 1
 
 
-def _covariance_deviation(ctx: PhaseSpaceContext, basis: np.ndarray, T: AffineMap,
-                          points) -> float:
-    """Worst Frobenius gap ||U_T A(v) U_T^dag - A(T(v))|| over the points v."""
-    N = ctx.N
-    U = affine_unitary(ctx, T)
-    dev = 0.0
-    for p, q in points:
-        tp, tq = T((p, q))
-        diff = U @ basis[p * N + q] @ U.conj().T - basis[tp * N + tq]
-        dev = max(dev, float(np.linalg.norm(diff)))
-    return dev
+def _unit_hermitian(N: int, rng: np.random.Generator) -> np.ndarray:
+    """Random hermitian operator of unit Frobenius norm, so one --tol fits every N."""
+    rho = random_hermitian(N, rng)
+    return rho / np.linalg.norm(rho)
+
+
+def _covariance_deviation(ctx: PhaseSpaceContext, maps, rho: np.ndarray) -> float:
+    """Worst entrywise |wigner(U rho U^dag) - wigner(rho) o T^{-1}| over (T, U) in maps."""
+    table = wigner(ctx, rho).values.reshape(-1)
+    return max(float(np.max(np.abs(wigner(ctx, U @ rho @ U.conj().T).values
+                                   - table[_pullback_index(T)])))
+               for T, U in maps)
 
 
 def _verify_checks(N: int, seed: int, trials: int) -> list[tuple[str, float]]:
+    """(name, max deviation) rows.  Each identity is linear, so random rho test it
+    with no phase-point basis (Freivalds 1977): {A(v)/sqrt(N)} is orthonormal iff
+    N sum W^2 = ||rho||_F^2 and inverse_wigner(W) = rho, and U A(v) U^dag = A(T(v))
+    for all v iff wigner(U rho U^dag) = wigner(rho) o T^{-1} for all rho."""
     ctx = PhaseSpaceContext(N)
-    basis = phase_point_basis(ctx)
-    checks = []
-
-    # gram[v, w] = tr(A_v A_w) / N: the flattened operators times their
-    # flattened transposes.  Transposing N operators at a time keeps the
-    # copy at N^3 entries; a second N^4 stack raised the command's peak RSS.
-    flat = basis.reshape(N * N, N * N)
-    gram = np.empty((N * N, N * N), dtype=complex)
-    for p in range(N):
-        block = slice(p * N, (p + 1) * N)
-        gram[:, block] = flat @ basis[block].transpose(0, 2, 1).reshape(N, N * N).T / N
-    checks.append(("orthonormality",
-                   float(np.max(np.abs(gram - np.eye(N * N))))))
-
-    lattice = [(p, q) for p in range(N) for q in range(N)]
-    checks.append(("covariance", max(_covariance_deviation(ctx, basis, T, lattice)
-                                     for T in margulis_generators(N))))
-
-    # Translation: covariance under the displacement v -> v + a at one point b.
     rng = np.random.default_rng(seed)
-    checks.append(("translation", max(
-        _covariance_deviation(ctx, basis, AffineMap(((1, 0), (0, 1)), (ap, aq), N),
-                              [(bp, bq)])
-        for ap, aq, bp, bq in rng.integers(0, N, size=(50, 4)).tolist())))
+    maps = [(T, affine_unitary(ctx, T)) for T in margulis_generators(N)]
+    ortho = cov = 0.0
+    for _ in range(trials):
+        rho = _unit_hermitian(N, rng)
+        table = wigner(ctx, rho)
+        ortho = max(ortho, abs(N * float(np.sum(table.values ** 2)) - 1.0),
+                    float(np.max(np.abs(inverse_wigner(ctx, table) - rho))))
+        cov = max(cov, _covariance_deviation(ctx, maps, rho))
+
+    # Translation: covariance under 50 displacements v -> v + a, on one rho each.
+    displacements = [AffineMap(((1, 0), (0, 1)), a, N)
+                     for a in rng.integers(0, N, size=(50, 2)).tolist()]
+    translation = max(_covariance_deviation(ctx, [(T, affine_unitary(ctx, T))],
+                                            _unit_hermitian(N, rng)) for T in displacements)
+    checks = [("orthonormality", ortho), ("covariance", cov), ("translation", translation)]
 
     report = verify_wigner_intertwining(ctx, trials=trials, seed=seed)
     checks.append(("intertwining", report.max_table_deviation))
@@ -193,9 +196,8 @@ def _verify_checks(N: int, seed: int, trials: int) -> list[tuple[str, float]]:
 
     d, n = _prime_power(N)
     dev = 0.0
-    for T in margulis_generators(N):
+    for T, dense in maps:
         approx = evaluate(affine_circuit(d, n, T))
-        dense = affine_unitary(ctx, T)
         _, phase = equal_up_to_phase(approx, dense)
         dev = max(dev, float(np.linalg.norm(dense - phase * approx)))
     checks.append(("circuit_equivalence", dev))
@@ -324,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify", help="operator-identity check bundle")
-    p.add_argument("--N", type=_dense_modulus, default=7)
+    p.add_argument("--N", type=_odd_at_most(VERIFY_MAX_MODULUS, "verify"), default=7)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=_int_at_least(1), default=20)
     p.add_argument("--tol", type=_positive_float, default=1e-10)

@@ -141,7 +141,7 @@ def phase_point_basis(ctx: PhaseSpaceContext) -> np.ndarray:
     """All N^2 phase-point operators stacked as [p*N+q, :, :] (read-only).
 
     Dense and cached: O(N^4) time and memory on first use per N.  No
-    transform in this package uses it; it is the oracle that the closed-form
+    transform or CLI command uses it; it is the oracle that the closed-form
     ``wigner`` and ``inverse_wigner`` are tested against.
     """
     return _phase_point_stack(ctx.N)

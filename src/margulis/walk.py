@@ -221,17 +221,14 @@ class GridDist:
         return GridDist(N, np.asarray(vec, dtype=float).reshape(N, N))
 
 
-def _pullback_indices(N: int) -> Iterator[np.ndarray]:
-    """Per walk map T, the array k with k[p, q] = flat index of T^{-1}(p, q).
-
-    Yielded one map at a time, so a large lattice holds one array at once.
-    """
-    pp, qq = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-    for T in margulis_generators(N):
-        Ti = T.inverse()
-        (a, b), (c, d) = Ti.linear
-        s, t = Ti.shift
-        yield (a * pp + b * qq + s) % N * N + (c * pp + d * qq + t) % N
+def _pullback_index(T: AffineMap) -> np.ndarray:
+    """The array k with k[p, q] = flat index of T^{-1}(p, q), so f o T^{-1} = flat[k]."""
+    N = T.modulus
+    p, q = np.arange(N)[:, None], np.arange(N)[None, :]
+    Ti = T.inverse()
+    (a, b), (c, d) = Ti.linear
+    s, t = Ti.shift
+    return (a * p + b * q + s) % N * N + (c * p + d * q + t) % N
 
 
 @lru_cache(maxsize=4)
@@ -239,14 +236,14 @@ def _pullback_stack(N: int) -> np.ndarray:
     """The eight pullback index arrays, stacked read-only, built once per N.
 
     Used by walk_step; 8 N^2 machine integers, about 10 MB at N=401.
-    walk_matrix streams _pullback_indices instead: its O(N^4) cost dwarfs
-    the index build, and cached index arrays left between its large
-    temporaries raised the peak RSS of repeated dense eigensolves by
+    walk_matrix builds one _pullback_index at a time instead: its O(N^4)
+    cost dwarfs the index build, and cached index arrays left between its
+    large temporaries raised the peak RSS of repeated dense eigensolves by
     several MB.
     """
     stack = np.empty((8, N, N), dtype=np.intp)
-    for k, indices in zip(stack, _pullback_indices(N)):
-        k[...] = indices
+    for k, T in zip(stack, margulis_generators(N)):
+        k[...] = _pullback_index(T)
     stack.setflags(write=False)
     return stack
 
@@ -285,9 +282,9 @@ def walk_matrix(N: int, max_modulus: int = DENSE_MAX_MODULUS) -> np.ndarray:
             "pass max_modulus explicitly to override")
     M = np.zeros((N * N, N * N))
     rows = np.arange(N * N)
-    for k in _pullback_indices(N):
+    for T in margulis_generators(N):
         # Each map is a bijection, so no (row, column) pair repeats here.
-        M[rows, k.ravel()] += 0.125
+        M[rows, _pullback_index(T).ravel()] += 0.125
     return M
 
 

@@ -11,9 +11,13 @@ import margulis
 from margulis.circuits import evaluate, gate_list_from_jsonl
 from margulis.cli import main
 from margulis.channel import verify_wigner_intertwining
-from margulis.phasespace import (PhaseSpaceContext, affine_unitary, inverse_wigner,
-                                 operator_from_json)
-from margulis.walk import generator_map, grid_from_csv
+from margulis.phasespace import (PhaseSpaceContext, _phase_point_stack, affine_unitary,
+                                 inverse_wigner, operator_from_json, wigner)
+from margulis.walk import AffineMap, GridDist, generator_map, grid_from_csv
+
+
+def _failed_rows(stdout: str) -> list[str]:
+    return [line.split()[1] for line in stdout.splitlines() if line.startswith("FAIL")]
 
 
 class TestWalkCommand:
@@ -118,9 +122,37 @@ class TestVerifyCommand:
         report = verify_wigner_intertwining(PhaseSpaceContext(5), trials=20, seed=42)
         assert report.max_table_deviation < 1e-10 < report.max_lift_deviation
         assert main(["verify", "--N", "5"]) == 1
-        failed = [line.split()[1] for line in capsys.readouterr().out.splitlines()
-                  if line.startswith("FAIL")]
-        assert failed == ["intertwining_lift"]
+        assert _failed_rows(capsys.readouterr().out) == ["intertwining_lift"]
+
+    def test_passes_beyond_the_dense_limit(self, capsys):
+        assert main(["verify", "--N", "101", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["N"] == 101 and report["passed"] is True
+
+    def test_wrong_shift_sign_fails_covariance(self, monkeypatch, capsys):
+        def negated_shift(ctx, T):
+            return affine_unitary(ctx, AffineMap(T.linear, (-T.shift[0], -T.shift[1]),
+                                                 T.modulus))
+
+        monkeypatch.setattr("margulis.cli.affine_unitary", negated_shift)
+        assert main(["verify", "--N", "101"]) == 1
+        failed = _failed_rows(capsys.readouterr().out)
+        assert "covariance" in failed and "translation" in failed
+
+    def test_wigner_off_by_a_scale_fails_orthonormality(self, monkeypatch, capsys):
+        # A scaled table still commutes with every map, so only Parseval and
+        # the round trip can see it.
+        def scaled(ctx, rho):
+            return GridDist(ctx.N, (1 + 1e-6) * wigner(ctx, rho).values)
+
+        monkeypatch.setattr("margulis.cli.wigner", scaled)
+        assert main(["verify", "--N", "25"]) == 1
+        assert _failed_rows(capsys.readouterr().out) == ["orthonormality"]
+
+    def test_never_builds_the_phase_point_stack(self, capsys):
+        _phase_point_stack.cache_clear()
+        assert main(["verify", "--N", "25"]) == 0
+        assert _phase_point_stack.cache_info().currsize == 0
 
     def test_even_n_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -195,7 +227,7 @@ class TestUsage:
         ["spectrum", "--N", "51"],
         ["spectrum", "--N", "3,11"],
         ["spectrum", "--N", ","],
-        ["verify", "--N", "51"],
+        ["verify", "--N", "245"],
         ["verify", "--compare-operators", "{missing}"],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_input_is_usage_error(self, argv, tmp_path, capsys, monkeypatch):
@@ -215,7 +247,7 @@ class TestUsage:
     @pytest.mark.parametrize("argv,named", [
         (["circuit", "--qudits", "0"], "--qudits"),
         (["spectrum", "--N", "3,51"], "--N: 51 exceeds the dense limit 49"),
-        (["verify", "--N", "51"], "--N: 51 exceeds the dense limit 49"),
+        (["verify", "--N", "245"], "--N: 245 exceeds the verify limit 243"),
         (["verify", "--trials", "0"], "--trials"),
         (["spectrum", "--N", ","], "--N: expected at least one N"),
         (["verify", "--tol", "nan"], "--tol: expected a finite number > 0"),
@@ -223,7 +255,7 @@ class TestUsage:
         (["verify", "--tol", "0"], "--tol: expected a finite number > 0"),
         (["spectrum", "--mode", "classical", "--quantum-cap", "-4"],
          "--quantum-cap: expected an integer >= 3"),
-    ], ids=["circuit --qudits 0", "spectrum --N 3,51", "verify --N 51", "verify --trials 0",
+    ], ids=["circuit --qudits 0", "spectrum --N 3,51", "verify --N 245", "verify --trials 0",
             "spectrum --N ,", "verify --tol nan", "verify --tol -1", "verify --tol 0",
             "spectrum --quantum-cap -4"])
     def test_usage_error_names_the_flag(self, argv, named, capsys):
