@@ -5,7 +5,9 @@ The channel is a uniform mixture of the eight unitaries implementing the
 walk maps; expanding operators in the phase-point basis turns it into the
 classical walk matrix, so the two spectra coincide eigenvalue by eigenvalue.
 It then lists the walk's lambda(N) for every odd N up to the dense limit,
-each solved as the four reflection-parity blocks of the walk matrix.
+each solved as the five blocks of the walk's lattice symmetry group
+<a, b, sigma> (two reflections and an axis swap, dihedral of order 8).  The
+block sizes are listed once each; the last block's eigenvalues count twice.
 """
 
 import numpy as np
@@ -30,7 +32,7 @@ for N in (3, 5, 7):
     print()
 
 print(f"lambda(N) for odd N up to {DENSE_MAX_MODULUS}, against the bound {GABBER_GALIL_BOUND:.6f}")
-print("   N  lambda(N)         bound - lambda  parity blocks")
+print("   N  lambda(N)         bound - lambda  <a, b, sigma> blocks (last counted twice)")
 for N in range(3, DENSE_MAX_MODULUS + 1, 2):
     rep = spectral_report(walk_matrix(N), modulus=N)
     print(f"{N:4d}  {rep.lam:.12f}  {GABBER_GALIL_BOUND - rep.lam:14.6f}  {rep.blocks}")

@@ -147,11 +147,15 @@ def phase_point_basis(ctx: PhaseSpaceContext) -> np.ndarray:
     return _phase_point_stack(ctx.N)
 
 
+@lru_cache(maxsize=4)
 def _antidiagonal_indices(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (q-y, q+y) mod N, both indexed [q, y]."""
+    """Index arrays (q-y, q+y) mod N, both indexed [q, y]; read-only, built once per N."""
     q = np.arange(N)[:, None]
     y = np.arange(N)[None, :]
-    return (q - y) % N, (q + y) % N
+    pair = (q - y) % N, (q + y) % N
+    for k in pair:
+        k.setflags(write=False)
+    return pair
 
 
 def wigner(ctx: PhaseSpaceContext, rho: np.ndarray) -> GridDist:
@@ -164,7 +168,11 @@ def wigner(ctx: PhaseSpaceContext, rho: np.ndarray) -> GridDist:
     N = ctx.N
     if rho.shape != (N, N):
         raise ValueError(f"expected a {N}x{N} operator, got shape {rho.shape}")
-    if not np.allclose(rho, rho.conj().T, atol=1e-10):
+    adjoint = rho.conj().T
+    # max|rho - rho^dag| <= atol settles nearly every call at a third of
+    # allclose's cost; allclose decides the rest, so the same inputs pass.
+    if not (float(np.max(np.abs(rho - adjoint))) <= 1e-10
+            or np.allclose(rho, adjoint, atol=1e-10)):
         raise ValueError("wigner requires a hermitian operator")
     minus, plus = _antidiagonal_indices(N)
     table = np.fft.ifft(rho[minus, plus], axis=1)[:, 2 * np.arange(N) % N]

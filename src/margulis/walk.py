@@ -8,10 +8,18 @@ inverse-closed set equals the pushforward average.  The module exposes the
 maps, the step, the dense stochastic matrix of the step, and its spectrum.
 
 With h = 1/2 = (N + 1)/2 mod N, conjugation by either lattice reflection
-a(p, q) = (h - p, q) or b(p, q) = (p, -h - q) permutes the eight maps, so
-the walk matrix commutes with both.  Each reflection fixes exactly one point
-of an odd axis, and the dense spectrum is solved as the four blocks of
-a-parity times b-parity, of sizes ((N +- 1)/2) * ((N +- 1)/2).
+a(p, q) = (h - p, q) or b(p, q) = (p, -h - q), or by the swap
+sigma(p, q) = (q + h, p - h), permutes the eight maps (sigma exchanges T1
+with T4 and T2 with T3, and their inverses likewise).  So the walk matrix
+commutes with the group <a, b, sigma>, dihedral of order 8, where
+sigma a sigma = b.  Each reflection fixes exactly one point of an odd axis,
+so with m = (N + 1)/2 the blocks of a-parity times b-parity have sizes m^2,
+m(m - 1), (m - 1)m and (m - 1)^2.  sigma carries the (+, -) block onto the
+(-, +) one, and maps the (+, +) and (-, -) blocks onto themselves with
+their two axes swapped, which splits each into a symmetric and an
+antisymmetric part.  The dense spectrum is solved as five blocks, of sizes
+m(m + 1)/2, m(m - 1)/2, m(m - 1)/2, (m - 1)(m - 2)/2 and m(m - 1), the
+last, (+, -), counted twice.
 """
 
 from __future__ import annotations
@@ -295,8 +303,11 @@ class SpectralReport:
     ``spectrum`` is the full spectrum sorted by descending absolute value;
     ``lam`` is ``abs(spectrum[1])``, the largest absolute eigenvalue on the
     orthogonal complement of the uniform vector.  ``blocks`` are the sizes
-    of the diagonal blocks actually eigensolved and ``residual`` is the
-    Frobenius norm of ``M V - V diag(w)`` over all of them.
+    of the diagonal blocks actually eigensolved, each listed once, and
+    ``residual`` is the Frobenius norm of ``M V - V diag(w)`` over all of
+    M.  On the walk's five-block path the (+, -) block, the last, stands
+    for the (-, +) one too, so its eigenvalues and its residual count twice
+    and ``spectrum`` still has N^2 entries.
     """
 
     modulus: int
@@ -321,51 +332,90 @@ def _commutes_with_reflection(M4: np.ndarray, c: int) -> bool:
     return all(np.array_equal(M4[p, :, s], M4[rp, :, rs]) for p, rp in runs for s, rs in runs)
 
 
-def _axis_parities(c: int, N: int):
-    """Even and odd bases of the reflection x -> (c - x) mod N on Z_N, N odd.
+def _axis_parities(N: int):
+    """Even and odd bases of the reflection x -> (h - x) mod N on Z_N, N odd.
 
-    Each is (cols, partners, weights, sign).  Folding a matrix's columns as
-    ``A[:, cols] + sign * A[:, partners]`` and keeping rows ``cols`` gives,
+    Each is (rows, partners, weights, sign).  Folding a matrix's columns as
+    ``A[:, rows] + sign * A[:, partners]`` and keeping rows ``rows`` gives,
     scaled by ``outer(weights, weights)``, its block in the basis e_fixed,
     (e_x + sign e_r(x)) / sqrt(2) when the matrix commutes with r.  The
     fixed point's column is folded onto itself, hence its weight sqrt(1/2).
+    Moved by -h, the same bases serve the reflection y -> (-h - y) mod N.
     """
+    h = (N + 1) // 2
     x = np.arange(N)
-    r = (c - x) % N
-    fixed = c * (N + 1) // 2 % N
+    r = (h - x) % N
+    fixed = h * h % N
     pairs = np.flatnonzero(x < r)
     even = (np.r_[fixed, pairs], np.r_[fixed, r[pairs]],
             np.r_[math.sqrt(0.5), np.ones(pairs.size)], 1.0)
     return even, (pairs, r[pairs], np.ones(pairs.size), -1.0)
 
 
-def _eigen_blocks(M: np.ndarray, N: int) -> Iterator[np.ndarray]:
-    """Diagonal blocks of M whose spectra together make up M's spectrum.
+def _parity_folds(M4: np.ndarray, axes_a, axes_b) -> list[list[np.ndarray]]:
+    """M4's four parity blocks [[(+, +), (+, -)], [(-, +), (-, -)]], unweighted.
 
-    The four reflection-parity blocks when M is N^2 x N^2 and commutes
-    exactly with both lattice reflections (see the module docstring), else
-    M itself.  Commutation makes the off-diagonal blocks exactly zero, and
-    the basis change is orthogonal, so residuals add in quadrature.  Blocks
-    are yielded one at a time, not held as a list.
+    ``axes_a`` and ``axes_b`` are the (even, odd) bases of the first and the
+    second lattice axis.  Each block is indexed [i, j, k, l] for the row
+    (a[i], b[j]) and the column (a[k], b[l]).  An axis's odd rows are its
+    even rows less the fixed point, the first, so one gather of the even
+    rows serves all four blocks.  On a walk matrix (entries multiples of
+    1/8) the folds are exact sums.
+    """
+    sub = M4[np.ix_(axes_a[0][0], axes_b[0][0])]
+    folds = []
+    for skip_a, (rows_a, part_a, _, sign_a) in enumerate(axes_a):
+        fold_a = sub[skip_a:, :, rows_a] + sign_a * sub[skip_a:, :, part_a]
+        folds.append([fold_a[:, skip_b:, :, rows_b] + sign_b * fold_a[:, skip_b:, :, part_b]
+                      for skip_b, (rows_b, part_b, _, sign_b) in enumerate(axes_b)])
+    return folds
+
+
+def _swap_parts(F: np.ndarray, w: np.ndarray) -> Iterator[np.ndarray]:
+    """The symmetric and antisymmetric blocks of a parity fold F invariant
+    under (i, j) -> (j, i), with axis weights w.
+
+    Their bases are e_ii, (e_ij + e_ji) / sqrt(2) and (e_ij - e_ji) / sqrt(2),
+    i < j, so each entry is F[ij, kl] +- F[ij, lk], and a diagonal pair ii
+    carries an extra weight sqrt(1/2).
+    """
+    for k, sign in ((0, 1.0), (1, -1.0)):
+        i, j = np.triu_indices(w.size, k)
+        v = w[i] * w[j] * np.where(i == j, math.sqrt(0.5), 1.0)
+        rows = F[i, j]
+        yield (rows[:, i, j] + sign * rows[:, j, i]) * np.outer(v, v)
+
+
+def _eigen_blocks(M: np.ndarray, N: int) -> list[tuple[np.ndarray, int]]:
+    """Diagonal blocks of M, each with the number of times its spectrum
+    counts, that together make up M's spectrum.
+
+    When M is N^2 x N^2 and commutes exactly with the lattice symmetries
+    a, b and sigma of the module docstring, these are the five blocks of
+    that group, the (+, -) parity block counted twice; else M itself, once.
+    Commutation makes the off-diagonal blocks exactly zero, and the basis
+    change is orthogonal, so residuals add in quadrature.  a and b are
+    checked on M, sigma on the parity folds, all with exact equality.
     """
     h = (N + 1) // 2
     if N < 3 or N % 2 == 0 or M.shape != (N * N, N * N):
-        yield M
-        return
+        return [(M, 1)]
     M4 = M.reshape(N, N, N, N)
     if not (_commutes_with_reflection(M4, h)
             and _commutes_with_reflection(M4.transpose(1, 0, 3, 2), N - h)):
-        yield M
-        return
-    for rows_a, part_a, w_a, sign_a in _axis_parities(h, N):
-        for rows_b, part_b, w_b, sign_b in _axis_parities(N - h, N):
-            # On a walk matrix (entries multiples of 1/8) the folds are exact,
-            # and the block is exactly symmetric.
-            sub = M4[np.ix_(rows_a, rows_b)]
-            sub = sub[:, :, rows_a] + sign_a * sub[:, :, part_a]
-            sub = sub[..., rows_b] + sign_b * sub[..., part_b]
-            w = np.outer(w_a, w_b).ravel()
-            yield sub.reshape(w.size, w.size) * np.outer(w, w)
+        return [(M, 1)]
+    axes_a = even, odd = _axis_parities(N)
+    # b's bases are a's moved by -h, so sigma swaps the axes index for index.
+    axes_b = tuple(((rows - h) % N, (part - h) % N, w, sign) for rows, part, w, sign in axes_a)
+    (pp, pm), (mp, mm) = _parity_folds(M4, axes_a, axes_b)
+    # sigma takes the parity fold (ea, eb)[i, j, k, l] to (eb, ea)[j, i, l, k].
+    if not (np.array_equal(mp, pm.transpose(1, 0, 3, 2))
+            and all(np.array_equal(F, F.transpose(1, 0, 3, 2)) for F in (pp, mm))):
+        return [(M, 1)]
+    v = np.outer(even[2], odd[2]).ravel()
+    blocks = [(B, 1) for F, base in ((pp, even), (mm, odd)) for B in _swap_parts(F, base[2])]
+    blocks.append((pm.reshape(v.size, v.size) * np.outer(v, v), 2))
+    return [(B, count) for B, count in blocks if B.size]
 
 
 def spectral_report(M: np.ndarray, *, modulus: int = 0, degree: int = 8,
@@ -374,8 +424,11 @@ def spectral_report(M: np.ndarray, *, modulus: int = 0, degree: int = 8,
 
     ``lam`` is read off the eigensolve; a degenerate eigenvalue 1 (a
     disconnected walk) survives as ``lam == 1``.  When ``modulus`` is N and
-    M is N^2 x N^2 with the walk's reflection symmetry, the four parity
-    blocks are solved in place of M, about 1/16 of the work.
+    M is N^2 x N^2 with the walk's symmetry, the five blocks of the group
+    <a, b, sigma> are solved in place of M, about 1/40 of the eigensolve
+    work at N = 41.  Symmetry is checked on the blocks solved: M is
+    orthogonally similar to their direct sum, so it is symmetric exactly
+    when they all are.
 
     Parameters
     ----------
@@ -390,16 +443,18 @@ def spectral_report(M: np.ndarray, *, modulus: int = 0, degree: int = 8,
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
-    if M.shape != (n, n) or not np.allclose(M, M.T, atol=tol):
+    if M.shape != (n, n):
+        raise ValueError("matrix must be square and symmetric")
+    blocks = _eigen_blocks(M, modulus)
+    if not all(np.allclose(B, B.T, atol=tol) for B, _ in blocks):
         raise ValueError("matrix must be square and symmetric")
     if not np.allclose(M.sum(axis=1), 1.0, atol=tol):
         raise ValueError("matrix must be row-stochastic")
-    eigvals, sizes, squared_residual = [], [], 0.0
-    for block in _eigen_blocks(M, modulus):
-        w, V = np.linalg.eigh(block)
-        squared_residual += np.linalg.norm(block @ V - V * w, ord="fro") ** 2
-        eigvals.append(w)
-        sizes.append(w.size)
+    eigvals, squared_residual = [], 0.0
+    for B, count in blocks:
+        w, V = np.linalg.eigh(B)
+        squared_residual += count * np.linalg.norm(B @ V - V * w, ord="fro") ** 2
+        eigvals += [w] * count
     residual = math.sqrt(squared_residual)
     if residual > 1e-8 * max(1.0, np.linalg.norm(M, ord="fro")):
         raise RuntimeError(f"eigendecomposition residual too large: {residual:.3e}")
@@ -409,7 +464,7 @@ def spectral_report(M: np.ndarray, *, modulus: int = 0, degree: int = 8,
         raise ValueError(f"largest eigenvalue {spectrum[0]!r} is not 1 within {tol}")
     lam = abs(spectrum[1])
     return SpectralReport(modulus=modulus, degree=degree, lam=lam, spectrum=spectrum,
-                          blocks=tuple(sizes), residual=residual)
+                          blocks=tuple(B.shape[0] for B, _ in blocks), residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from margulis.phasespace import (METAPLECTIC_GENERATORS, PhaseSpaceContext,
-                                 affine_unitary, boost_op, fourier,
-                                 inverse_wigner, metaplectic,
+                                 _antidiagonal_indices, affine_unitary,
+                                 boost_op, fourier, inverse_wigner, metaplectic,
                                  operator_from_json, operator_to_json, parity,
                                  phase_point, phase_point_basis,
                                  quadratic_phase, shift_boost, shift_op,
@@ -174,6 +174,31 @@ class TestWigner:
         bad = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex)
         with pytest.raises(ValueError, match="hermitian"):
             wigner(ctx, bad)
+
+    @pytest.mark.parametrize("kind,accepted", [
+        ("exact", True), ("rounding", True), ("relative", True),
+        ("outside", False), ("nan", False)])
+    def test_accepts_what_allclose_accepts(self, kind, accepted):
+        # The max|rho - rho^dag| <= atol shortcut only settles inputs that
+        # allclose passes too; "relative" passes through allclose's rtol alone.
+        N = 5
+        g = np.random.default_rng(29).standard_normal((N, N, 2)) @ (1, 1j)
+        rho = (g + g.conj().T) / 2
+        scale, offset = {"exact": (1, 0), "rounding": (1, 1e-14), "relative": (1e6, 1e-6),
+                         "outside": (1, 1e-2), "nan": (1, np.nan)}[kind]
+        rho = scale * rho
+        rho[0, 1] += offset
+        assert np.allclose(rho, rho.conj().T, atol=1e-10) == accepted
+        if accepted:
+            wigner(PhaseSpaceContext(N), rho)
+        else:
+            with pytest.raises(ValueError, match="hermitian"):
+                wigner(PhaseSpaceContext(N), rho)
+
+    def test_antidiagonal_indices_cached_read_only(self):
+        pair = _antidiagonal_indices(7)
+        assert pair is _antidiagonal_indices(7)
+        assert not any(k.flags.writeable for k in pair)
 
     def test_inverse_on_flat_table(self):
         ctx = PhaseSpaceContext(5)

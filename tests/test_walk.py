@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from margulis.walk import (GABBER_GALIL_BOUND, GENERATOR_LABELS, AffineMap,
-                           GridDist, apply_affine, generator_data,
+                           GridDist, _eigen_blocks, apply_affine, generator_data,
                            generator_map, grid_from_csv, grid_to_csv,
                            grid_to_pgm, margulis_generators, spectral_report,
                            walk_matrix, walk_step)
@@ -72,6 +72,23 @@ def _table(N, kind, rng):
         "tiny": lambda: rng.random((N, N)) * 1e-300,
         "uniform": lambda: np.full((N, N), 1.0 / N**2),
     }[kind]())
+
+
+def _lattice_symmetries(N):
+    """The group <a, b, sigma> as point permutations g, g[v] the flat index of g(v).
+
+    a(p, q) = (h - p, q), b(p, q) = (p, -h - q), sigma(p, q) = (q + h, p - h),
+    h = 1/2 mod N; returns the generators and the closure under composition.
+    """
+    h = (N + 1) // 2
+    p, q = np.divmod(np.arange(N * N), N)
+    gens = [(P % N) * N + Q % N for P, Q in ((h - p, q), (p, -h - q), (q + h, p - h))]
+    group = [np.arange(N * N)]
+    for g in group:  # grows while it is walked: a breadth-first closure
+        for k in gens:
+            if not any(np.array_equal(g[k], e) for e in group):
+                group.append(g[k])
+    return gens, group
 
 
 class TestGenerators:
@@ -258,14 +275,79 @@ class TestSpectralReport:
                                 ((D[0] * s[0] + o[0]) % N, (D[1] * s[1] + o[1]) % N)))
             assert conjugated == maps
 
+    @pytest.mark.parametrize("N", range(3, 50, 2))
+    def test_swap_permutes_the_walk_maps(self, N):
+        # sigma(p, q) = (q + h, p - h) is v -> P v + o with P the coordinate swap
+        # and o = (h, -h), and its own inverse; conjugation P L P reverses
+        # both the rows and the columns of L, and the shift becomes
+        # P (L o + s) + o.
+        h = (N + 1) // 2
+        maps = generator_map(N)
+        label = {(T.linear, T.shift): name for name, T in maps.items()}
+        image = {}
+        for name, T in maps.items():
+            (a, b), (c, d) = T.linear
+            s = (a * h - b * h + T.shift[0], c * h - d * h + T.shift[1])
+            image[name] = label[((d, c), (b, a)), ((s[1] + h) % N, (s[0] - h) % N)]
+        swapped = {"T1": "T4", "T4": "T1", "T2": "T3", "T3": "T2"}
+        swapped.update({k + "inv": v + "inv" for k, v in swapped.items()})
+        assert image == swapped
+        (a, b, sigma), group = _lattice_symmetries(N)
+        assert np.array_equal(sigma[a[sigma]], b)
+        assert len(group) == 8
+
     @pytest.mark.parametrize("N", [3, 5, 7, 15, 21])
     def test_walk_spectrum_solved_as_four_parity_blocks(self, N):
-        h = (N + 1) // 2
+        # sigma pairs the (+, -) parity block with (-, +) and splits (+, +) and
+        # (-, -) by the swap of their two axes: five blocks, the (+, -) one
+        # counted twice.  N = 3 has an empty antisymmetric (-, -) part.
+        m = (N + 1) // 2
         M = walk_matrix(N)
         rep = spectral_report(M, modulus=N)
-        assert rep.blocks == (h * h, h * (h - 1), (h - 1) * h, (h - 1) ** 2)
+        sizes = (m * (m + 1) // 2, m * (m - 1) // 2, (m - 1) * m // 2, (m - 1) * (m - 2) // 2,
+                 m * (m - 1))
+        assert rep.blocks == tuple(k for k in sizes if k)
+        assert len(rep.spectrum) == N * N
         assert np.max(np.abs(np.sort(rep.spectrum) - np.linalg.eigvalsh(M))) <= 1e-12
         assert 0.0 <= rep.residual <= 1e-12
+
+    def test_walk_spectrum_blocks_at_n41(self):
+        reference = json.loads(REFERENCE_LAMBDAS.read_text())["lambdas"]
+        rep = spectral_report(walk_matrix(41), modulus=41)
+        assert rep.blocks == (231, 210, 210, 190, 420)
+        assert rep.lam == pytest.approx(reference["41"], abs=1e-10)
+
+    def test_walk_without_the_swap_is_one_block(self):
+        # Averaged over <a, b> alone, a symmetric doubly stochastic (P + P^T)/2
+        # keeps both reflections but almost surely not sigma; mixed into the
+        # walk (entries multiples of 1/16) the parity folds are exact, and the
+        # sigma check must send the matrix to the single-block path.
+        N = 7
+        (a, b, sigma), _ = _lattice_symmetries(N)
+        P = np.eye(N * N)[np.random.default_rng(1).permutation(N * N)]
+        mix = sum((P + P.T)[np.ix_(g, g)] for g in (np.arange(N * N), a, b, a[b])) / 8
+        M = (walk_matrix(N) + mix) / 2
+        assert not np.array_equal(M[np.ix_(sigma, sigma)], M)
+        rep = spectral_report(M, modulus=N)
+        assert rep.blocks == (N * N,)
+        assert np.max(np.abs(np.sort(rep.spectrum) - np.linalg.eigvalsh(M))) <= 1e-12
+
+    def test_symmetry_checked_on_the_blocks(self):
+        # The group average of P - P^T, for a permutation matrix P, is
+        # antisymmetric with zero row sums and commutes with <a, b, sigma>.  Its
+        # entries are multiples of 1/8, so walk_matrix(7) plus 2^-4 times it
+        # (multiples of 1/128) is row-stochastic and commutes exactly, and
+        # only the symmetry check on the solved blocks can reject it.
+        N = 7
+        _, group = _lattice_symmetries(N)
+        P = np.eye(N * N)[np.random.default_rng(0).permutation(N * N)]
+        skew = sum((P - P.T)[np.ix_(g, g)] for g in group) / 8
+        M = walk_matrix(N) + skew / 16
+        assert np.abs(skew).max() > 0
+        assert all(np.array_equal(M[np.ix_(g, g)], M) for g in group)
+        assert len(_eigen_blocks(M, N)) == 5
+        with pytest.raises(ValueError, match="symmetric"):
+            spectral_report(M, modulus=N)
 
     @pytest.mark.parametrize("N", [21, 27, 33])
     def test_lambda_matches_reference(self, N):
@@ -283,7 +365,7 @@ class TestSpectralReport:
         assert rep.blocks == (N * N,)
         assert rep.lam == pytest.approx(spectral_report(M, modulus=N).lam, abs=1e-12)
 
-    @pytest.mark.parametrize("modulus,blocks", [(5, 4), (0, 1)], ids=["blocked", "single"])
+    @pytest.mark.parametrize("modulus,blocks", [(5, 5), (0, 1)], ids=["blocked", "single"])
     def test_residual_check_catches_a_bad_eigensolve(self, modulus, blocks, monkeypatch):
         M = walk_matrix(5)
         assert len(spectral_report(M, modulus=modulus).blocks) == blocks
