@@ -97,6 +97,9 @@ def _outdir(args) -> Path:
 
 
 def cmd_walk(args) -> int:
+    if not all(0 <= x < args.N for x in args.start):
+        raise ValueError(f"--start {args.start[0]},{args.start[1]} is outside "
+                         f"0..{args.N - 1} for --N {args.N}")
     out = _outdir(args)
     f = GridDist.delta(args.N, *args.start)
     frames = [f]
@@ -327,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="operator-identity check bundle")
     p.add_argument("--N", type=_odd_at_most(VERIFY_MAX_MODULUS, "verify"), default=7)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_int_at_least(0), default=42)
     p.add_argument("--trials", type=_int_at_least(1), default=20)
     p.add_argument("--tol", type=_positive_float, default=1e-10)
     p.add_argument("--json", action="store_true", help="machine-readable report")

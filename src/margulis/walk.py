@@ -240,34 +240,40 @@ def _pullback_index(T: AffineMap) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _pullback_stack(N: int) -> np.ndarray:
-    """The eight pullback index arrays, stacked read-only, built once per N.
+def _paired_pullbacks(N: int) -> tuple[tuple[np.ndarray, tuple[int, int]], ...]:
+    """Per linear part L of the eight maps, the pair (k, u) walk_step needs.
 
-    Used by walk_step; 8 N^2 machine integers, about 10 MB at N=401.
-    walk_matrix builds one _pullback_index at a time instead: its O(N^4)
-    cost dwarfs the index build, and cached index arrays left between its
-    large temporaries raised the peak RSS of repeated dense eigensolves by
-    several MB.
+    WALK_MAPS gives each L two maps, T_0(v) = L v and T_t(v) = L v + t, so
+    f o T_0^{-1} + f o T_t^{-1} = g o L^{-1} with g = f + roll(f, u) and
+    u = L^{-1} t.  k is T_0's pullback index, built once per N and
+    read-only; u is read off T_t^{-1}(v) = L^{-1} v - u.  k stays intp:
+    numpy converts a narrower fancy index to intp on every gather.
     """
-    stack = np.empty((8, N, N), dtype=np.intp)
-    for k, T in zip(stack, margulis_generators(N)):
-        k[...] = _pullback_index(T)
-    stack.setflags(write=False)
-    return stack
+    pairs = {}
+    for T in margulis_generators(N):
+        pairs.setdefault(T.linear, []).append(T)
+    table = []
+    for maps in pairs.values():
+        unshifted, shifted = sorted(maps, key=lambda T: T.shift != (0, 0))
+        k = _pullback_index(unshifted)
+        k.setflags(write=False)
+        table.append((k, tuple(-x % N for x in shifted.inverse().shift)))
+    return tuple(table)
 
 
 def walk_step(f: GridDist) -> GridDist:
     """One expander step: average of f o T^{-1} over the eight maps.
 
-    Preserves total mass and nonnegativity; the uniform distribution is its
-    fixed point.
+    Each pair of maps with one linear part costs one roll and one gather
+    (see _paired_pullbacks).  Preserves total mass and nonnegativity; the
+    uniform distribution is its fixed point.
     """
     N = f.modulus
     out = np.zeros((N, N))
-    flat = f.values.reshape(-1)
-    # One map at a time keeps the temporaries at N^2 floats, not 8 N^2.
-    for k in _pullback_stack(N):
-        out += flat[k]
+    for k, u in _paired_pullbacks(N):
+        g = np.roll(f.values, u, axis=(0, 1))
+        g += f.values  # in place: one N^2 temporary fewer than f + roll(f, u)
+        out += g.reshape(-1)[k]
     return GridDist(N, out / 8.0)
 
 
@@ -324,12 +330,19 @@ class SpectralReport:
 def _commutes_with_reflection(M4: np.ndarray, c: int) -> bool:
     """Whether M4[r(p), :, r(s), :] == M4[p, :, s, :] exactly, r(x) = (c - x) mod N.
 
-    r maps the runs 0..c and c+1..N-1 onto themselves reversed, so the test
-    compares strided views and copies no N^4 array.
+    r reverses the runs 0..c and c+1..N-1, so the first half of each run of
+    p against the other half reversed, over every s, compares each pair of
+    entries once.  Only strided views are compared; no N^4 array is copied.
     """
     N = M4.shape[0]
-    runs = ((slice(0, c + 1), slice(c, None, -1)), (slice(c + 1, N), slice(N - 1, c, -1)))
-    return all(np.array_equal(M4[p, :, s], M4[rp, :, rs]) for p, rp in runs for s, rs in runs)
+    runs = ((0, c + 1), (c + 1, N))
+    for lo, hi in runs:
+        half = (hi - lo + 1) // 2
+        for s in (slice(*run) for run in runs):
+            mirrored = M4[hi - half:hi, :, s][::-1, :, ::-1]
+            if not np.array_equal(M4[lo:lo + half, :, s], mirrored):
+                return False
+    return True
 
 
 def _axis_parities(N: int):
@@ -474,11 +487,25 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+@lru_cache(maxsize=4)
+def _csv_template(N: int) -> str:
+    """grid_to_csv's text for modulus N, each value a %.17g slot.
+
+    The rows for one q are the heads "0," .. "N-1," joined by, and ended
+    with, the tail "q,%.17g\n".
+    """
+    heads = [f"{p}," for p in range(N)]
+    tails = (f"{q},%.17g\n" for q in range(N))
+    return "p,q,value\n" + "".join(tail.join(heads) + tail for tail in tails)
+
+
 def grid_to_csv(f: GridDist) -> str:
-    """CSV dump with header p,q,value; q is the slow (outer) index."""
-    qs, ps = np.indices((f.modulus, f.modulus)).reshape(2, -1).tolist()
-    rows = map("{},{},{:.17g}".format, ps, qs, f.values.T.ravel().tolist())
-    return "p,q,value\n" + "\n".join(rows) + "\n"
+    """CSV dump with header p,q,value; q is the slow (outer) index.
+
+    '%.17g' % x and format(x, '.17g') are one C routine, so the text is
+    the same as formatting row by row.
+    """
+    return _csv_template(f.modulus) % tuple(f.values.T.ravel().tolist())
 
 
 def grid_from_csv(text: str) -> GridDist:
@@ -511,6 +538,10 @@ def grid_from_csv(text: str) -> GridDist:
     return GridDist(N, cells["value"][order].reshape(N, N))
 
 
+#: The 256 gray levels as text, looked up rather than formatted per pixel.
+_PGM_LEVELS = [str(level) for level in range(256)]
+
+
 def grid_to_pgm(f: GridDist, lo: float | None = None, hi: float | None = None) -> str:
     """ASCII (P2) grayscale heatmap; min maps to 0 and max to 255.
 
@@ -526,5 +557,5 @@ def grid_to_pgm(f: GridDist, lo: float | None = None, hi: float | None = None) -
     else:
         pix = np.zeros_like(vals, dtype=int)
     lines = ["P2", f"{f.modulus} {f.modulus}", "255"]
-    lines += [" ".join(map(str, row)) for row in pix.tolist()]
+    lines += [" ".join([_PGM_LEVELS[v] for v in row]) for row in pix.tolist()]
     return "\n".join(lines) + "\n"

@@ -31,6 +31,13 @@ class TestWalkCommand:
         step1 = grid_from_csv((tmp_path / "step-1.csv").read_text())
         assert np.count_nonzero(step1.values) == 5
 
+    @pytest.mark.parametrize("start", ["9,9", "7,0", "0,-1"])
+    def test_start_outside_the_lattice_is_usage_error(self, start, tmp_path, capsys):
+        # GridDist.delta would reduce the point mod N and walk from elsewhere.
+        assert main(["walk", "--N", "7", f"--start={start}", "--out", str(tmp_path)]) == 2
+        assert f"--start {start} is outside 0..6" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_steps_echoes_input(self, tmp_path):
         assert main(["walk", "--N", "5", "--steps", "0", "--start", "2,3",
                      "--out", str(tmp_path)]) == 0
@@ -249,6 +256,7 @@ class TestUsage:
         (["spectrum", "--N", "3,51"], "--N: 51 exceeds the dense limit 49"),
         (["verify", "--N", "245"], "--N: 245 exceeds the verify limit 243"),
         (["verify", "--trials", "0"], "--trials"),
+        (["verify", "--seed", "-1"], "--seed: expected an integer >= 0"),
         (["spectrum", "--N", ","], "--N: expected at least one N"),
         (["verify", "--tol", "nan"], "--tol: expected a finite number > 0"),
         (["verify", "--tol", "-1"], "--tol: expected a finite number > 0"),
@@ -256,8 +264,8 @@ class TestUsage:
         (["spectrum", "--mode", "classical", "--quantum-cap", "-4"],
          "--quantum-cap: expected an integer >= 3"),
     ], ids=["circuit --qudits 0", "spectrum --N 3,51", "verify --N 245", "verify --trials 0",
-            "spectrum --N ,", "verify --tol nan", "verify --tol -1", "verify --tol 0",
-            "spectrum --quantum-cap -4"])
+            "verify --seed -1", "spectrum --N ,", "verify --tol nan", "verify --tol -1",
+            "verify --tol 0", "spectrum --quantum-cap -4"])
     def test_usage_error_names_the_flag(self, argv, named, capsys):
         with pytest.raises(SystemExit) as err:
             main(argv)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from margulis.walk import (GABBER_GALIL_BOUND, GENERATOR_LABELS, AffineMap,
-                           GridDist, _eigen_blocks, apply_affine, generator_data,
+                           GridDist, _commutes_with_reflection, _csv_template,
+                           _eigen_blocks, _pullback_index, apply_affine, generator_data,
                            generator_map, grid_from_csv, grid_to_csv,
                            grid_to_pgm, margulis_generators, spectral_report,
                            walk_matrix, walk_step)
@@ -20,6 +21,12 @@ REFERENCE_LAMBDAS = Path(__file__).parents[1] / "perfbench" / "reference_lambdas
 def random_prob(N, rng):
     vals = rng.random((N, N))
     return GridDist(N, vals / vals.sum())
+
+
+# The eight-gather step the paired gathers replaced, kept as its reference.
+def _oracle_walk_step(f):
+    flat = f.values.reshape(-1)
+    return sum(flat[_pullback_index(T)] for T in margulis_generators(f.modulus)) / 8.0
 
 
 # The per-cell codecs the array codecs replaced, kept as their reference.
@@ -63,6 +70,14 @@ def _oracle_grid_to_pgm(f, lo=None, hi=None):
     lines = ["P2", f"{f.modulus} {f.modulus}", "255"]
     lines += [" ".join(str(v) for v in row) for row in pix]
     return "\n".join(lines) + "\n"
+
+
+def _assert_same_text(got, want):
+    # A failed == on megabyte strings would have pytest diff them for minutes.
+    if got != want:
+        first = next((i for i, (a, b) in enumerate(zip(got.splitlines(), want.splitlines()))
+                      if a != b), None)
+        pytest.fail(f"texts differ first at line {first} (lengths {len(got)} vs {len(want)})")
 
 
 def _table(N, kind, rng):
@@ -167,6 +182,24 @@ class TestWalkStep:
     def test_uniform_is_fixed(self):
         u = GridDist.uniform(9)
         assert np.allclose(walk_step(u).values, u.values, atol=1e-15)
+
+    @pytest.mark.parametrize("N", range(3, 50, 2))
+    def test_matches_eight_gather_oracle(self, N):
+        rng = np.random.default_rng(N)
+        for kind in ("negative", "random"):
+            f = _table(N, kind, rng)
+            assert np.allclose(walk_step(f).values, _oracle_walk_step(f), rtol=0, atol=1e-15)
+
+    def test_frames_at_n401_match_oracle(self):
+        N = 401
+        u = GridDist.uniform(N)
+        assert np.allclose(walk_step(u).values, u.values, rtol=0, atol=1e-15)
+        f = oracle = GridDist.delta(N, 17, 300)
+        for _ in range(6):
+            f, oracle = walk_step(f), GridDist(N, _oracle_walk_step(oracle))
+            assert np.allclose(f.values, oracle.values, rtol=0, atol=1e-15)
+            assert f.values.sum() == pytest.approx(1.0, abs=1e-12)
+            assert f.values.min() >= 0.0
 
     def test_zero_maps_to_zero(self):
         z = GridDist(5, np.zeros((5, 5)))
@@ -317,6 +350,25 @@ class TestSpectralReport:
         assert rep.blocks == (231, 210, 210, 190, 420)
         assert rep.lam == pytest.approx(reference["41"], abs=1e-10)
 
+    @pytest.mark.parametrize("N", [3, 5, 7, 9])
+    def test_reflection_check_matches_the_permutation(self, N):
+        # Changing one entry breaks commutation with a reflection unless the
+        # reflection fixes both its row and its column; each check must agree
+        # with conjugating by the permutation itself.
+        (a, b, _), _ = _lattice_symmetries(N)
+        h = (N + 1) // 2
+        rng = np.random.default_rng(N)
+        fixed_a, fixed_b = h * h % N * N, -h * h % N  # (h^2, 0) and (0, -h^2)
+        cells = [(0, 0), (fixed_a, 0), (fixed_a, fixed_a), (fixed_b, fixed_b)]
+        cells += [tuple(rng.integers(N * N, size=2)) for _ in range(30)]
+        for u, v in cells:
+            M = walk_matrix(N)
+            M[u, v] += 0.5
+            M4 = M.reshape(N, N, N, N)
+            for g, c, view in ((a, h, M4), (b, N - h, M4.transpose(1, 0, 3, 2))):
+                expected = np.array_equal(M[np.ix_(g, g)], M)
+                assert _commutes_with_reflection(view, c) == expected
+
     def test_walk_without_the_swap_is_one_block(self):
         # Averaged over <a, b> alone, a symmetric doubly stochastic (P + P^T)/2
         # keeps both reflections but almost surely not sigma; mixed into the
@@ -423,11 +475,26 @@ class TestSerialization:
     def test_codecs_match_per_cell_oracle(self, N, kind):
         f = _table(N, kind, np.random.default_rng(N))
         text = grid_to_csv(f)
-        assert text == _oracle_grid_to_csv(f)
+        _assert_same_text(text, _oracle_grid_to_csv(f))
         parsed = grid_from_csv(text).values.tobytes()
         assert parsed == _oracle_grid_from_csv(text).values.tobytes() == f.values.tobytes()
         for lo, hi in [(None, None), (-0.5, 0.5)]:
-            assert grid_to_pgm(f, lo, hi) == _oracle_grid_to_pgm(f, lo, hi)
+            _assert_same_text(grid_to_pgm(f, lo, hi), _oracle_grid_to_pgm(f, lo, hi))
+
+    @pytest.mark.parametrize("kind", ["negative", "tiny"])
+    def test_writers_match_per_cell_oracle_at_n401(self, kind):
+        f = _table(401, kind, np.random.default_rng(401))
+        _assert_same_text(grid_to_csv(f), _oracle_grid_to_csv(f))
+        _assert_same_text(grid_to_pgm(f), _oracle_grid_to_pgm(f))
+
+    def test_csv_template_cache_across_moduli(self):
+        # More moduli than the cache holds, revisited, so templates are
+        # both reused and rebuilt after eviction.
+        rng = np.random.default_rng(7)
+        for N in [3, 5, 3, 7, 9, 11, 13, 3, 5, 13, 3]:
+            f = _table(N, "negative", rng)
+            _assert_same_text(grid_to_csv(f), _oracle_grid_to_csv(f))
+        assert _csv_template.cache_info().currsize <= _csv_template.cache_info().maxsize
 
     @pytest.mark.parametrize("seed", range(20))
     def test_reader_names_the_same_first_bad_row_as_oracle(self, seed):
