@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,19 @@ from .walk import (DENSE_MAX_MODULUS, GABBER_GALIL_BOUND, GENERATOR_LABELS,
 
 #: Largest N verify accepts: 3^5, so circuit_equivalence still runs on 5 qudits.
 VERIFY_MAX_MODULUS = 243
+
+#: Largest N walk accepts: about a million cells, some 8 MB a frame in memory
+#: and up to 25 MB of CSV on disk.
+WALK_MAX_MODULUS = 1001
+
+#: Largest contraction --delta.  Coarser cells leave the built-in test
+#: functions (support radius 1.375 and 1.85) a cell or two, or none: at
+#: delta = 4 both sample to zero and "contract" with ratio 0.
+CONTRACTION_MAX_DELTA = 1.0
+
+#: Largest contraction --R: 16 samples on each of (2R + 1)^2 cells, a peak of
+#: about 170 MB at R = 256.
+CONTRACTION_MAX_R = 256
 
 
 def _odd_int(text: str) -> int:
@@ -97,6 +111,8 @@ def _outdir(args) -> Path:
 
 
 def cmd_walk(args) -> int:
+    if args.N > WALK_MAX_MODULUS:
+        raise ValueError(f"--N {args.N} exceeds the walk limit {WALK_MAX_MODULUS}")
     if not all(0 <= x < args.N for x in args.start):
         raise ValueError(f"--start {args.start[0]},{args.start[1]} is outside "
                          f"0..{args.N - 1} for --N {args.N}")
@@ -286,6 +302,9 @@ def _mean(text: str) -> MeanVector:
 
 
 def cmd_moments(args) -> int:
+    for flag, values in (("--gamma", astuple(args.gamma)), ("--mean", astuple(args.mean))):
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{flag} {','.join(map(str, values))} is not finite")
     out = _outdir(args)
     text = moments_csv(args.gamma, args.mean, args.iters, args.map)
     (out / "moments.csv").write_text(text)
@@ -294,6 +313,11 @@ def cmd_moments(args) -> int:
 
 
 def cmd_contraction(args) -> int:
+    if args.delta > CONTRACTION_MAX_DELTA:
+        raise ValueError(f"--delta {args.delta:g} exceeds the contraction limit "
+                         f"{CONTRACTION_MAX_DELTA:g}")
+    if args.R > CONTRACTION_MAX_R:
+        raise ValueError(f"--R {args.R} exceeds the contraction limit {CONTRACTION_MAX_R}")
     out = _outdir(args)
     field = discretize(args.fn, args.delta, args.R)
     report = contraction_check(field)

@@ -206,8 +206,16 @@ def quadratic_phase(ctx: PhaseSpaceContext, sign: int) -> np.ndarray:
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    return np.diag(_quadratic_diagonal(ctx, sign))
+
+
+def _quadratic_diagonal(ctx: PhaseSpaceContext, sign: int) -> np.ndarray:
     j = np.arange(ctx.N)
-    return np.diag(_phases(ctx, sign * j * j))
+    return _phases(ctx, sign * j * j)
+
+
+#: The quadratic-phase symbols of the words in LINEAR_PARTS, with their signs.
+_QUADRATIC_SIGNS = {"Q+": 1, "Q-": -1}
 
 
 #: Word symbols accepted by :func:`metaplectic`.
@@ -262,14 +270,36 @@ def affine_unitary(ctx: PhaseSpaceContext, T: AffineMap) -> np.ndarray:
     """Unitary U_T = w(shift) mu(linear) with U_T A(v) U_T^dag = A(T(v)).
 
     Supports linear parts that are the identity or one symbol of
-    :data:`margulis.walk.LINEAR_PARTS`; all eight walk maps qualify.
+    :data:`margulis.walk.LINEAR_PARTS`; all eight walk maps qualify.  Built
+    in closed form from the symbol's word, with no matrix product: mu is the
+    identity, a quadratic phase Q, the DFT F, or the circulant F Q F^dag,
+    whose first column is ifft of Q's diagonal.  w(p, q) moves row k - q of
+    mu to row k and scales it by omega^{p k - inv2 p q}.  The word's matrix
+    product, as :func:`metaplectic` forms it, is the test oracle.
     """
     if T.modulus != ctx.N:
         raise ValueError(f"map modulus {T.modulus} != context N {ctx.N}")
-    word = linear_word(T.linear, ctx.N)
-    mu = _word_unitary(ctx, word) if word else np.eye(ctx.N, dtype=complex)
+    N = ctx.N
+    word = linear_word(T.linear, N)
     p, q = T.shift
-    return weyl(ctx, p, q) @ mu
+    k = np.arange(N)
+    src = (k - q) % N  # the row of mu that lands on row k
+    phase = _phases(ctx, p * k - ctx.inv2 * p * q)
+    match word:
+        case ("F",):
+            return phase[:, None] * _phases(ctx, np.outer(src, k)) / np.sqrt(N)
+        case ("F", quad, "Finv"):
+            column = np.fft.ifft(_quadratic_diagonal(ctx, _QUADRATIC_SIGNS[quad]))
+            return phase[:, None] * column[(src[:, None] - k) % N]
+        case (quad,):
+            diagonal = _quadratic_diagonal(ctx, _QUADRATIC_SIGNS[quad])
+        case ():
+            diagonal = np.ones(N)
+        case _:
+            raise ValueError(f"no closed form for the word {word}")
+    U = np.zeros((N, N), dtype=complex)
+    U[k, src] = phase * diagonal[src]
+    return U
 
 
 # ---------------------------------------------------------------------------

@@ -202,10 +202,24 @@ class GridDist:
         if vals.shape != (self.modulus, self.modulus):
             raise ValueError(
                 f"values must have shape ({self.modulus}, {self.modulus}), got {vals.shape}")
+        self._freeze(vals)
+
+    def _freeze(self, vals: np.ndarray) -> None:
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _adopt(cls, vals: np.ndarray) -> "GridDist":
+        """A GridDist over vals, a fresh float (N, N) array no caller holds.
+
+        Checked for finiteness like any table, but taken over, not copied.
+        """
+        f = object.__new__(cls)
+        object.__setattr__(f, "modulus", vals.shape[0])
+        f._freeze(vals)
+        return f
 
     @staticmethod
     def delta(N: int, p: int = 0, q: int = 0) -> "GridDist":
@@ -266,7 +280,8 @@ def walk_step(f: GridDist) -> GridDist:
 
     Each pair of maps with one linear part costs one roll and one gather
     (see _paired_pullbacks).  Preserves total mass and nonnegativity; the
-    uniform distribution is its fixed point.
+    uniform distribution is its fixed point.  A sum that overflows raises
+    ValueError, as GridDist does for any table that is not finite.
     """
     N = f.modulus
     out = np.zeros((N, N))
@@ -274,7 +289,11 @@ def walk_step(f: GridDist) -> GridDist:
         g = np.roll(f.values, u, axis=(0, 1))
         g += f.values  # in place: one N^2 temporary fewer than f + roll(f, u)
         out += g.reshape(-1)[k]
-    return GridDist(N, out / 8.0)
+    # Hand the quotient over uncopied.  Allocated after the temporaries, it
+    # sits above them on the heap, so malloc keeps their freed memory for the
+    # next step; divided in place, out sat below them, and malloc gave that
+    # memory back to the system and faulted it in again on every step.
+    return GridDist._adopt(out / 8.0)
 
 
 def walk_matrix(N: int, max_modulus: int = DENSE_MAX_MODULUS) -> np.ndarray:
@@ -346,14 +365,16 @@ def _commutes_with_reflection(M4: np.ndarray, c: int) -> bool:
 
 
 def _axis_parities(N: int):
-    """Even and odd bases of the reflection x -> (h - x) mod N on Z_N, N odd.
+    """Even and odd bases of the lattice reflections a and b, as (axes_a, axes_b).
 
-    Each is (rows, partners, weights, sign).  Folding a matrix's columns as
-    ``A[:, rows] + sign * A[:, partners]`` and keeping rows ``rows`` gives,
-    scaled by ``outer(weights, weights)``, its block in the basis e_fixed,
-    (e_x + sign e_r(x)) / sqrt(2) when the matrix commutes with r.  The
-    fixed point's column is folded onto itself, hence its weight sqrt(1/2).
-    Moved by -h, the same bases serve the reflection y -> (-h - y) mod N.
+    Each axis is (even, odd), and each basis is (rows, partners, weights,
+    sign).  Folding a matrix's columns as ``A[:, rows] + sign * A[:, partners]``
+    and keeping rows ``rows`` gives, scaled by ``outer(weights, weights)``, its
+    block in the basis e_fixed, (e_x + sign e_r(x)) / sqrt(2) when the matrix
+    commutes with r.  The fixed point's column is folded onto itself, hence
+    its weight sqrt(1/2).  a's reflection on Z_N is x -> (h - x) mod N; b's,
+    y -> (-h - y) mod N, has the same bases moved by -h, so sigma swaps the
+    two axes index for index.
     """
     h = (N + 1) // 2
     x = np.arange(N)
@@ -362,7 +383,9 @@ def _axis_parities(N: int):
     pairs = np.flatnonzero(x < r)
     even = (np.r_[fixed, pairs], np.r_[fixed, r[pairs]],
             np.r_[math.sqrt(0.5), np.ones(pairs.size)], 1.0)
-    return even, (pairs, r[pairs], np.ones(pairs.size), -1.0)
+    axes_a = even, (pairs, r[pairs], np.ones(pairs.size), -1.0)
+    axes_b = tuple(((rows - h) % N, (part - h) % N, w, sign) for rows, part, w, sign in axes_a)
+    return axes_a, axes_b
 
 
 def _parity_folds(M4: np.ndarray, axes_a, axes_b) -> list[list[np.ndarray]]:
@@ -371,16 +394,25 @@ def _parity_folds(M4: np.ndarray, axes_a, axes_b) -> list[list[np.ndarray]]:
     ``axes_a`` and ``axes_b`` are the (even, odd) bases of the first and the
     second lattice axis.  Each block is indexed [i, j, k, l] for the row
     (a[i], b[j]) and the column (a[k], b[l]).  An axis's odd rows are its
-    even rows less the fixed point, the first, so one gather of the even
-    rows serves all four blocks.  On a walk matrix (entries multiples of
+    even rows less the fixed point, the first.  So the blocks are filled one
+    even a-row p at a time: M4[p, even b-rows], an (m, N, N) slice, is folded
+    along a's columns and then along b's, and gives row i of the even-a
+    blocks and row i - 1 of the odd-a ones.  Beside the blocks, only that
+    slice and its folds are held.  On a walk matrix (entries multiples of
     1/8) the folds are exact sums.
     """
-    sub = M4[np.ix_(axes_a[0][0], axes_b[0][0])]
-    folds = []
-    for skip_a, (rows_a, part_a, _, sign_a) in enumerate(axes_a):
-        fold_a = sub[skip_a:, :, rows_a] + sign_a * sub[skip_a:, :, part_a]
-        folds.append([fold_a[:, skip_b:, :, rows_b] + sign_b * fold_a[:, skip_b:, :, part_b]
-                      for skip_b, (rows_b, part_b, _, sign_b) in enumerate(axes_b)])
+    m = axes_a[0][0].size
+    folds = [[np.empty((m - skip_a, m - skip_b) * 2) for skip_b in range(2)]
+             for skip_a in range(2)]
+    for i, p in enumerate(axes_a[0][0]):
+        rows = M4[p, axes_b[0][0]]
+        for skip_a, (rows_a, part_a, _, sign_a) in enumerate(axes_a):
+            if i < skip_a:  # the fixed point has no odd row
+                continue
+            fold_a = rows[:, rows_a] + sign_a * rows[:, part_a]
+            for skip_b, (rows_b, part_b, _, sign_b) in enumerate(axes_b):
+                folds[skip_a][skip_b][i - skip_a] = (fold_a[skip_b:, :, rows_b]
+                                                     + sign_b * fold_a[skip_b:, :, part_b])
     return folds
 
 
@@ -417,9 +449,8 @@ def _eigen_blocks(M: np.ndarray, N: int) -> list[tuple[np.ndarray, int]]:
     if not (_commutes_with_reflection(M4, h)
             and _commutes_with_reflection(M4.transpose(1, 0, 3, 2), N - h)):
         return [(M, 1)]
-    axes_a = even, odd = _axis_parities(N)
-    # b's bases are a's moved by -h, so sigma swaps the axes index for index.
-    axes_b = tuple(((rows - h) % N, (part - h) % N, w, sign) for rows, part, w, sign in axes_a)
+    axes_a, axes_b = _axis_parities(N)
+    even, odd = axes_a
     (pp, pm), (mp, mm) = _parity_folds(M4, axes_a, axes_b)
     # sigma takes the parity fold (ea, eb)[i, j, k, l] to (eb, ea)[j, i, l, k].
     if not (np.array_equal(mp, pm.transpose(1, 0, 3, 2))

@@ -272,6 +272,33 @@ class TestUsage:
         assert err.value.code == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["contraction", "--delta", "1e300"], "--delta 1e+300 exceeds the contraction limit 1"),
+        (["contraction", "--R", "100000"], "--R 100000 exceeds the contraction limit 256"),
+        (["walk", "--N", "199999", "--steps", "0"], "--N 199999 exceeds the walk limit 1001"),
+        (["moments", "--gamma", "nan,0,1"], "--gamma nan,0.0,1.0 is not finite"),
+        (["moments", "--mean", "inf,0"], "--mean inf,0.0 is not finite"),
+    ], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
+    def test_caps_and_non_finite_values_refused_first(self, argv, message, tmp_path, capsys,
+                                                      monkeypatch):
+        # Each was a traceback (an overflow, numpy's MemoryError) or NaN rows
+        # with exit 0.  The refusal comes before anything that allocates.
+        def allocates(*args, **kwargs):
+            raise AssertionError("called before the arguments were checked")
+
+        for name in ("discretize", "GridDist", "moments_csv", "_outdir"):
+            monkeypatch.setattr(f"margulis.cli.{name}", allocates)
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"margulis: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["contraction", "--delta", "1"],
+        ["walk", "--N", "1001", "--steps", "0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_values_at_the_caps_run(self, argv, tmp_path):
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+
     def test_golden_files_read_before_the_checks(self, tmp_path, capsys, monkeypatch):
         calls = []
 

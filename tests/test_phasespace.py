@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from margulis.phasespace import (METAPLECTIC_GENERATORS, PhaseSpaceContext,
-                                 _antidiagonal_indices, affine_unitary,
+                                 _antidiagonal_indices, _word_unitary, affine_unitary,
                                  boost_op, fourier, inverse_wigner, metaplectic,
                                  operator_from_json, operator_to_json, parity,
                                  phase_point, phase_point_basis,
                                  quadratic_phase, shift_boost, shift_op,
                                  weyl, wigner, word_matrix)
-from margulis.walk import (AffineMap, GridDist, apply_affine, generator_map,
-                           margulis_generators, walk_step)
+from margulis.walk import (LINEAR_PARTS, AffineMap, GridDist, apply_affine,
+                           generator_map, linear_word, margulis_generators, walk_step)
 
 ODD_N = [3, 5, 7, 9]
 
@@ -367,6 +367,21 @@ class TestAffineUnitary:
                     tp, tq = apply_affine(T, (p, q))
                     moved = U @ basis[p * N + q] @ U.conj().T
                     assert np.linalg.norm(moved - basis[tp * N + tq]) < 1e-10
+
+    @pytest.mark.parametrize("N", list(range(3, 50, 2)) + [243])
+    def test_closed_form_matches_word_product(self, N):
+        # The oracle is w(shift) times the word's matrix product, for the
+        # identity and every LINEAR_PARTS symbol, at random shifts.
+        ctx = PhaseSpaceContext(N)
+        rng = np.random.default_rng(N)
+        linears = [((1, 0), (0, 1))] + [matrix for matrix, _ in LINEAR_PARTS.values()]
+        for linear in linears:
+            for shift in rng.integers(-N, 2 * N, size=(3, 2)).tolist():
+                T = AffineMap(linear, shift, N)
+                word = linear_word(T.linear, N)
+                mu = _word_unitary(ctx, word) if word else np.eye(N)
+                expected = weyl(ctx, *T.shift) @ mu
+                assert np.max(np.abs(affine_unitary(ctx, T) - expected)) <= 1e-13
 
     def test_unsupported_linear_part(self):
         ctx = PhaseSpaceContext(7)

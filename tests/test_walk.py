@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from margulis.walk import (GABBER_GALIL_BOUND, GENERATOR_LABELS, AffineMap,
-                           GridDist, _commutes_with_reflection, _csv_template,
-                           _eigen_blocks, _pullback_index, apply_affine, generator_data,
+                           GridDist, _axis_parities, _commutes_with_reflection,
+                           _csv_template, _eigen_blocks, _parity_folds, _pullback_index,
+                           apply_affine, generator_data,
                            generator_map, grid_from_csv, grid_to_csv,
                            grid_to_pgm, margulis_generators, spectral_report,
                            walk_matrix, walk_step)
@@ -27,6 +29,18 @@ def random_prob(N, rng):
 def _oracle_walk_step(f):
     flat = f.values.reshape(-1)
     return sum(flat[_pullback_index(T)] for T in margulis_generators(f.modulus)) / 8.0
+
+
+# The gather-form fold the row-by-row fold replaced, kept as its reference:
+# one (m, m, N, N) gather of the even rows, folded through (m, m, m, N) temporaries.
+def _oracle_parity_folds(M4, axes_a, axes_b):
+    sub = M4[np.ix_(axes_a[0][0], axes_b[0][0])]
+    folds = []
+    for skip_a, (rows_a, part_a, _, sign_a) in enumerate(axes_a):
+        fold_a = sub[skip_a:, :, rows_a] + sign_a * sub[skip_a:, :, part_a]
+        folds.append([fold_a[:, skip_b:, :, rows_b] + sign_b * fold_a[:, skip_b:, :, part_b]
+                      for skip_b, (rows_b, part_b, _, sign_b) in enumerate(axes_b)])
+    return folds
 
 
 # The per-cell codecs the array codecs replaced, kept as their reference.
@@ -201,6 +215,22 @@ class TestWalkStep:
             assert f.values.sum() == pytest.approx(1.0, abs=1e-12)
             assert f.values.min() >= 0.0
 
+    def test_overflowing_pair_sum_is_rejected(self):
+        # f + roll(f, u) overflows to inf on a finite table; the step hands its
+        # array to GridDist uncopied, but still checked.
+        f = GridDist(5, np.full((5, 5), 1e308))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            walk_step(f)
+
+    def test_step_is_read_only_and_leaves_its_input(self):
+        f = random_prob(7, np.random.default_rng(3))
+        before = f.values.copy()
+        g = walk_step(f)
+        assert not g.values.flags.writeable
+        with pytest.raises(ValueError):
+            g.values[0, 0] = 1.0
+        assert np.array_equal(f.values, before)
+
     def test_zero_maps_to_zero(self):
         z = GridDist(5, np.zeros((5, 5)))
         assert np.all(walk_step(z).values == 0.0)
@@ -349,6 +379,36 @@ class TestSpectralReport:
         rep = spectral_report(walk_matrix(41), modulus=41)
         assert rep.blocks == (231, 210, 210, 190, 420)
         assert rep.lam == pytest.approx(reference["41"], abs=1e-10)
+
+    @pytest.mark.parametrize("N", [3, 5, 7, 9, 15, 41])
+    def test_parity_folds_match_gather_oracle(self, N):
+        # Row by row, each block entry is the same sums in the same order as
+        # the gather form's, so the blocks are equal bit for bit: on the walk
+        # matrix, and on a random matrix where the sums round.
+        axes_a, axes_b = _axis_parities(N)
+        rng = np.random.default_rng(N)
+        matrices = [walk_matrix(N)] + ([rng.standard_normal((N * N, N * N))] if N <= 9 else [])
+        for M in matrices:
+            M4 = M.reshape(N, N, N, N)
+            got = _parity_folds(M4, axes_a, axes_b)
+            want = _oracle_parity_folds(M4, axes_a, axes_b)
+            for got_row, want_row in zip(got, want):
+                for F, G in zip(got_row, want_row):
+                    assert F.shape == G.shape and np.array_equal(F, G)
+
+    def test_spectral_report_transient_under_half_of_m(self):
+        # The parity blocks are filled one lattice row at a time, so no
+        # quarter of M is gathered: the peak beside M stays under half of it
+        # (0.89 of it with the gather form).
+        N = 41
+        M = walk_matrix(N)
+        tracemalloc.start()
+        try:
+            spectral_report(M, modulus=N)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.45 * M.nbytes
 
     @pytest.mark.parametrize("N", [3, 5, 7, 9])
     def test_reflection_check_matches_the_permutation(self, N):
