@@ -117,19 +117,27 @@ def cmd_walk(args) -> int:
         raise ValueError(f"--start {args.start[0]},{args.start[1]} is outside "
                          f"0..{args.N - 1} for --N {args.N}")
     out = _outdir(args)
-    f = GridDist.delta(args.N, *args.start)
-    frames = [f]
-    for _ in range(args.steps):
-        frames.append(walk_step(frames[-1]))
     lo = hi = None
     if args.fixed_scale:
-        lo = min(float(fr.values.min()) for fr in frames)
-        hi = max(float(fr.values.max()) for fr in frames)
-    for k, fr in enumerate(frames):
-        (out / f"step-{k}.csv").write_text(grid_to_csv(fr))
-        (out / f"step-{k}.pgm").write_text(grid_to_pgm(fr, lo, hi))
-    print(f"wrote {len(frames)} frames (steps 0..{args.steps}) for N={args.N} to {out}")
+        # The walk is deterministic: one pass finds the shared range, and a
+        # second makes the same frames again to write them.
+        lo, hi = math.inf, -math.inf
+        for f in _walk_frames(args):
+            lo, hi = min(lo, float(f.values.min())), max(hi, float(f.values.max()))
+    for k, f in enumerate(_walk_frames(args)):
+        (out / f"step-{k}.csv").write_text(grid_to_csv(f))
+        (out / f"step-{k}.pgm").write_text(grid_to_pgm(f, lo, hi))
+    print(f"wrote {args.steps + 1} frames (steps 0..{args.steps}) for N={args.N} to {out}")
     return 0
+
+
+def _walk_frames(args):
+    """The walk's frames from a point mass at --start, steps 0..--steps, one at a time."""
+    f = GridDist.delta(args.N, *args.start)
+    yield f
+    for _ in range(args.steps):
+        f = walk_step(f)
+        yield f
 
 
 def cmd_spectrum(args) -> int:
@@ -305,8 +313,8 @@ def cmd_moments(args) -> int:
     for flag, values in (("--gamma", astuple(args.gamma)), ("--mean", astuple(args.mean))):
         if not all(map(math.isfinite, values)):
             raise ValueError(f"{flag} {','.join(map(str, values))} is not finite")
-    out = _outdir(args)
     text = moments_csv(args.gamma, args.mean, args.iters, args.map)
+    out = _outdir(args)
     (out / "moments.csv").write_text(text)
     print(text.strip().splitlines()[-1])
     return 0

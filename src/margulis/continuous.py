@@ -245,6 +245,8 @@ def _require_delta(delta: float) -> None:
     if not 0 < delta < math.inf:
         raise ValueError(
             f"delta must be {'finite' if delta > 0 else 'positive'}, got {delta}")
+    if math.isinf(delta * delta):  # the cell area, as mass() computes it
+        raise ValueError(f"delta must be small enough to square, got {delta}")
 
 
 def discretize(test_fn, delta: float, R: int) -> SampledField:
@@ -340,16 +342,22 @@ def contraction_check(field: SampledField, N: int | None = None) -> ContractionR
 
 def moments_csv(gamma: CovMatrix, mean: MeanVector, iters: int,
                 which: str = "g") -> str:
-    """CSV trace of iterated moment maps: n,a,b,c,mean_x,mean_p,trace,det."""
+    """CSV trace of iterated moment maps: n,a,b,c,mean_x,mean_p,trace,det.
+
+    Raises ValueError, naming the iteration, if any cell of the trace
+    leaves float range: the diagonal grows as 3^n, and det overflows first.
+    """
     if which not in ("g", "f"):
         raise ValueError(f"map must be 'g' or 'f', got {which!r}")
     lines = ["n,a,b,c,mean_x,mean_p,trace,det"]
     cur_g, cur_m = gamma, mean
     for n in range(iters + 1):
-        cells = [str(n)] + [format(v, ".17g") for v in
-                            (cur_g.a, cur_g.b, cur_g.c, cur_m.x, cur_m.p,
-                             cur_g.trace(), cur_g.det())]
-        lines.append(",".join(cells))
+        values = (cur_g.a, cur_g.b, cur_g.c, cur_m.x, cur_m.p, cur_g.trace(), cur_g.det())
+        bad = [name for name, v in zip(lines[0].split(",")[1:], values) if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"the moments leave float range at iteration {n} "
+                             f"({', '.join(bad)} not finite)")
+        lines.append(",".join([str(n)] + [format(v, ".17g") for v in values]))
         if which == "g":
             cur_g = g_map(cur_g)
         else:

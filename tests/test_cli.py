@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ from margulis.cli import main
 from margulis.channel import verify_wigner_intertwining
 from margulis.phasespace import (PhaseSpaceContext, _phase_point_stack, affine_unitary,
                                  inverse_wigner, operator_from_json, wigner)
-from margulis.walk import AffineMap, GridDist, generator_map, grid_from_csv
+from margulis.walk import (AffineMap, GridDist, generator_map, grid_from_csv, grid_to_csv,
+                           grid_to_pgm, walk_step)
 
 
 def _failed_rows(stdout: str) -> list[str]:
@@ -57,6 +59,33 @@ class TestWalkCommand:
         with pytest.raises(SystemExit) as err:
             main(["walk", "--N", "6", "--out", str(tmp_path)])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("fixed_scale", [False, True], ids=["own scale", "fixed scale"])
+    def test_frames_streamed_as_if_all_were_kept(self, fixed_scale, tmp_path, monkeypatch):
+        # Each frame is written as it is made; --fixed-scale walks twice, the
+        # first time only for the shared range.  The files are those of
+        # keeping every frame, and at most the newest two are ever alive.
+        made, alive = [], []
+
+        def step(f):
+            g = walk_step(f)
+            made.append(weakref.ref(g))
+            alive.append(sum(ref() is not None for ref in made))
+            return g
+
+        monkeypatch.setattr("margulis.cli.walk_step", step)
+        argv = ["walk", "--N", "9", "--steps", "6", "--start", "2,7", "--out", str(tmp_path)]
+        assert main(argv + ["--fixed-scale"] * fixed_scale) == 0
+        assert len(made) == (12 if fixed_scale else 6)
+        assert max(alive) == 2
+        frames = [GridDist.delta(9, 2, 7)]
+        for _ in range(6):
+            frames.append(walk_step(frames[-1]))
+        lo = min(float(f.values.min()) for f in frames) if fixed_scale else None
+        hi = max(float(f.values.max()) for f in frames) if fixed_scale else None
+        for k, f in enumerate(frames):
+            assert (tmp_path / f"step-{k}.csv").read_text() == grid_to_csv(f)
+            assert (tmp_path / f"step-{k}.pgm").read_text() == grid_to_pgm(f, lo, hi)
 
     def test_fixed_scale_flag(self, tmp_path):
         assert main(["walk", "--N", "5", "--steps", "1", "--fixed-scale",
@@ -200,6 +229,16 @@ class TestMomentsCommand:
         final = capsys.readouterr().out.strip().splitlines()[-1].split(",")
         assert final[0] == "4"
         assert float(final[1]) == 81.0 and float(final[2]) == 0.0 and float(final[3]) == 81.0
+
+    @pytest.mark.parametrize("argv,first", [([], 324), (["--map", "f", "--mean", "1,2"], 322)],
+                             ids=["g", "f"])
+    def test_trace_leaving_float_range_is_usage_error(self, argv, first, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["moments", "--iters", "700", "--out", str(out)] + argv) == 2
+        assert capsys.readouterr().err == (
+            f"margulis: error: the moments leave float range at iteration {first} "
+            "(det not finite)\n")
+        assert not out.exists()
 
     def test_bad_gamma_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

@@ -216,10 +216,15 @@ class TestDiscretize:
         with pytest.raises(ValueError, match="shape"):
             SampledField(0.25, 3, np.zeros((5, 5)))
 
-    @pytest.mark.parametrize("delta", [0.0, -0.25, float("nan"), float("inf")])
+    @pytest.mark.parametrize("delta", [0.0, -0.25, float("nan"), float("inf"), 1e300])
     def test_field_rejects_bad_delta(self, delta):
+        # 1e300 squares to inf: mass() would raise OverflowError.
         with pytest.raises(ValueError, match="delta must be"):
             SampledField(delta, 2, np.zeros((5, 5)))
+
+    def test_contraction_of_an_overflowing_delta_is_a_value_error(self):
+        with pytest.raises(ValueError, match="delta must be small enough to square"):
+            contraction_check(discretize("box_dipole", 1e300, 8))
 
 
 class TestContractionCheck:
@@ -293,6 +298,15 @@ class TestMomentsCsv:
         ga = float(gtext.strip().splitlines()[-1].split(",")[1])
         fa = float(ftext.strip().splitlines()[-1].split(",")[1])
         assert fa > ga
+
+    @pytest.mark.parametrize("which,first", [("g", 324), ("f", 322)])
+    def test_trace_leaving_float_range_is_refused(self, which, first):
+        # det = a*c - b*b overflows first; no row of inf is ever returned.
+        gamma, mean = CovMatrix(1.0, 0.0, 1.0), MeanVector(1.0, 2.0)
+        with pytest.raises(ValueError, match=f"at iteration {first} \\(det not finite\\)"):
+            moments_csv(gamma, mean, 700, which)
+        last = moments_csv(gamma, mean, first - 1, which).strip().splitlines()[-1]
+        assert last.startswith(f"{first - 1},") and "inf" not in last
 
     def test_bad_map_name(self):
         with pytest.raises(ValueError, match="map"):

@@ -10,7 +10,7 @@ import pytest
 
 from margulis.walk import (GABBER_GALIL_BOUND, GENERATOR_LABELS, AffineMap,
                            GridDist, _axis_parities, _commutes_with_reflection,
-                           _csv_template, _eigen_blocks, _parity_folds, _pullback_index,
+                           _csv_heads, _decimal_tables, _eigen_blocks, _parity_folds, _pullback_index,
                            apply_affine, generator_data,
                            generator_map, grid_from_csv, grid_to_csv,
                            grid_to_pgm, margulis_generators, spectral_report,
@@ -101,6 +101,44 @@ def _table(N, kind, rng):
         "tiny": lambda: rng.random((N, N)) * 1e-300,
         "uniform": lambda: np.full((N, N), 1.0 / N**2),
     }[kind]())
+
+
+def _csv_edge_values(name):
+    """A named set of doubles, each with its negative, where '%.17g' turns:
+    its notation, its rounding, or the long double path's decision."""
+    rng = np.random.default_rng(17)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17, 0.5, 1.0, 10.0, 9999999999999998.0,
+                         99999999999999984.0, 123456789012345680.0])
+    if name == "signed zeros and extremes":
+        info = np.finfo(float)
+        values = np.array([0.0, 5e-324, 1e-323, info.smallest_normal, info.max, 1.0])
+    elif name == "powers of ten and neighbours":
+        values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    elif name == "integers above 2**53":
+        values = np.concatenate([2.0**53 + 2.0 * np.arange(1, 200),
+                                 rng.integers(2**53, 2**63, size=2000).astype(float)])
+    elif name == "notation switches":
+        values = np.concatenate([switches, np.nextafter(switches, 0),
+                                 np.nextafter(switches, np.inf)])
+    elif name == "rounding ties":
+        # M * 2**-k (M odd, below 2**53) is exactly M * 5**k * 10**-k, a tie
+        # at 17 digits when M * 5**k has 18: an integer above 2**53 is even,
+        # so it cannot end in the 5 of a tie.
+        ties = []
+        for k in range(2, 26):
+            lo, hi = -(-10**17 // 5**k) // 2, min(10**18 // 5**k, 2**53) // 2
+            ties += [(2 * int(m) + 1) * 2.0**-k for m in rng.integers(lo, hi, size=20)]
+        values = np.array(ties)
+    else:  # random bit patterns
+        values = rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(float)
+        values = values[np.isfinite(values)]
+    return np.concatenate([values, -values])
+
+
+CSV_EDGE_SETS = ["signed zeros and extremes", "powers of ten and neighbours",
+                 "integers above 2**53", "notation switches", "rounding ties",
+                 "random bit patterns"]
 
 
 def _lattice_symmetries(N):
@@ -541,6 +579,35 @@ class TestSerialization:
         for lo, hi in [(None, None), (-0.5, 0.5)]:
             _assert_same_text(grid_to_pgm(f, lo, hi), _oracle_grid_to_pgm(f, lo, hi))
 
+    @pytest.mark.parametrize("exact_only", [False, True], ids=["fast path", "exact path only"])
+    @pytest.mark.parametrize("name", CSV_EDGE_SETS)
+    def test_csv_matches_per_cell_oracle_at_format_edges(self, name, exact_only, monkeypatch):
+        if exact_only:
+            # As where long double is double: the tie width exceeds 1/2, and
+            # the scale (inf past 1e308) would misround most values it served.
+            tables = _decimal_tables(np.float64)
+            assert tables.tie > 0.5
+            monkeypatch.setattr("margulis.walk._decimal_tables", lambda: tables)
+        values = _csv_edge_values(name)
+        N = math.isqrt(values.size - 1) + 1
+        N += 1 - N % 2
+        f = GridDist(N, np.resize(values, (N, N)))
+        text = grid_to_csv(f)
+        _assert_same_text(text, _oracle_grid_to_csv(f))
+        assert grid_from_csv(text).values.tobytes() == f.values.tobytes()
+
+    def test_csv_writer_peak_at_n401(self):
+        # Rows are made in chunks of about 16k values; the text and its
+        # chunks are the peak (the %-template writer read 9.9 MiB).
+        f = _table(401, "negative", np.random.default_rng(9))
+        tracemalloc.start()
+        try:
+            grid_to_csv(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
+
     @pytest.mark.parametrize("kind", ["negative", "tiny"])
     def test_writers_match_per_cell_oracle_at_n401(self, kind):
         f = _table(401, kind, np.random.default_rng(401))
@@ -548,13 +615,13 @@ class TestSerialization:
         _assert_same_text(grid_to_pgm(f), _oracle_grid_to_pgm(f))
 
     def test_csv_template_cache_across_moduli(self):
-        # More moduli than the cache holds, revisited, so templates are
+        # More moduli than the cache holds, revisited, so row heads are
         # both reused and rebuilt after eviction.
         rng = np.random.default_rng(7)
         for N in [3, 5, 3, 7, 9, 11, 13, 3, 5, 13, 3]:
             f = _table(N, "negative", rng)
             _assert_same_text(grid_to_csv(f), _oracle_grid_to_csv(f))
-        assert _csv_template.cache_info().currsize <= _csv_template.cache_info().maxsize
+        assert _csv_heads.cache_info().currsize <= _csv_heads.cache_info().maxsize
 
     @pytest.mark.parametrize("seed", range(20))
     def test_reader_names_the_same_first_bad_row_as_oracle(self, seed):
