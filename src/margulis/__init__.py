@@ -24,8 +24,7 @@ from .walk import (AffineMap, GridDist, SpectralReport, GABBER_GALIL_BOUND,
                    walk_matrix, walk_step)
 from .phasespace import (PhaseSpaceContext, affine_unitary, fourier,
                          inverse_wigner, metaplectic, parity, phase_point,
-                         phase_point_basis, quadratic_phase, shift_boost,
-                         weyl, wigner)
+                         phase_point_basis, quadratic_phase, weyl, wigner)
 from .channel import (IntertwiningReport, KrausChannel, apply_channel,
                       expander_lambda, margulis_channel, superoperator,
                       verify_wigner_intertwining)

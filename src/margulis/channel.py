@@ -9,7 +9,6 @@ the mixing rate, and a random-input check of that identity in both directions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -18,6 +17,7 @@ from .phasespace import PhaseSpaceContext, affine_unitary, inverse_wigner, wigne
 from .walk import GridDist, margulis_generators, walk_step
 
 __all__ = [
+    "SUPEROPERATOR_MAX_DIM",
     "KrausChannel",
     "margulis_channel",
     "apply_channel",
@@ -28,6 +28,9 @@ __all__ = [
     "IntertwiningReport",
     "verify_wigner_intertwining",
 ]
+
+#: Largest N for which superoperator builds the dense N^2 x N^2 matrix by default.
+SUPEROPERATOR_MAX_DIM = 9
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +92,7 @@ def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(vec).reshape(dim, dim, order="F")
 
 
-def superoperator(ch: KrausChannel, max_dim: int = 9) -> np.ndarray:
+def superoperator(ch: KrausChannel, max_dim: int = SUPEROPERATOR_MAX_DIM) -> np.ndarray:
     """Dense N^2 x N^2 matrix of the channel on column-stacked operators.
 
     M = (1/D) sum_U conj(U) kron U.  For this inverse-closed mixture M is
@@ -111,7 +114,7 @@ def superoperator(ch: KrausChannel, max_dim: int = 9) -> np.ndarray:
     return M / ch.degree
 
 
-def expander_lambda(ch: KrausChannel, max_dim: int = 9) -> float:
+def expander_lambda(ch: KrausChannel, max_dim: int = SUPEROPERATOR_MAX_DIM) -> float:
     """Largest singular value of the channel off the identity direction.
 
     Computed from the dense superoperator, which is hermitian here, so the
@@ -149,17 +152,14 @@ class IntertwiningReport:
     def as_dict(self) -> dict:
         return {**asdict(self), "passed": self.passed}
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
-
 
 def random_hermitian(N: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     return (g + g.conj().T) / 2.0
 
 
-def verify_wigner_intertwining(ctx: PhaseSpaceContext, trials: int = 20, seed: int = 0,
-                               tolerance: float = 1e-10) -> IntertwiningReport:
+def verify_wigner_intertwining(ctx: PhaseSpaceContext, trials: int = 20,
+                               seed: int = 0) -> IntertwiningReport:
     """Check that the channel acts on Wigner tables as the walk acts on grids.
 
     The identity is linear, so random inputs catch a wrong map with high
@@ -187,4 +187,4 @@ def verify_wigner_intertwining(ctx: PhaseSpaceContext, trials: int = 20, seed: i
         max_lift = max(max_lift, float(np.max(np.abs(left - right))))
 
     return IntertwiningReport(modulus=N, trials=trials, max_table_deviation=max_dev,
-                              max_lift_deviation=max_lift, tolerance=tolerance)
+                              max_lift_deviation=max_lift, tolerance=1e-10)

@@ -36,7 +36,6 @@ __all__ = [
     "GATE_KINDS",
     "digits",
     "undigits",
-    "gate_matrix",
     "evaluate",
     "inverse_gates",
     "qft_circuit",
@@ -145,11 +144,6 @@ def _apply(gate: Gate, n: int, reg: np.ndarray) -> np.ndarray:
     x = [j.reshape((d,) + (1,) * (n + 1 - t)) for t in gate.targets]
     e = x[0] ** 2 if gate.kind == "quadratic_phase" else math.prod(x)
     return reg * np.exp(2j * np.pi * gate.c * (e % gate.M) / gate.M)
-
-
-def gate_matrix(gate: Gate, n: int) -> np.ndarray:
-    """Dense matrix of one gate on the full d^n-dimensional register."""
-    return evaluate(GateList(gate.d, n, (gate,)))
 
 
 def evaluate(gl: GateList) -> np.ndarray:
@@ -283,19 +277,18 @@ def affine_circuit(d: int, n: int, T: AffineMap, keep_trivial: bool = False) -> 
                     phase_num=disp.phase_num, phase_den=disp.phase_den)
 
 
-def equal_up_to_phase(A: np.ndarray, B: np.ndarray,
-                      tol: float = 1e-8) -> tuple[bool, complex]:
+def equal_up_to_phase(A: np.ndarray, B: np.ndarray) -> tuple[bool, complex]:
     """Whether B = phase * A for a unimodular phase, and that phase.
 
     Uses |tr(A^dag B)| = dim, which characterizes projective equality when B
-    is unitary.
+    is unitary; equal means within 1e-8.
     """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
     if A.shape != B.shape or A.shape[0] != A.shape[1]:
         raise ValueError(f"operators must be square and same shape, got {A.shape}, {B.shape}")
     t = np.vdot(A, B)  # tr(A^dag B) without the d^n x d^n product
-    ok = bool(abs(abs(t) - A.shape[0]) < tol)
+    ok = bool(abs(abs(t) - A.shape[0]) < 1e-8)
     phase = t / abs(t) if abs(t) > 0 else complex(1.0)
     return ok, phase
 

@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import (margulis_channel, random_hermitian, superoperator,
-                      verify_wigner_intertwining)
+from .channel import (SUPEROPERATOR_MAX_DIM, margulis_channel, random_hermitian,
+                      superoperator, verify_wigner_intertwining)
 from .circuits import affine_circuit, equal_up_to_phase, evaluate, gate_list_to_jsonl
 from .continuous import (CovMatrix, MeanVector, TEST_FUNCTIONS,
                          contraction_check, discretize, moments_csv)
@@ -335,8 +335,15 @@ def cmd_contraction(args) -> int:
     return 0 if report.passed() else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line, as main reports the others."""
+
+    def error(self, message):
+        self.exit(2, f"margulis: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="margulis",
         description="Margulis expander walk, its quantization, and friends.")
     parser.add_argument("--version", action="version", version=__version__)
@@ -355,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=_dense_modulus_list, default=[3, 5, 7],
                    metavar="N1,N2,...")
     p.add_argument("--mode", choices=("classical", "quantum", "both"), default="both")
-    p.add_argument("--quantum-cap", type=_int_at_least(3), default=9,
+    p.add_argument("--quantum-cap", type=_int_at_least(3), default=SUPEROPERATOR_MAX_DIM,
                    help="largest N for the dense superoperator")
     p.add_argument("--out")
     p.set_defaults(func=cmd_spectrum)

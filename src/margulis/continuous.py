@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -79,9 +79,6 @@ class CovMatrix:
         if m.shape != (2, 2) or abs(m[0, 1] - m[1, 0]) > 1e-12 * max(1.0, abs(m[0, 1])):
             raise ValueError(f"expected a symmetric 2x2 matrix, got {m!r}")
         return CovMatrix(float(m[0, 0]), float((m[0, 1] + m[1, 0]) / 2.0), float(m[1, 1]))
-
-    def is_psd(self, tol: float = 1e-12) -> bool:
-        return bool(np.all(np.linalg.eigvalsh(self.as_array()) >= -tol))
 
     def trace(self) -> float:
         return self.a + self.c
@@ -292,40 +289,30 @@ class ContractionReport:
     ratio: float
     bound: float = GABBER_GALIL_BOUND
 
-    def passed(self, slack: float = 0.01) -> bool:
-        return self.ratio <= self.bound + slack
-
-    def as_dict(self) -> dict:
-        return {"delta": self.delta, "R": self.R, "N_embed": self.N_embed,
-                "norm_in": self.norm_in, "norm_out": self.norm_out,
-                "ratio": self.ratio, "bound": self.bound}
+    def passed(self) -> bool:
+        return self.ratio <= self.bound + 0.01
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict())
+        return json.dumps(asdict(self))
 
 
-def contraction_check(field: SampledField, N: int | None = None) -> ContractionReport:
+def contraction_check(field: SampledField) -> ContractionReport:
     """Embed a zero-mean field in Z_N^2, walk one step, and report the ratio.
 
-    The lattice is chosen (or validated) large enough that images of the
-    support cannot wrap: each linear part stretches the sup-norm radius by
-    at most a factor 3, plus one cell of translation.
+    The lattice is just large enough that images of the support cannot
+    wrap: in the sup norm, v -> L v + t takes radius r to at most
+    r * (largest row sum of |L|) + max |t|, both read off generator_data.
     """
     if abs(field.mass()) > 1e-9:
         raise ValueError(f"field must have (near) zero mass, got {field.mass():.3e}")
     nz = np.argwhere(field.values != 0.0)
     if nz.size == 0:
-        n_embed = N if N is not None else 3
-        return ContractionReport(field.delta, field.R, n_embed, 0.0, 0.0, 0.0)
+        return ContractionReport(field.delta, field.R, 3, 0.0, 0.0, 0.0)
     radius = int(np.max(np.abs(nz - field.R)))
-    post_radius = 3 * radius + 1
-    min_n = 2 * post_radius + 1
-    if N is None:
-        N = min_n if min_n % 2 else min_n + 1
-    elif N < min_n or N % 2 == 0:
-        raise ValueError(
-            f"N={N} cannot hold the stepped support without wrap-around "
-            f"(needs odd N >= {min_n if min_n % 2 else min_n + 1})")
+    maps = generator_data()
+    stretch = max(abs(a) + abs(b) for _, linear, _ in maps for a, b in linear)
+    reach = max(abs(x) for _, _, shift in maps for x in shift)
+    N = 2 * (stretch * radius + reach) + 1
     # Crop to the actual support so the embedding is collision-free even
     # when N is smaller than the padded sampling grid.
     sub = field.values[field.R - radius: field.R + radius + 1,

@@ -40,7 +40,6 @@ from .walk import (LINEAR_PARTS, AffineMap, GridDist, _require_odd_modulus,
 
 __all__ = [
     "PhaseSpaceContext",
-    "shift_boost",
     "shift_op",
     "boost_op",
     "weyl",
@@ -95,11 +94,6 @@ def shift_op(ctx: PhaseSpaceContext, q: int) -> np.ndarray:
 def boost_op(ctx: PhaseSpaceContext, p: int) -> np.ndarray:
     """z(p): |k> -> omega^{pk} |k>."""
     return np.diag(_phases(ctx, p * np.arange(ctx.N)))
-
-
-def shift_boost(ctx: PhaseSpaceContext, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pair (x(q), z(p))."""
-    return shift_op(ctx, q), boost_op(ctx, p)
 
 
 def weyl(ctx: PhaseSpaceContext, p: int, q: int) -> np.ndarray:

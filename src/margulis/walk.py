@@ -173,16 +173,9 @@ def generator_map(N: int) -> dict[str, AffineMap]:
     return dict(zip(GENERATOR_LABELS, margulis_generators(N)))
 
 
-def apply_affine(T: AffineMap, v: tuple[int, int],
-                 modulus: int | None = None) -> tuple[int, int]:
-    """Image of lattice point v under T, all arithmetic mod T.modulus.
-
-    ``modulus``, when given, states which lattice v lives on and must match
-    the map's modulus.
-    """
+def apply_affine(T: AffineMap, v: tuple[int, int]) -> tuple[int, int]:
+    """Image of lattice point v under T, all arithmetic mod T.modulus."""
     N = T.modulus
-    if modulus is not None and modulus != N:
-        raise ValueError(f"point modulus {modulus} != map modulus {N}")
     p, q = int(v[0]) % N, int(v[1]) % N
     (a, b), (c, d) = T.linear
     s, t = T.shift
@@ -230,9 +223,6 @@ class GridDist:
     @staticmethod
     def uniform(N: int) -> "GridDist":
         return GridDist(N, np.full((N, N), 1.0 / N**2))
-
-    def is_probability(self, tol: float = 1e-12) -> bool:
-        return bool(np.all(self.values >= -tol) and abs(self.values.sum() - 1.0) <= tol)
 
     def flatten(self) -> np.ndarray:
         """Vector with index p*N + q, the basis order used by walk_matrix."""
@@ -336,14 +326,10 @@ class SpectralReport:
     """
 
     modulus: int
-    degree: int
     lam: float
     spectrum: tuple[float, ...]
     blocks: tuple[int, ...] = ()
     residual: float = 0.0
-
-    def gap(self) -> float:
-        return 1.0 - self.lam
 
 
 def _commutes_with_reflection(M4: np.ndarray, c: int) -> bool:
@@ -462,8 +448,7 @@ def _eigen_blocks(M: np.ndarray, N: int) -> list[tuple[np.ndarray, int]]:
     return [(B, count) for B, count in blocks if B.size]
 
 
-def spectral_report(M: np.ndarray, *, modulus: int = 0, degree: int = 8,
-                    tol: float = 1e-10) -> SpectralReport:
+def spectral_report(M: np.ndarray, *, modulus: int = 0) -> SpectralReport:
     """Eigenvalues of a symmetric stochastic matrix and its mixing rate.
 
     ``lam`` is read off the eigensolve; a degenerate eigenvalue 1 (a
@@ -476,7 +461,7 @@ def spectral_report(M: np.ndarray, *, modulus: int = 0, degree: int = 8,
 
     Parameters
     ----------
-    M : real symmetric matrix, row-stochastic within ``tol``.
+    M : real symmetric matrix, row-stochastic within 1e-10.
 
     Raises
     ------
@@ -485,6 +470,7 @@ def spectral_report(M: np.ndarray, *, modulus: int = 0, degree: int = 8,
     RuntimeError
         If the eigendecomposition residual exceeds tolerance.
     """
+    tol = 1e-10
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
     if M.shape != (n, n):
@@ -507,7 +493,7 @@ def spectral_report(M: np.ndarray, *, modulus: int = 0, degree: int = 8,
     if abs(spectrum[0] - 1.0) > tol:
         raise ValueError(f"largest eigenvalue {spectrum[0]!r} is not 1 within {tol}")
     lam = abs(spectrum[1])
-    return SpectralReport(modulus=modulus, degree=degree, lam=lam, spectrum=spectrum,
+    return SpectralReport(modulus=modulus, lam=lam, spectrum=spectrum,
                           blocks=tuple(B.shape[0] for B, _ in blocks), residual=residual)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from margulis.circuits import (Gate, GateList, affine_circuit, digits,
                                equal_up_to_phase, evaluate, gate_list_from_jsonl,
-                               gate_list_to_jsonl, gate_matrix, inverse_gates,
+                               gate_list_to_jsonl, inverse_gates,
                                qft_circuit, quadratic_circuit, undigits,
                                weyl_circuit)
 from margulis.phasespace import (PhaseSpaceContext, affine_unitary, boost_op,
@@ -15,6 +15,12 @@ DN = [(3, 2), (3, 3), (5, 2)]
 
 def ctx_for(d, n):
     return PhaseSpaceContext(d ** n)
+
+
+def assert_equal_up_to_phase(A, B):
+    """equal_up_to_phase holds, and B and phase * A agree entrywise within 1e-10."""
+    ok, phase = equal_up_to_phase(A, B)
+    assert ok and np.allclose(phase * A, B, rtol=0, atol=1e-10)
 
 
 class TestGateValidation:
@@ -116,7 +122,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("n,g", GATES_BY_KIND, ids=[
         "-".join([f"d{g.d}n{n}", g.kind, *map(str, g.targets)]) for n, g in GATES_BY_KIND])
     def test_gate_matches_its_definition(self, n, g):
-        m = gate_matrix(g, n)
+        m = evaluate(GateList(g.d, n, (g,)))
         for j in range(g.d ** n):
             assert np.allclose(m[:, j], column_by_definition(g, n, j), atol=1e-13)
 
@@ -134,14 +140,14 @@ class TestEvaluate:
         assert np.allclose(evaluate(inv) @ evaluate(gl), np.eye(9), atol=1e-12)
 
     def test_reverse_gate_is_digit_reversal(self):
-        m = gate_matrix(Gate("reverse", 3), 2)
+        m = evaluate(GateList(3, 2, (Gate("reverse", 3),)))
         for j in range(9):
             out = np.argmax(np.abs(m[:, j]))
             assert digits(out, 3, 2) == digits(j, 3, 2)[::-1]
 
     def test_diagonal_gates_are_unitary(self):
         for g in quadratic_circuit(3, 3, -1).gates:
-            m = gate_matrix(g, 3)
+            m = evaluate(GateList(3, 3, (g,)))
             assert np.allclose(m @ m.conj().T, np.eye(27), atol=1e-12)
 
     def test_global_phase_annotation_applied(self):
@@ -157,9 +163,7 @@ class TestQftCircuit:
 
     @pytest.mark.parametrize("d,n", DN)
     def test_matches_dense_fourier(self, d, n):
-        ok, _ = equal_up_to_phase(evaluate(qft_circuit(d, n)), fourier(ctx_for(d, n)),
-                                  tol=1e-10)
-        assert ok
+        assert_equal_up_to_phase(evaluate(qft_circuit(d, n)), fourier(ctx_for(d, n)))
 
     def test_gate_count_model(self):
         # count = n + n(n-1)/2 + [n > 1]  <=  2 n^2 for n >= 1
@@ -191,9 +195,8 @@ class TestQuadraticCircuit:
     @pytest.mark.parametrize("d,n", DN)
     @pytest.mark.parametrize("sign", [1, -1])
     def test_matches_dense(self, d, n, sign):
-        ok, _ = equal_up_to_phase(evaluate(quadratic_circuit(d, n, sign)),
-                                  quadratic_phase(ctx_for(d, n), sign), tol=1e-10)
-        assert ok
+        assert_equal_up_to_phase(evaluate(quadratic_circuit(d, n, sign)),
+                                 quadratic_phase(ctx_for(d, n), sign))
 
     def test_emitted_count_3_3(self):
         # Unordered pairs (l, l') with l + l' > n = 3: (1,3), (2,2), (2,3), (3,3).
@@ -212,10 +215,8 @@ class TestQuadraticCircuit:
         assert len(full.gates) == 3 * 4 // 2  # all pairs l <= l'
         dropped = [g for g in full.gates if g.M == 1]
         for g in dropped:
-            assert np.allclose(gate_matrix(g, 3), np.eye(27), atol=1e-13)
-        ok, _ = equal_up_to_phase(evaluate(full),
-                                  quadratic_phase(ctx_for(3, 3), 1), tol=1e-10)
-        assert ok
+            assert np.allclose(evaluate(GateList(3, 3, (g,))), np.eye(27), atol=1e-13)
+        assert_equal_up_to_phase(evaluate(full), quadratic_phase(ctx_for(3, 3), 1))
 
     def test_bad_sign(self):
         with pytest.raises(ValueError, match="sign"):
@@ -234,9 +235,7 @@ class TestWeylCircuit:
         assert np.allclose(evaluate(gl), boost_op(ctx_for(3, 2), 1), atol=1e-13)
 
     def test_shift_matches_dense(self):
-        ok, _ = equal_up_to_phase(evaluate(weyl_circuit(3, 2, 0, 1)),
-                                  shift_op(ctx_for(3, 2), 1), tol=1e-10)
-        assert ok
+        assert_equal_up_to_phase(evaluate(weyl_circuit(3, 2, 0, 1)), shift_op(ctx_for(3, 2), 1))
 
     @pytest.mark.parametrize("d,n", DN)
     def test_general_displacement_exact_with_annotation(self, d, n):
@@ -257,7 +256,7 @@ class TestAffineCircuit:
         ctx = ctx_for(d, n)
         for T in margulis_generators(N):
             approx = evaluate(affine_circuit(d, n, T))
-            ok, _ = equal_up_to_phase(approx, affine_unitary(ctx, T), tol=1e-8)
+            ok, _ = equal_up_to_phase(approx, affine_unitary(ctx, T))
             assert ok
 
     def test_t1_is_plain_quadratic_circuit(self):

@@ -266,10 +266,18 @@ class TestContractionCheck:
         assert abs(stepped.values.sum() * 0.25 ** 2) < 1e-12
         assert report.ratio <= 0.884 + 0.01
 
-    def test_explicit_n_too_small_rejected(self):
+    def test_lattice_is_large_enough_not_to_wrap(self):
+        # The same field embedded by hand in a lattice 20 cells larger, where
+        # nothing can wrap, gives the same ratio.
         field = discretize("box_dipole", 0.25, 8)
-        with pytest.raises(ValueError, match="wrap"):
-            contraction_check(field, N=9)
+        report = contraction_check(field)
+        N = report.N_embed + 20
+        grid = np.zeros((N, N))
+        idx = np.arange(-8, 9) % N
+        grid[np.ix_(idx, idx)] = field.values
+        stepped = walk_step(GridDist(N, grid))
+        ratio = 0.25 * np.linalg.norm(stepped.values) / field.norm2()
+        assert report.ratio == pytest.approx(ratio, rel=1e-12)
 
     def test_nonzero_mass_rejected(self):
         field = SampledField(0.5, 2, np.ones((5, 5)))

@@ -6,7 +6,7 @@ from margulis.phasespace import (METAPLECTIC_GENERATORS, PhaseSpaceContext,
                                  boost_op, fourier, inverse_wigner, metaplectic,
                                  operator_from_json, operator_to_json, parity,
                                  phase_point, phase_point_basis,
-                                 quadratic_phase, shift_boost, shift_op,
+                                 quadratic_phase, shift_op,
                                  weyl, wigner, word_matrix)
 from margulis.walk import (LINEAR_PARTS, AffineMap, GridDist, apply_affine,
                            generator_map, linear_word, margulis_generators, walk_step)
@@ -38,7 +38,7 @@ class TestContext:
 class TestShiftBoost:
     def test_zero_arguments_give_identity(self):
         ctx = PhaseSpaceContext(5)
-        x0, z0 = shift_boost(ctx, 0, 0)
+        x0, z0 = shift_op(ctx, 0), boost_op(ctx, 0)
         assert np.allclose(x0, np.eye(5)) and np.allclose(z0, np.eye(5))
 
     def test_shift_permutation_n3(self):

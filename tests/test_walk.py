@@ -214,11 +214,6 @@ class TestApplyAffine:
         for v in [(0, 0), (3, 4), (6, 6)]:
             assert apply_affine(I, v) == v
 
-    def test_modulus_mismatch(self):
-        T = generator_map(7)["T1"]
-        with pytest.raises(ValueError, match="modulus"):
-            apply_affine(T, (0, 0), modulus=5)
-
 
 class TestWalkStep:
     def test_one_step_from_origin_n7(self):
