@@ -37,7 +37,7 @@ from .phasespace import (PhaseSpaceContext, affine_unitary, fourier, inverse_wig
                          parity, quadratic_phase, operator_from_json, operator_to_json,
                          wigner)
 from .walk import (DENSE_MAX_MODULUS, GABBER_GALIL_BOUND, GENERATOR_LABELS,
-                   AffineMap, GridDist, _fmt, _pullback_index, generator_map, grid_to_csv,
+                   AffineMap, GridDist, _csv_chunks, _fmt, _pullback_index, generator_map,
                    grid_to_pgm, margulis_generators, spectral_report, walk_matrix,
                    walk_step)
 
@@ -125,7 +125,8 @@ def cmd_walk(args) -> int:
         for f in _walk_frames(args):
             lo, hi = min(lo, float(f.values.min())), max(hi, float(f.values.max()))
     for k, f in enumerate(_walk_frames(args)):
-        (out / f"step-{k}.csv").write_text(grid_to_csv(f))
+        with (out / f"step-{k}.csv").open("w") as fh:
+            fh.writelines(_csv_chunks(f))  # chunk by chunk, never the whole text
         (out / f"step-{k}.pgm").write_text(grid_to_pgm(f, lo, hi))
     print(f"wrote {args.steps + 1} frames (steps 0..{args.steps}) for N={args.N} to {out}")
     return 0

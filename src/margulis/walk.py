@@ -24,6 +24,7 @@ last, (+, -), counted twice.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from collections.abc import Iterator
@@ -227,10 +228,6 @@ class GridDist:
     def flatten(self) -> np.ndarray:
         """Vector with index p*N + q, the basis order used by walk_matrix."""
         return self.values.reshape(-1).copy()
-
-    @staticmethod
-    def from_flat(N: int, vec: np.ndarray) -> "GridDist":
-        return GridDist(N, np.asarray(vec, dtype=float).reshape(N, N))
 
 
 def _pullback_index(T: AffineMap) -> np.ndarray:
@@ -673,10 +670,9 @@ def _write_values(x: np.ndarray, out: np.ndarray) -> None:
         out[rows, 1:] = block
 
 
-def grid_to_csv(f: GridDist) -> str:
-    """CSV dump with header p,q,value; q is the slow (outer) index.
+def _csv_chunks(f: GridDist) -> Iterator[str]:
+    """grid_to_csv's text in pieces: the header, then each chunk of rows.
 
-    Each value is written as '%.17g' would write it (see _write_values).
     Rows are built as NUL-padded byte matrices, heads "p," and "q," from
     _csv_heads, then the value and a newline, a few thousand rows at a time
     so the matrices stay near 1 MB; each chunk drops its NUL bytes.
@@ -686,7 +682,7 @@ def grid_to_csv(f: GridDist) -> str:
     w = heads.shape[1]
     width = 2 * w + _VALUE_WIDTH + 1
     cols = max(1, _CSV_CHUNK // N)
-    parts = ["p,q,value\n"]
+    yield "p,q,value\n"
     for q0 in range(0, N, cols):
         x = f.values[:, q0:q0 + cols].T.ravel()
         rows = np.zeros((x.size // N, N, width), dtype=np.uint8)
@@ -695,24 +691,87 @@ def grid_to_csv(f: GridDist) -> str:
         rows[:, :, -1] = ord("\n")
         rows = rows.reshape(-1, width)
         _write_values(x, rows[:, 2 * w:-1])
-        parts.append(rows[rows != 0].tobytes().decode("ascii"))
-    return "".join(parts)
+        yield rows[rows != 0].tobytes().decode("ascii")
+
+
+def grid_to_csv(f: GridDist) -> str:
+    """CSV dump with header p,q,value; q is the slow (outer) index.
+
+    Each value is written as '%.17g' would write it (see _write_values).
+    A writer that streams to a file takes the chunks of _csv_chunks instead.
+    """
+    return "".join(_csv_chunks(f))
+
+
+#: Characters per piece that grid_from_csv splits into lines at a time.
+_CSV_PIECE = 1 << 16
+
+
+def _csv_pieces(text: str) -> Iterator[str]:
+    """text.strip() in pieces of about _CSV_PIECE characters, each cut after
+    a line feed, without copying text whole.
+
+    The stripped span is found _CSV_PIECE characters at a time from each end.
+    """
+    size = _CSV_PIECE
+    start, end = 0, len(text)
+    while start < end and text[start:start + size].isspace():
+        start += size
+    head = text[start:start + size]
+    start += len(head) - len(head.lstrip())
+    while end > start and text[max(start, end - size):end].isspace():
+        end -= size
+    tail = text[max(start, end - size):end]
+    end -= len(tail) - len(tail.rstrip())
+    while start < end:
+        cut = text.find("\n", start + size - 1, end)
+        cut = end if cut < 0 else cut + 1
+        yield text[start:cut]
+        start = cut
+
+
+def _csv_lines(text: str) -> Iterator[str]:
+    """The nonempty lines of text.strip(), split one piece at a time.
+
+    A line feed always ends a line, so the pieces' lines are the text's lines.
+    Past each piece the iterators are all C, with no Python frame per line.
+    """
+    return filter(None, itertools.chain.from_iterable(map(str.splitlines, _csv_pieces(text))))
+
+
+def _square_side(rows: int) -> int:
+    N = math.isqrt(rows)
+    if N * N != rows:
+        raise ValueError(f"expected a square table, got {rows} rows")
+    return N
 
 
 def grid_from_csv(text: str) -> GridDist:
-    """Inverse of grid_to_csv: each cell once, rows in any order, CRLF and blank lines ok."""
-    rows = [ln for ln in text.strip().splitlines() if ln] or [""]
-    if rows[0].strip() != "p,q,value":
-        raise ValueError(f"expected header 'p,q,value', got {rows[0]!r}")
-    body = rows[1:]
-    N = math.isqrt(len(body))
-    if not body or N * N != len(body):
-        raise ValueError(f"expected a square table, got {len(body)} rows")
-    with warnings.catch_warnings():
-        # numpy < 2 reads an index such as 1.0 with only a DeprecationWarning.
-        warnings.simplefilter("error", DeprecationWarning)
-        cells = np.loadtxt(body, delimiter=",", comments=None, ndmin=1,
-                           dtype=[("p", np.int64), ("q", np.int64), ("value", np.float64)])
+    """Inverse of grid_to_csv: each cell once, rows in any order, CRLF and blank lines ok.
+
+    np.loadtxt reads the rows from _csv_lines, a piece at a time, so the
+    N*N lines are never all held at once; a bad row is found again by
+    number to name it.
+    """
+    lines = _csv_lines(text)
+    header = next(lines, "")
+    if header.strip() != "p,q,value":
+        raise ValueError(f"expected header 'p,q,value', got {header!r}")
+    first = next(lines, None)
+    if first is None:  # raised here, as loadtxt warns on no rows
+        raise ValueError("expected a square table, got 0 rows")
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 reads an index such as 1.0 with only a DeprecationWarning.
+            warnings.simplefilter("error", DeprecationWarning)
+            cells = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None,
+                               ndmin=1, dtype=[("p", np.int64), ("q", np.int64),
+                                               ("value", np.float64)])
+    except ValueError:
+        # A table that is not square is named as such, whatever its rows hold.
+        _square_side(sum(1 for _ in _csv_lines(text)) - 1)
+        raise
+    N = _square_side(len(cells))
     p, q = cells["p"], cells["q"]
     outside = (p < 0) | (p >= N) | (q < 0) | (q >= N)
     key = p * N + q
@@ -722,9 +781,10 @@ def grid_from_csv(text: str) -> GridDist:
     bad = np.flatnonzero(outside | repeat)
     if bad.size:
         i = bad[0]
+        row = next(itertools.islice(_csv_lines(text), i + 1, None))
         if outside[i]:
-            raise ValueError(f"row {body[i]!r}: index outside 0..{N - 1}")
-        raise ValueError(f"row {body[i]!r}: duplicate cell ({p[i]}, {q[i]})")
+            raise ValueError(f"row {row!r}: index outside 0..{N - 1}")
+        raise ValueError(f"row {row!r}: duplicate cell ({p[i]}, {q[i]})")
     # N*N rows in range and pairwise distinct cover every cell: key[order] is 0 .. N*N - 1.
     return GridDist(N, cells["value"][order].reshape(N, N))
 

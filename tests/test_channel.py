@@ -197,7 +197,7 @@ class TestIntertwining:
         eigvals, eigvecs = np.linalg.eigh(M)
         order = np.argsort(np.abs(eigvals))[::-1]
         lam2, f2 = eigvals[order[1]], eigvecs[:, order[1]]
-        op = inverse_wigner(ctx, GridDist.from_flat(N, f2))
+        op = inverse_wigner(ctx, GridDist(N, f2.reshape(N, N)))
         assert np.linalg.norm(apply_channel(ch, op) - lam2 * op) < 1e-8
 
     @pytest.mark.parametrize("N", [3, 5, 7])

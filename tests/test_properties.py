@@ -1,4 +1,4 @@
-"""Property tests of the walk step and the channel at odd N <= 31."""
+"""Property tests of the walk step, the channel and the Wigner map at odd N <= 31."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from margulis.channel import apply_channel, margulis_channel  # noqa: E402
-from margulis.phasespace import PhaseSpaceContext  # noqa: E402
+from margulis.phasespace import PhaseSpaceContext, wigner  # noqa: E402
 from margulis.walk import GridDist, walk_step  # noqa: E402
 
 moduli = st.integers(1, 15).map(lambda k: 2 * k + 1)
@@ -53,3 +53,14 @@ def test_channel_keeps_trace_and_hermiticity_and_is_unital(a):
     assert np.trace(out) == pytest.approx(np.trace(rho), abs=1e-12 * N)
     assert np.allclose(out, out.conj().T, rtol=0, atol=1e-13)
     assert np.allclose(apply_channel(ch, np.eye(N) / N), np.eye(N) / N, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(moduli.flatmap(operators))
+def test_wigner_carries_the_channel_to_the_walk(a):
+    N = a.shape[0]
+    ctx = PhaseSpaceContext(N)
+    rho = a + a.conj().T
+    left = wigner(ctx, apply_channel(margulis_channel(ctx), rho)).values
+    right = walk_step(wigner(ctx, rho)).values
+    assert np.allclose(left, right, rtol=0, atol=1e-12)

@@ -10,8 +10,8 @@ import pytest
 
 from margulis.walk import (GABBER_GALIL_BOUND, GENERATOR_LABELS, AffineMap,
                            GridDist, _axis_parities, _commutes_with_reflection,
-                           _csv_heads, _decimal_tables, _eigen_blocks, _parity_folds, _pullback_index,
-                           apply_affine, generator_data,
+                           _csv_heads, _csv_lines, _decimal_tables, _eigen_blocks,
+                           _parity_folds, _pullback_index, apply_affine, generator_data,
                            generator_map, grid_from_csv, grid_to_csv,
                            grid_to_pgm, margulis_generators, spectral_report,
                            walk_matrix, walk_step)
@@ -134,6 +134,56 @@ def _csv_edge_values(name):
         values = rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(float)
         values = values[np.isfinite(values)]
     return np.concatenate([values, -values])
+
+
+# Rows that make a 3x3 table bad, each with a word of the reader's message.
+BAD_CELLS = [
+    ("-1,0", "outside"),   # a negative index must not wrap to N-1
+    ("3,0", "outside"),
+    ("1,0", "duplicate"),  # would overwrite (1,0) and leave (2,0) unset
+]
+MALFORMED_FIELDS = [
+    "2,0",          # two fields
+    "2,0,0.1,0.2",  # four fields
+    "1.0,0,0.1",    # an index must be an integer
+    "2,0,nan",
+    "2,0,inf",
+    "2,0,0.1#",     # '#' is not a comment
+    "#2,0,0.1",
+    " ",
+]
+EMPTY_TABLES = ["", "\n \n", "p,q,value\n", "p,q,value\n\n\n"]
+
+
+def _two_random_rows(seed):
+    """A 5x5 table in random row order whose two random rows get random
+    indices in -1..N: out of range, repeated or (rarely) a harmless swap."""
+    rng = np.random.default_rng(seed)
+    N = 5
+    lines = grid_to_csv(_table(N, "random", rng)).splitlines()
+    body = [lines[1 + i] for i in rng.permutation(N * N)]
+    for i in rng.choice(N * N, size=2, replace=False):
+        p, q = rng.integers(-1, N + 1, size=2)
+        body[i] = f"{p},{q}," + body[i].split(",")[2]
+    return "\n".join(["p,q,value"] + body) + "\n"
+
+
+def _reader_corpus():
+    """The texts of the reader tests: good tables in any row order with CRLF,
+    blank and space-only lines, empty tables, tables with one bad row, and
+    one with a bad row and a row too few."""
+    rng = np.random.default_rng(6)
+    lines = grid_to_csv(_table(7, "negative", rng)).splitlines()
+    body = [lines[1 + i] for i in rng.permutation(49)]
+    yield "\r\n\r\n" + "\r\n\r\n".join([lines[0]] + body) + "\r\n\n"
+    yield " \t\n \n  " + "\n".join([lines[0]] + body) + " \t\n \n\t"
+    yield from EMPTY_TABLES
+    uniform = grid_to_csv(GridDist.uniform(3)).splitlines()
+    for row in MALFORMED_FIELDS + [cell + uniform[3][3:] for cell, _ in BAD_CELLS]:
+        yield "\n".join(uniform[:3] + [row] + uniform[4:]) + "\n"
+    yield "\n".join(uniform[:3] + ["2,0"] + uniform[4:-1])  # 8 rows: not square comes first
+    for seed in range(20):
+        yield _two_random_rows(seed)
 
 
 CSV_EDGE_SETS = ["signed zeros and extremes", "powers of ten and neighbours",
@@ -550,11 +600,7 @@ class TestSerialization:
         g = grid_from_csv(text)
         assert np.allclose(f.values, g.values, atol=0)
 
-    @pytest.mark.parametrize("bad_cell, reason", [
-        ("-1,0", "outside"),   # a negative index must not wrap to N-1
-        ("3,0", "outside"),
-        ("1,0", "duplicate"),  # would overwrite (1,0) and leave (2,0) unset
-    ])
+    @pytest.mark.parametrize("bad_cell, reason", BAD_CELLS)
     def test_csv_rejects_malformed_rows(self, bad_cell, reason):
         lines = grid_to_csv(GridDist.uniform(3)).splitlines()
         assert lines[3].startswith("2,0,")
@@ -620,16 +666,8 @@ class TestSerialization:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_reader_names_the_same_first_bad_row_as_oracle(self, seed):
-        # Two rows get random indices in -1..N: out of range, repeated or
-        # (rarely) a harmless swap; the first bad row in file order is named.
-        rng = np.random.default_rng(seed)
-        N = 5
-        lines = grid_to_csv(_table(N, "random", rng)).splitlines()
-        body = [lines[1 + i] for i in rng.permutation(N * N)]
-        for i in rng.choice(N * N, size=2, replace=False):
-            p, q = rng.integers(-1, N + 1, size=2)
-            body[i] = f"{p},{q}," + body[i].split(",")[2]
-        text = "\n".join(["p,q,value"] + body) + "\n"
+        # The first bad row in file order is named.
+        text = _two_random_rows(seed)
         try:
             expected = _oracle_grid_from_csv(text).values
         except ValueError as err:
@@ -646,33 +684,71 @@ class TestSerialization:
         text = "\r\n\r\n" + "\r\n\r\n".join([lines[0]] + body) + "\r\n\n"
         assert grid_from_csv(text).values.tobytes() == f.values.tobytes()
 
-    @pytest.mark.parametrize("text", [
-        "",
-        "\n \n",
-        "p,q,value\n",
-        "p,q,value\n\n\n",
-    ], ids=["empty", "blank", "header only", "header and blank lines"])
+    @pytest.mark.parametrize("text", EMPTY_TABLES,
+                             ids=["empty", "blank", "header only", "header and blank lines"])
     def test_reader_rejects_empty_tables_without_warning(self, text):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError):
                 grid_from_csv(text)
 
-    @pytest.mark.parametrize("row", [
-        "2,0",          # two fields
-        "2,0,0.1,0.2",  # four fields
-        "1.0,0,0.1",    # an index must be an integer
-        "2,0,nan",
-        "2,0,inf",
-        "2,0,0.1#",     # '#' is not a comment
-        "#2,0,0.1",
-        " ",
-    ])
+    @pytest.mark.parametrize("row", MALFORMED_FIELDS)
     def test_reader_rejects_malformed_fields(self, row):
         lines = grid_to_csv(GridDist.uniform(3)).splitlines()
         lines[3] = row
         with pytest.raises(ValueError):
             grid_from_csv("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("piece", [1, 2, 3, 7])
+    def test_reader_corpus_in_small_pieces(self, piece, monkeypatch):
+        # Cut into pieces of a few characters, every line, CRLF pair and
+        # blank run of the corpus meets a cut, and the stripped ends span
+        # several pieces.  Values and messages must not change, and must
+        # be the oracle's, bar the messages of loadtxt's own parse.
+        def read(text):
+            try:
+                return grid_from_csv(text).values.tobytes()
+            except ValueError as err:
+                return str(err)
+
+        corpus = list(_reader_corpus())
+        whole = [read(text) for text in corpus]
+        monkeypatch.setattr("margulis.walk._CSV_PIECE", piece)
+        assert [read(text) for text in corpus] == whole
+        for text, got in zip(corpus, whole):
+            try:
+                want = _oracle_grid_from_csv(text).values.tobytes()
+            except (ValueError, IndexError) as err:  # IndexError: no header line
+                want = str(err)
+            if isinstance(want, bytes) or want.startswith(("row ", "expected ", "values ")):
+                assert got == want
+            else:
+                assert isinstance(got, str)
+
+    @pytest.mark.parametrize("piece", [1, 2, 5, 1 << 16])
+    def test_csv_lines_are_the_stripped_texts_lines(self, piece, monkeypatch):
+        # Every line boundary str.splitlines knows, and runs of whitespace
+        # at both ends longer than a piece.
+        rng = np.random.default_rng(12)
+        alphabet = list("ab, \t\r\n") + ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u3000"]
+        texts = ["", " ", "\n", "a", " a ", "\n\n a\r\n\r\nb \n\n", "x\n\ry\r\r\nz",
+                 " \t" * 9 + "\nx\n" + "\t \n" * 9, "\u3000 a \u3000"]
+        texts += ["".join(rng.choice(alphabet, size=rng.integers(0, 40))) for _ in range(300)]
+        monkeypatch.setattr("margulis.walk._CSV_PIECE", piece)
+        for text in texts:
+            assert list(_csv_lines(text)) == [ln for ln in text.strip().splitlines() if ln]
+
+    def test_csv_reader_peak_at_n401(self):
+        # loadtxt takes the lines a piece at a time, so the parsed cells and
+        # the index arrays are the peak; a list of the lines read 23.2 MiB.
+        text = grid_to_csv(_table(401, "negative", np.random.default_rng(9)))
+        tracemalloc.start()
+        try:
+            grid_from_csv(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11 * 2**20
 
     def test_pgm_format_and_rescale(self):
         f = GridDist.delta(3)
