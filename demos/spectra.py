@@ -12,20 +12,19 @@ block sizes are listed once each; the last block's eigenvalues count twice.
 
 import numpy as np
 
-from margulis import (GABBER_GALIL_BOUND, PhaseSpaceContext, margulis_channel,
-                      spectral_report, superoperator, walk_matrix)
+from margulis import (GABBER_GALIL_BOUND, PhaseSpaceContext, channel_report,
+                      margulis_channel, spectral_report, walk_matrix)
 from margulis.walk import DENSE_MAX_MODULUS
 
 print(f"subdominant-eigenvalue bound: sqrt(2)*5/8 = {GABBER_GALIL_BOUND:.6f}\n")
 
 for N in (3, 5, 7):
     classical = spectral_report(walk_matrix(N), modulus=N)
-    channel = margulis_channel(PhaseSpaceContext(N))
-    quantum = np.sort(np.linalg.eigvalsh(superoperator(channel)))[::-1]
+    quantum = channel_report(margulis_channel(PhaseSpaceContext(N)))
 
     print(f"N = {N}  (matrix size {N * N} x {N * N})")
     print(f"  classical lambda = {classical.lam:.12f}")
-    gap = np.max(np.abs(np.sort(classical.spectrum) - np.sort(quantum)))
+    gap = np.max(np.abs(np.sort(classical.spectrum) - np.sort(quantum.spectrum)))
     print(f"  max |classical - quantum| over the sorted spectra: {gap:.3e}")
     print(f"  top five eigenvalues: "
           + ", ".join(f"{v:.6f}" for v in classical.spectrum[:5]))

@@ -25,7 +25,7 @@ from .walk import (AffineMap, GridDist, SpectralReport, GABBER_GALIL_BOUND,
 from .phasespace import (PhaseSpaceContext, affine_unitary, fourier,
                          inverse_wigner, metaplectic, parity, phase_point,
                          phase_point_basis, quadratic_phase, weyl, wigner)
-from .channel import (IntertwiningReport, KrausChannel, apply_channel,
+from .channel import (KrausChannel, apply_channel, channel_report,
                       expander_lambda, margulis_channel, superoperator,
                       verify_wigner_intertwining)
 from .circuits import (Gate, GateList, affine_circuit, equal_up_to_phase,

@@ -3,34 +3,32 @@
 The channel applies one of the unitaries implementing the walk maps, chosen
 uniformly at random.  On Wigner tables it acts exactly as the classical walk
 acts on distributions, so its superoperator spectrum coincides with the walk
-matrix spectrum; this module builds the channel, its dense superoperator,
-the mixing rate, and a random-input check of that identity in both directions.
+matrix spectrum; this module builds the channel, its dense superoperator and
+spectrum, the mixing rate, and a random-input check of that identity in both
+directions.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .phasespace import PhaseSpaceContext, affine_unitary, inverse_wigner, wigner
-from .walk import GridDist, margulis_generators, walk_step
+from .walk import (DENSE_MAX_MODULUS, GridDist, SpectralReport, margulis_generators,
+                   walk_step)
 
 __all__ = [
-    "SUPEROPERATOR_MAX_DIM",
     "KrausChannel",
     "margulis_channel",
     "apply_channel",
     "superoperator",
+    "channel_report",
     "expander_lambda",
     "vectorize",
     "unvectorize",
-    "IntertwiningReport",
     "verify_wigner_intertwining",
 ]
-
-#: Largest N for which superoperator builds the dense N^2 x N^2 matrix by default.
-SUPEROPERATOR_MAX_DIM = 9
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,10 +59,6 @@ class KrausChannel:
     def degree(self) -> int:
         return len(self.kraus)
 
-    def kraus_operators(self) -> list[np.ndarray]:
-        """The properly weighted Kraus operators U/sqrt(D)."""
-        return [k / np.sqrt(self.degree) for k in self.kraus]
-
 
 def margulis_channel(ctx: PhaseSpaceContext) -> KrausChannel:
     """The degree-8 channel built from the eight affine-map unitaries."""
@@ -92,21 +86,15 @@ def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(vec).reshape(dim, dim, order="F")
 
 
-def superoperator(ch: KrausChannel, max_dim: int = SUPEROPERATOR_MAX_DIM) -> np.ndarray:
+def superoperator(ch: KrausChannel) -> np.ndarray:
     """Dense N^2 x N^2 matrix of the channel on column-stacked operators.
 
     M = (1/D) sum_U conj(U) kron U.  For this inverse-closed mixture M is
-    hermitian and fixes vec(identity).
-
-    Parameters
-    ----------
-    max_dim : int
-        Memory guard on N; pass a larger value to override.
+    hermitian and fixes vec(identity).  N is capped at DENSE_MAX_MODULUS,
+    as for walk_matrix.
     """
-    if ch.dim > max_dim:
-        raise ValueError(
-            f"N={ch.dim} exceeds the superoperator cap {max_dim}; "
-            "pass max_dim explicitly to override")
+    if ch.dim > DENSE_MAX_MODULUS:
+        raise ValueError(f"N={ch.dim} exceeds the dense cap {DENSE_MAX_MODULUS}")
     n2 = ch.dim * ch.dim
     M = np.zeros((n2, n2), dtype=complex)
     for U in ch.kraus:
@@ -114,43 +102,37 @@ def superoperator(ch: KrausChannel, max_dim: int = SUPEROPERATOR_MAX_DIM) -> np.
     return M / ch.degree
 
 
-def expander_lambda(ch: KrausChannel, max_dim: int = SUPEROPERATOR_MAX_DIM) -> float:
-    """Largest singular value of the channel off the identity direction.
+def channel_report(ch: KrausChannel) -> SpectralReport:
+    """Spectrum of the channel's superoperator and its mixing rate.
 
-    Computed from the dense superoperator, which is hermitian here, so the
-    singular values are absolute eigenvalues; the identity direction holds the
-    largest, 1, so lambda is the second largest.
+    M is hermitian for an inverse-closed unitary mixture, and eigvalsh reads
+    only its lower triangle, so M is checked first.  ``spectrum`` is sorted as
+    in spectral_report, by descending absolute value from eigvalsh's ascending
+    order; the identity direction holds the largest, 1, so ``lam`` is
+    ``abs(spectrum[1])``.  Only eigenvalues are solved: the one block is all
+    of M and ``residual`` is left at 0.
+
+    Raises
+    ------
+    ValueError
+        If N exceeds DENSE_MAX_MODULUS or the superoperator is not hermitian.
     """
-    M = superoperator(ch, max_dim=max_dim)
-    if not np.allclose(M, M.conj().T, atol=1e-10):
-        raise ValueError("superoperator is not hermitian; expander_lambda "
-                         "expects an inverse-closed unitary mixture")
-    return float(np.sort(np.abs(np.linalg.eigvalsh(M)))[-2])
+    N = ch.dim
+    M = superoperator(ch)
+    # np.allclose(M, M^dag) N rows at a time, so no temporary the size of M is made.
+    if not all(np.allclose(M[i:i + N], M[:, i:i + N].conj().T, atol=1e-10)
+               for i in range(0, N * N, N)):
+        raise ValueError("superoperator is not hermitian; the channel must be "
+                         "an inverse-closed unitary mixture")
+    spectrum = tuple(sorted(np.linalg.eigvalsh(M).tolist(), key=abs, reverse=True))
+    return SpectralReport(modulus=N, lam=abs(spectrum[1]), spectrum=spectrum,
+                          blocks=(N * N,))
 
 
-@dataclass(frozen=True)
-class IntertwiningReport:
-    """Outcome of the Wigner-table equivalence check in both directions.
-
-    ``max_table_deviation``: worst entrywise gap between wigner(channel(rho))
-    and walk_step(wigner(rho)) over the random operators rho.
-    ``max_lift_deviation``: worst entrywise gap between
-    channel(inverse_wigner(f)) and inverse_wigner(walk_step(f)) over the
-    random tables f.
-    """
-
-    modulus: int
-    trials: int
-    max_table_deviation: float
-    max_lift_deviation: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return max(self.max_table_deviation, self.max_lift_deviation) < self.tolerance
-
-    def as_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+def expander_lambda(ch: KrausChannel) -> float:
+    """Largest absolute eigenvalue of the channel off the identity direction:
+    channel_report(ch).lam."""
+    return channel_report(ch).lam
 
 
 def random_hermitian(N: int, rng: np.random.Generator) -> np.ndarray:
@@ -159,7 +141,7 @@ def random_hermitian(N: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def verify_wigner_intertwining(ctx: PhaseSpaceContext, trials: int = 20,
-                               seed: int = 0) -> IntertwiningReport:
+                               seed: int = 0) -> list[tuple[str, float]]:
     """Check that the channel acts on Wigner tables as the walk acts on grids.
 
     The identity is linear, so random inputs catch a wrong map with high
@@ -168,6 +150,9 @@ def verify_wigner_intertwining(ctx: PhaseSpaceContext, trials: int = 20,
     random hermitian rho; then (b) the lift, channel(inverse_wigner(f)) against
     inverse_wigner(walk_step(f)) for standard-normal tables f.  No walk matrix
     is formed, so the check runs at any odd N.
+
+    Returns the (name, max deviation) rows ``("intertwining", worst (a))`` and
+    ``("intertwining_lift", worst (b))``; the caller judges them.
     """
     N = ctx.N
     ch = margulis_channel(ctx)
@@ -186,5 +171,4 @@ def verify_wigner_intertwining(ctx: PhaseSpaceContext, trials: int = 20,
         right = inverse_wigner(ctx, walk_step(f))
         max_lift = max(max_lift, float(np.max(np.abs(left - right))))
 
-    return IntertwiningReport(modulus=N, trials=trials, max_table_deviation=max_dev,
-                              max_lift_deviation=max_lift, tolerance=1e-10)
+    return [("intertwining", max_dev), ("intertwining_lift", max_lift)]

@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import (SUPEROPERATOR_MAX_DIM, margulis_channel, random_hermitian,
-                      superoperator, verify_wigner_intertwining)
+from .channel import (channel_report, margulis_channel, random_hermitian,
+                      verify_wigner_intertwining)
 from .circuits import affine_circuit, equal_up_to_phase, evaluate, gate_list_to_jsonl
 from .continuous import (CovMatrix, MeanVector, TEST_FUNCTIONS,
                          contraction_check, discretize, moments_csv)
@@ -142,25 +142,17 @@ def _walk_frames(args):
 
 
 def cmd_spectrum(args) -> int:
-    largest = max(args.N, default=0)
-    if args.mode != "classical" and largest > args.quantum_cap:
-        raise ValueError(f"N={largest} exceeds --quantum-cap {args.quantum_cap}; "
-                         "raise --quantum-cap to include it")
     out = _outdir(args)
+    kinds = ("classical", "quantum") if args.mode == "both" else (args.mode,)
     spectra = ["N,kind,index,eigenvalue"]
     lambdas = ["N,kind,lambda,bound"]
     bound = _fmt(GABBER_GALIL_BOUND)
     for N in args.N:
-        if args.mode in ("classical", "both"):
-            rep = spectral_report(walk_matrix(N), modulus=N)
-            spectra += [f"{N},classical,{i},{_fmt(v)}" for i, v in enumerate(rep.spectrum)]
-            lambdas.append(f"{N},classical,{_fmt(rep.lam)},{bound}")
-        if args.mode in ("quantum", "both"):
-            ch = margulis_channel(PhaseSpaceContext(N))
-            M = superoperator(ch, max_dim=args.quantum_cap)
-            eigs = sorted(np.linalg.eigvalsh(M).tolist(), key=abs, reverse=True)
-            spectra += [f"{N},quantum,{i},{_fmt(v)}" for i, v in enumerate(eigs)]
-            lambdas.append(f"{N},quantum,{_fmt(abs(eigs[1]))},{bound}")
+        for kind in kinds:
+            rep = (spectral_report(walk_matrix(N), modulus=N) if kind == "classical"
+                   else channel_report(margulis_channel(PhaseSpaceContext(N))))
+            spectra += [f"{N},{kind},{i},{_fmt(v)}" for i, v in enumerate(rep.spectrum)]
+            lambdas.append(f"{N},{kind},{_fmt(rep.lam)},{bound}")
     (out / "spectra.csv").write_text("\n".join(spectra) + "\n")
     (out / "lambdas.csv").write_text("\n".join(lambdas) + "\n")
     print(f"wrote spectra.csv and lambdas.csv for N in {args.N} to {out}")
@@ -218,9 +210,7 @@ def _verify_checks(N: int, seed: int, trials: int) -> list[tuple[str, float]]:
                                             _unit_hermitian(N, rng)) for T in displacements)
     checks = [("orthonormality", ortho), ("covariance", cov), ("translation", translation)]
 
-    report = verify_wigner_intertwining(ctx, trials=trials, seed=seed)
-    checks.append(("intertwining", report.max_table_deviation))
-    checks.append(("intertwining_lift", report.max_lift_deviation))
+    checks += verify_wigner_intertwining(ctx, trials=trials, seed=seed)
 
     d, n = _prime_power(N)
     dev = 0.0
@@ -363,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=_dense_modulus_list, default=[3, 5, 7],
                    metavar="N1,N2,...")
     p.add_argument("--mode", choices=("classical", "quantum", "both"), default="both")
-    p.add_argument("--quantum-cap", type=_int_at_least(3), default=SUPEROPERATOR_MAX_DIM,
-                   help="largest N for the dense superoperator")
     p.add_argument("--out")
     p.set_defaults(func=cmd_spectrum)
 

@@ -58,7 +58,8 @@ __all__ = [
 #: Upper bound sqrt(2)*5/8 on the subdominant eigenvalue, independent of N.
 GABBER_GALIL_BOUND = math.sqrt(2.0) * 5.0 / 8.0
 
-#: Largest N for which walk_matrix builds the dense N^2 x N^2 matrix by default.
+#: Largest N for which walk_matrix and channel.superoperator build their dense
+#: N^2 x N^2 matrices.
 DENSE_MAX_MODULUS = 49
 
 #: Linear-part symbol -> (SL(2, Z) matrix, metaplectic word).  A word is in
@@ -283,23 +284,16 @@ def walk_step(f: GridDist) -> GridDist:
     return GridDist._adopt(out / 8.0)
 
 
-def walk_matrix(N: int, max_modulus: int = DENSE_MAX_MODULUS) -> np.ndarray:
+def walk_matrix(N: int) -> np.ndarray:
     """Dense N^2 x N^2 matrix of walk_step in the point-mass basis.
 
     Basis index of the point (p, q) is p*N + q.  The matrix is symmetric and
-    doubly stochastic: entry (u, v) is (1/8) * #{T : T(v) = u}.
-
-    Parameters
-    ----------
-    max_modulus : int
-        Memory guard; raise for N beyond this cap (pass a larger value to
-        override).
+    doubly stochastic: entry (u, v) is (1/8) * #{T : T(v) = u}.  N is capped
+    at DENSE_MAX_MODULUS.
     """
     _require_odd_modulus(N)
-    if N > max_modulus:
-        raise ValueError(
-            f"N={N} exceeds the walk_matrix cap {max_modulus}; "
-            "pass max_modulus explicitly to override")
+    if N > DENSE_MAX_MODULUS:
+        raise ValueError(f"N={N} exceeds the dense cap {DENSE_MAX_MODULUS}")
     M = np.zeros((N * N, N * N))
     rows = np.arange(N * N)
     for T in margulis_generators(N):
@@ -317,9 +311,10 @@ class SpectralReport:
     orthogonal complement of the uniform vector.  ``blocks`` are the sizes
     of the diagonal blocks actually eigensolved, each listed once, and
     ``residual`` is the Frobenius norm of ``M V - V diag(w)`` over all of
-    M.  On the walk's five-block path the (+, -) block, the last, stands
-    for the (-, +) one too, so its eigenvalues and its residual count twice
-    and ``spectrum`` still has N^2 entries.
+    M (0 from channel.channel_report, which solves eigenvalues only).  On
+    the walk's five-block path the (+, -) block, the last, stands for the
+    (-, +) one too, so its eigenvalues and its residual count twice and
+    ``spectrum`` still has N^2 entries.
     """
 
     modulus: int

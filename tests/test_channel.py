@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from margulis.channel import (IntertwiningReport, KrausChannel, apply_channel,
+from margulis.channel import (KrausChannel, apply_channel, channel_report,
                               expander_lambda, margulis_channel,
                               random_hermitian, superoperator, unvectorize,
                               vectorize, verify_wigner_intertwining)
-from margulis.phasespace import (PhaseSpaceContext, _phase_point_stack,
+from margulis.phasespace import (PhaseSpaceContext, _phase_point_stack, fourier,
                                  inverse_wigner, phase_point_basis, wigner)
 from margulis.walk import GridDist, spectral_report, walk_matrix, walk_step
 
@@ -24,7 +26,8 @@ class TestChannelConstruction:
     @pytest.mark.parametrize("N", [3, 5, 7])
     def test_kraus_completeness(self, N):
         ch = margulis_channel(PhaseSpaceContext(N))
-        total = sum(K.conj().T @ K for K in ch.kraus_operators())
+        kraus = [U / np.sqrt(ch.degree) for U in ch.kraus]
+        total = sum(K.conj().T @ K for K in kraus)
         assert np.max(np.abs(total - np.eye(N))) < 1e-10
 
     def test_unital(self):
@@ -114,11 +117,57 @@ class TestSuperoperator:
                            apply_channel(ch, rho), atol=1e-12)
 
     def test_cap_guard(self):
-        ch = margulis_channel(PhaseSpaceContext(11))
-        with pytest.raises(ValueError, match="cap"):
+        # The one dense cap of walk_matrix; nothing overrides it.
+        ch = margulis_channel(PhaseSpaceContext(51))
+        with pytest.raises(ValueError, match="N=51 exceeds the dense cap 49"):
             superoperator(ch)
-        M = superoperator(ch, max_dim=11)
-        assert M.shape == (121, 121)
+
+
+class TestChannelReport:
+    def test_matches_the_walk_report_n15(self):
+        quantum = channel_report(margulis_channel(PhaseSpaceContext(15)))
+        classical = spectral_report(walk_matrix(15), modulus=15)
+        assert quantum.modulus == 15 and quantum.blocks == (225,)
+        assert len(quantum.spectrum) == len(classical.spectrum) == 225
+        gap = np.max(np.abs(np.sort(quantum.spectrum) - np.sort(classical.spectrum)))
+        assert gap < 1e-8
+        assert quantum.lam == pytest.approx(classical.lam, abs=1e-8)
+
+    def test_spectrum_in_spectra_csv_order(self):
+        ch = margulis_channel(PhaseSpaceContext(5))
+        rep = channel_report(ch)
+        ascending = np.linalg.eigvalsh(superoperator(ch)).tolist()
+        assert rep.spectrum == tuple(sorted(ascending, key=abs, reverse=True))
+        assert rep.lam == abs(rep.spectrum[1]) == expander_lambda(ch)
+
+    def test_one_unitary_channel_is_not_hermitian(self):
+        # conj(F) kron F is not hermitian: eigvalsh would read half of it.
+        ch = KrausChannel(5, (fourier(PhaseSpaceContext(5)),))
+        for solve in (channel_report, expander_lambda):
+            with pytest.raises(ValueError, match="not hermitian"):
+                solve(ch)
+
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 0), (24, 0), (0, 24), (23, 21), (13, 7)])
+    def test_one_asymmetric_entry_is_refused(self, entry, monkeypatch):
+        # Every block of N rows is compared: (23, 21) lies only in the last.
+        M = superoperator(margulis_channel(PhaseSpaceContext(5)))
+        M[entry] += 1e-3
+        monkeypatch.setattr("margulis.channel.superoperator", lambda ch: M)
+        with pytest.raises(ValueError, match="not hermitian"):
+            channel_report(margulis_channel(PhaseSpaceContext(5)))
+
+    def test_hermitian_check_makes_no_matrix_sized_temporary(self):
+        # Building M holds M and one np.kron term, each n^2 complex entries;
+        # a whole-matrix np.allclose(M, M^dag) would add several more.
+        ch = margulis_channel(PhaseSpaceContext(25))
+        size = 625 * 625 * 16
+        tracemalloc.start()
+        try:
+            channel_report(ch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * size
 
 
 class TestExpanderLambda:
@@ -173,13 +222,9 @@ class TestMixing:
 
 class TestIntertwining:
     def test_report_n7(self):
-        report = verify_wigner_intertwining(PhaseSpaceContext(7), trials=20, seed=42)
-        assert isinstance(report, IntertwiningReport)
-        assert report.max_table_deviation < 1e-10
-        assert report.max_lift_deviation < 1e-10
-        assert report.passed
-        d = report.as_dict()
-        assert d["passed"] is True and d["modulus"] == 7
+        rows = verify_wigner_intertwining(PhaseSpaceContext(7), trials=20, seed=42)
+        assert [name for name, _ in rows] == ["intertwining", "intertwining_lift"]
+        assert max(dev for _, dev in rows) < 1e-10
 
     def test_uniform_eigenvector_lifts_to_maximally_mixed(self):
         N = 5
@@ -232,16 +277,15 @@ class TestIntertwining:
 
     @pytest.mark.parametrize("N", [51, 101])
     def test_report_beyond_the_dense_walk_cap(self, N):
-        report = verify_wigner_intertwining(PhaseSpaceContext(N), trials=20, seed=42)
-        assert report.passed
-        assert max(report.max_table_deviation, report.max_lift_deviation) < 1e-10
+        rows = verify_wigner_intertwining(PhaseSpaceContext(N), trials=20, seed=42)
+        assert max(dev for _, dev in rows) < 1e-10
 
     def test_transforms_never_build_the_phase_point_stack(self):
         _phase_point_stack.cache_clear()
         ctx = PhaseSpaceContext(63)
         rho = random_hermitian(63, np.random.default_rng(28))
         inverse_wigner(ctx, wigner(ctx, rho))
-        assert verify_wigner_intertwining(ctx, trials=3).passed
+        assert max(dev for _, dev in verify_wigner_intertwining(ctx, trials=3)) < 1e-10
         assert _phase_point_stack.cache_info().currsize == 0
 
 

@@ -115,13 +115,22 @@ class TestSpectrumCommand:
         eigs = [float(r.split(",")[3]) for r in rows]
         assert max(eigs) == pytest.approx(1.0, abs=1e-10)
 
-    def test_quantum_cap_enforced(self, tmp_path, capsys):
-        assert main(["spectrum", "--N", "11", "--mode", "quantum",
-                     "--out", str(tmp_path)]) == 2
-        assert "--quantum-cap" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-        assert main(["spectrum", "--N", "11", "--mode", "quantum",
-                     "--quantum-cap", "11", "--out", str(tmp_path)]) == 0
+    def test_quantum_above_nine_matches_classical(self, tmp_path):
+        # The superoperator shares the dense cap 49 of the walk matrix.
+        assert main(["spectrum", "--N", "15,25", "--mode", "both",
+                     "--out", str(tmp_path)]) == 0
+        spectra = {}
+        for row in (tmp_path / "spectra.csv").read_text().splitlines()[1:]:
+            N, kind, _, value = row.split(",")
+            spectra.setdefault((int(N), kind), []).append(float(value))
+        lambdas = {(int(r.split(",")[0]), r.split(",")[1]): float(r.split(",")[2])
+                   for r in (tmp_path / "lambdas.csv").read_text().splitlines()[1:]}
+        for N in (15, 25):
+            quantum = np.sort(spectra[N, "quantum"])
+            classical = np.sort(spectra[N, "classical"])
+            assert quantum.shape == classical.shape == (N * N,)
+            assert np.max(np.abs(quantum - classical)) < 1e-8
+            assert lambdas[N, "quantum"] == pytest.approx(lambdas[N, "classical"], abs=1e-8)
 
 
 class TestVerifyCommand:
@@ -155,8 +164,8 @@ class TestVerifyCommand:
             return rho
 
         monkeypatch.setattr("margulis.channel.inverse_wigner", offset_lift)
-        report = verify_wigner_intertwining(PhaseSpaceContext(5), trials=20, seed=42)
-        assert report.max_table_deviation < 1e-10 < report.max_lift_deviation
+        dev = dict(verify_wigner_intertwining(PhaseSpaceContext(5), trials=20, seed=42))
+        assert dev["intertwining"] < 1e-10 < dev["intertwining_lift"]
         assert main(["verify", "--N", "5"]) == 1
         assert _failed_rows(capsys.readouterr().out) == ["intertwining_lift"]
 
@@ -264,14 +273,12 @@ class TestUsage:
         ["verify", "--tol", "-1"],
         ["verify", "--tol", "0"],
         ["verify", "--tol", "inf"],
-        ["spectrum", "--mode", "classical", "--quantum-cap", "-4"],
         ["circuit", "--qudits", "0"],
         ["contraction", "--delta", "0"],
         ["contraction", "--delta", "nan"],
         ["contraction", "--delta", "inf"],
         ["contraction", "--R", "2"],
         ["spectrum", "--N", "51"],
-        ["spectrum", "--N", "3,11"],
         ["spectrum", "--N", ","],
         ["verify", "--N", "245"],
         ["verify", "--compare-operators", "{missing}"],
@@ -303,11 +310,9 @@ class TestUsage:
         (["verify", "--tol", "nan"], "--tol: expected a finite number > 0"),
         (["verify", "--tol", "-1"], "--tol: expected a finite number > 0"),
         (["verify", "--tol", "0"], "--tol: expected a finite number > 0"),
-        (["spectrum", "--mode", "classical", "--quantum-cap", "-4"],
-         "--quantum-cap: expected an integer >= 3"),
     ], ids=["circuit --qudits 0", "spectrum --N 3,51", "verify --N 245", "verify --trials 0",
             "verify --seed -1", "spectrum --N ,", "verify --tol nan", "verify --tol -1",
-            "verify --tol 0", "spectrum --quantum-cap -4"])
+            "verify --tol 0"])
     def test_usage_error_names_the_flag(self, argv, named, capsys):
         with pytest.raises(SystemExit) as err:
             main(argv)

@@ -360,11 +360,10 @@ class TestWalkMatrix:
             f = random_prob(N, rng)
             assert np.allclose(M @ f.flatten(), walk_step(f).flatten(), atol=1e-12)
 
-    def test_cap_guard_and_override(self):
-        with pytest.raises(ValueError, match="cap"):
+    def test_cap_guard(self):
+        # One dense cap, shared with channel.superoperator; nothing overrides it.
+        with pytest.raises(ValueError, match="N=51 exceeds the dense cap 49"):
             walk_matrix(51)
-        M = walk_matrix(51, max_modulus=51)
-        assert M.shape == (51 * 51, 51 * 51)
 
 
 class TestSpectralReport:
