@@ -189,32 +189,26 @@ def qft_circuit(d: int, n: int) -> GateList:
     return GateList(d, n, _qft_gates(d, n))
 
 
-def quadratic_circuit(d: int, n: int, sign: int, keep_trivial: bool = False) -> GateList:
+def quadratic_circuit(d: int, n: int, sign: int) -> GateList:
     """Circuit for diag(exp(sign*2*pi*i*j^2/d^n)), sign = +-1.
 
     The digit expansion of j^2 gives one phase term per qudit pair (l, l'),
     with exponent d^{n-l-l'}; terms with l + l' <= n are integer phases and
-    are dropped unless ``keep_trivial``.  Off-diagonal pairs are emitted once
-    with coefficient 2*sign; diagonal terms become single-qudit quadratic
-    phases with coefficient sign.
+    are dropped.  Off-diagonal pairs are emitted once with coefficient
+    2*sign; diagonal terms become single-qudit quadratic phases with
+    coefficient sign.
     """
     _require_odd_d(d)
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     gates = []
     for l in range(1, n + 1):
-        for lp in range(l, n + 1):
-            coeff = sign if lp == l else 2 * sign
-            if l + lp > n:
-                M = d ** (l + lp - n)
-            elif keep_trivial:
-                coeff, M = coeff * d ** (n - l - lp), 1
-            else:
-                continue
+        for lp in range(max(l, n + 1 - l), n + 1):
+            M = d ** (l + lp - n)
             if lp == l:
-                gates.append(Gate("quadratic_phase", d, (l,), coeff, M))
+                gates.append(Gate("quadratic_phase", d, (l,), sign, M))
             else:
-                gates.append(Gate("cphase", d, (l, lp), coeff, M))
+                gates.append(Gate("cphase", d, (l, lp), 2 * sign, M))
     return GateList(d, n, tuple(gates))
 
 
@@ -248,16 +242,16 @@ def weyl_circuit(d: int, n: int, p: int, q: int) -> GateList:
     return GateList(d, n, tuple(gates), phase_num=num, phase_den=N if num else 1)
 
 
-def _primitive_gates(d: int, n: int, keep_trivial: bool) -> dict[str, tuple[Gate, ...]]:
+def _primitive_gates(d: int, n: int) -> dict[str, tuple[Gate, ...]]:
     """Gate lists of the primitives that the words in LINEAR_PARTS use."""
     qft = _qft_gates(d, n)
-    return {"Q+": quadratic_circuit(d, n, +1, keep_trivial).gates,
-            "Q-": quadratic_circuit(d, n, -1, keep_trivial).gates,
+    return {"Q+": quadratic_circuit(d, n, +1).gates,
+            "Q-": quadratic_circuit(d, n, -1).gates,
             "F": qft,
             "Finv": inverse_gates(qft)}
 
 
-def affine_circuit(d: int, n: int, T: AffineMap, keep_trivial: bool = False) -> GateList:
+def affine_circuit(d: int, n: int, T: AffineMap) -> GateList:
     """Gate list for the unitary implementing the affine map T on N = d^n.
 
     Equals ``phasespace.affine_unitary`` up to a global phase; supported
@@ -270,7 +264,7 @@ def affine_circuit(d: int, n: int, T: AffineMap, keep_trivial: bool = False) -> 
     if T.modulus != N:
         raise ValueError(f"map modulus {T.modulus} != d^n = {N}")
     word = linear_word(T.linear, N)
-    prims = _primitive_gates(d, n, keep_trivial)
+    prims = _primitive_gates(d, n)
     gates = tuple(g for p in reversed(word) for g in prims[p])
     disp = weyl_circuit(d, n, T.shift[0], T.shift[1])
     return GateList(d, n, gates + disp.gates,

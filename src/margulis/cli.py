@@ -48,6 +48,10 @@ VERIFY_MAX_MODULUS = 243
 #: and up to 25 MB of CSV on disk.
 WALK_MAX_MODULUS = 1001
 
+#: Largest d^qudits circuit --check accepts.  At 3^7 one map's dense check took
+#: 6.2 s and peaked at 250 MiB; 3^8 needs nine times the memory, some 2.2 GB.
+CIRCUIT_CHECK_MAX_DIM = 3 ** 7
+
 #: Largest contraction --delta.  Coarser cells leave the built-in test
 #: functions (support radius 1.375 and 1.85) a cell or two, or none: at
 #: delta = 4 both sample to zero and "contract" with ratio 0.
@@ -117,28 +121,18 @@ def cmd_walk(args) -> int:
         raise ValueError(f"--start {args.start[0]},{args.start[1]} is outside "
                          f"0..{args.N - 1} for --N {args.N}")
     out = _outdir(args)
-    lo = hi = None
-    if args.fixed_scale:
-        # The walk is deterministic: one pass finds the shared range, and a
-        # second makes the same frames again to write them.
-        lo, hi = math.inf, -math.inf
-        for f in _walk_frames(args):
-            lo, hi = min(lo, float(f.values.min())), max(hi, float(f.values.max()))
-    for k, f in enumerate(_walk_frames(args)):
+    # The walk keeps mass and nonnegativity, so from a point mass every frame
+    # lies in [0, 1], and frame 0 holds both ends: the shared range is known.
+    lo, hi = (0.0, 1.0) if args.fixed_scale else (None, None)
+    f = GridDist.delta(args.N, *args.start)
+    for k in range(args.steps + 1):
+        if k:
+            f = walk_step(f)
         with (out / f"step-{k}.csv").open("w") as fh:
             fh.writelines(_csv_chunks(f))  # chunk by chunk, never the whole text
         (out / f"step-{k}.pgm").write_text(grid_to_pgm(f, lo, hi))
     print(f"wrote {args.steps + 1} frames (steps 0..{args.steps}) for N={args.N} to {out}")
     return 0
-
-
-def _walk_frames(args):
-    """The walk's frames from a point mass at --start, steps 0..--steps, one at a time."""
-    f = GridDist.delta(args.N, *args.start)
-    yield f
-    for _ in range(args.steps):
-        f = walk_step(f)
-        yield f
 
 
 def cmd_spectrum(args) -> int:
@@ -162,13 +156,8 @@ def cmd_spectrum(args) -> int:
 def _prime_power(N: int) -> tuple[int, int]:
     """Smallest (d, n) with d^n = N, falling back to (N, 1)."""
     for d in range(3, N):
-        if N % d:
-            continue
-        m, n = N, 0
-        while m % d == 0:
-            m //= d
-            n += 1
-        if m == 1:
+        n = round(math.log(N, d))
+        if d ** n == N:
             return d, n
     return N, 1
 
@@ -179,74 +168,83 @@ def _unit_hermitian(N: int, rng: np.random.Generator) -> np.ndarray:
     return rho / np.linalg.norm(rho)
 
 
-def _covariance_deviation(ctx: PhaseSpaceContext, maps, rho: np.ndarray) -> float:
-    """Worst entrywise |wigner(U rho U^dag) - wigner(rho) o T^{-1}| over (T, U) in maps."""
+def _covariance_deviations(ctx: PhaseSpaceContext, maps, rho: np.ndarray) -> list[float]:
+    """Entrywise worst |wigner(U rho U^dag) - wigner(rho) o T^{-1}|, one per (T, U) in maps."""
     table = wigner(ctx, rho).values.reshape(-1)
-    return max(float(np.max(np.abs(wigner(ctx, U @ rho @ U.conj().T).values
-                                   - table[_pullback_index(T)])))
-               for T, U in maps)
+    return [float(np.max(np.abs(wigner(ctx, U @ rho @ U.conj().T).values
+                                - table[_pullback_index(T)])))
+            for T, U in maps]
 
 
 def _verify_checks(N: int, seed: int, trials: int) -> list[tuple[str, float]]:
     """(name, max deviation) rows.  Each identity is linear, so random rho test it
     with no phase-point basis (Freivalds 1977): {A(v)/sqrt(N)} is orthonormal iff
     N sum W^2 = ||rho||_F^2 and inverse_wigner(W) = rho, and U A(v) U^dag = A(T(v))
-    for all v iff wigner(U rho U^dag) = wigner(rho) o T^{-1} for all rho."""
+    for all v iff wigner(U rho U^dag) = wigner(rho) o T^{-1} for all rho.  The rows
+    share the one channel built here; np.max of a row keeps the NaN Python's max drops."""
     ctx = PhaseSpaceContext(N)
     rng = np.random.default_rng(seed)
-    maps = [(T, affine_unitary(ctx, T)) for T in margulis_generators(N)]
-    ortho = cov = 0.0
+    ch = margulis_channel(ctx)
+    maps = list(zip(margulis_generators(N), ch.kraus))
+    ortho, cov = [], []
     for _ in range(trials):
         rho = _unit_hermitian(N, rng)
         table = wigner(ctx, rho)
-        ortho = max(ortho, abs(N * float(np.sum(table.values ** 2)) - 1.0),
-                    float(np.max(np.abs(inverse_wigner(ctx, table) - rho))))
-        cov = max(cov, _covariance_deviation(ctx, maps, rho))
+        ortho += [abs(N * float(np.sum(table.values ** 2)) - 1.0),
+                  float(np.max(np.abs(inverse_wigner(ctx, table) - rho)))]
+        cov += _covariance_deviations(ctx, maps, rho)
 
     # Translation: covariance under 50 displacements v -> v + a, on one rho each.
-    displacements = [AffineMap(((1, 0), (0, 1)), a, N)
-                     for a in rng.integers(0, N, size=(50, 2)).tolist()]
-    translation = max(_covariance_deviation(ctx, [(T, affine_unitary(ctx, T))],
-                                            _unit_hermitian(N, rng)) for T in displacements)
-    checks = [("orthonormality", ortho), ("covariance", cov), ("translation", translation)]
+    translation = []
+    for a in rng.integers(0, N, size=(50, 2)).tolist():
+        T = AffineMap(((1, 0), (0, 1)), a, N)
+        translation += _covariance_deviations(ctx, [(T, affine_unitary(ctx, T))],
+                                              _unit_hermitian(N, rng))
+    checks = [(name, float(np.max(devs))) for name, devs in
+              (("orthonormality", ortho), ("covariance", cov), ("translation", translation))]
 
-    checks += verify_wigner_intertwining(ctx, trials=trials, seed=seed)
+    checks += verify_wigner_intertwining(ch, trials=trials, seed=seed)
 
     d, n = _prime_power(N)
-    dev = 0.0
+    circuit = []
     for T, dense in maps:
         approx = evaluate(affine_circuit(d, n, T))
         _, phase = equal_up_to_phase(approx, dense)
-        dev = max(dev, float(np.linalg.norm(dense - phase * approx)))
-    checks.append(("circuit_equivalence", dev))
+        circuit.append(float(np.linalg.norm(dense - phase * approx)))
+    checks.append(("circuit_equivalence", float(np.max(circuit))))
     return checks
 
 
 def _reference_operators(ctx: PhaseSpaceContext) -> dict[str, np.ndarray]:
-    ops = {"fourier": fourier(ctx), "parity": parity(ctx),
-           "quadratic_plus": quadratic_phase(ctx, +1),
-           "quadratic_minus": quadratic_phase(ctx, -1)}
-    for label, T in generator_map(ctx.N).items():
-        ops[f"U_{label}"] = affine_unitary(ctx, T)
-    return ops
+    return {"fourier": fourier(ctx), "parity": parity(ctx),
+            "quadratic_plus": quadratic_phase(ctx, +1),
+            "quadratic_minus": quadratic_phase(ctx, -1),
+            **{f"U_{label}": affine_unitary(ctx, T) for label, T in generator_map(ctx.N).items()}}
 
 
 def cmd_verify(args) -> int:
     ctx = PhaseSpaceContext(args.N)
+    ops = _reference_operators(ctx) if args.compare_operators or args.dump_operators else {}
     golden = []
     if args.compare_operators:
         # Read the golden files before the checks, so a bad directory fails at once.
-        opdir = Path(args.compare_operators)
-        dev = 0.0
-        for name, op in _reference_operators(ctx).items():
-            gold = operator_from_json((opdir / f"{name}.json").read_text())
-            dev = max(dev, float(np.max(np.abs(gold - op))))
-        golden.append(("golden_operators", dev))
+        devs = []
+        for name, op in ops.items():
+            path = Path(args.compare_operators) / f"{name}.json"
+            try:
+                gold = operator_from_json(path.read_text())
+                if gold.shape != op.shape:
+                    raise ValueError(f"a {len(gold)}x{len(gold)} operator, but --N {args.N} "
+                                     f"needs {args.N}x{args.N}")
+            except ValueError as err:
+                raise ValueError(f"{path}: {err}") from None
+            devs.append(float(np.max(np.abs(gold - op))))
+        golden.append(("golden_operators", float(np.max(devs))))
     checks = _verify_checks(args.N, args.seed, args.trials) + golden
     if args.dump_operators:
         opdir = Path(args.dump_operators)
         opdir.mkdir(parents=True, exist_ok=True)
-        for name, op in _reference_operators(ctx).items():
+        for name, op in ops.items():
             (opdir / f"{name}.json").write_text(operator_to_json(op))
     items = [{"check": name, "max_deviation": dev, "tolerance": args.tol,
               "passed": dev < args.tol} for name, dev in checks]
@@ -267,14 +265,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_circuit(args) -> int:
+    if args.check and args.d ** args.qudits > CIRCUIT_CHECK_MAX_DIM:
+        raise ValueError(f"--check on d^qudits = {args.d}^{args.qudits} levels exceeds "
+                         f"the circuit check limit {CIRCUIT_CHECK_MAX_DIM}")
     out = _outdir(args)
     labels = list(GENERATOR_LABELS) if args.transform == "all" else [args.transform]
     gens = generator_map(args.d ** args.qudits)
     ctx = PhaseSpaceContext(args.d ** args.qudits)
     status = 0
     for label in labels:
-        gl = affine_circuit(args.d, args.qudits, gens[label],
-                            keep_trivial=args.keep_trivial)
+        gl = affine_circuit(args.d, args.qudits, gens[label])
         (out / f"gates-{label}.jsonl").write_text(gate_list_to_jsonl(gl, label))
         line = f"{label}: {len(gl.gates)} gates"
         if args.check:
@@ -375,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transform", choices=GENERATOR_LABELS + ("all",), default="all")
     p.add_argument("--check", action="store_true",
                    help="compare against the dense unitary")
-    p.add_argument("--keep-trivial", action="store_true",
-                   help="emit identity phase gates too")
     p.add_argument("--out")
     p.set_defaults(func=cmd_circuit)
 

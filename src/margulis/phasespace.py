@@ -309,9 +309,15 @@ def operator_to_json(op: np.ndarray) -> str:
 
 
 def operator_from_json(text: str) -> np.ndarray:
+    """Inverse of operator_to_json.  Raises ValueError unless the text is an
+    object {dim, re, im} whose re and im are finite numeric dim x dim arrays."""
     obj = json.loads(text)
-    re = np.array(obj["re"], dtype=float)
-    im = np.array(obj["im"], dtype=float)
-    if re.shape != (obj["dim"], obj["dim"]) or im.shape != re.shape:
-        raise ValueError("malformed operator dump")
+    try:
+        dim, re, im = obj["dim"], np.array(obj["re"]), np.array(obj["im"])
+    except (TypeError, KeyError, ValueError):  # not an object, a key missing, ragged lists
+        raise ValueError("operator dump is not an object {dim, re, im} of arrays") from None
+    if not all(type(dim) is int and a.dtype.kind in "iuf" and a.shape == (dim, dim)
+               and np.isfinite(a).all() for a in (re, im)):
+        raise ValueError(f"operator dump re and im are not finite numeric "
+                         f"dim x dim arrays for dim {dim!r}")
     return re + 1j * im

@@ -222,7 +222,8 @@ class TestMixing:
 
 class TestIntertwining:
     def test_report_n7(self):
-        rows = verify_wigner_intertwining(PhaseSpaceContext(7), trials=20, seed=42)
+        rows = verify_wigner_intertwining(margulis_channel(PhaseSpaceContext(7)), trials=20,
+                                          seed=42)
         assert [name for name, _ in rows] == ["intertwining", "intertwining_lift"]
         assert max(dev for _, dev in rows) < 1e-10
 
@@ -277,7 +278,8 @@ class TestIntertwining:
 
     @pytest.mark.parametrize("N", [51, 101])
     def test_report_beyond_the_dense_walk_cap(self, N):
-        rows = verify_wigner_intertwining(PhaseSpaceContext(N), trials=20, seed=42)
+        rows = verify_wigner_intertwining(margulis_channel(PhaseSpaceContext(N)), trials=20,
+                                          seed=42)
         assert max(dev for _, dev in rows) < 1e-10
 
     def test_transforms_never_build_the_phase_point_stack(self):
@@ -285,7 +287,8 @@ class TestIntertwining:
         ctx = PhaseSpaceContext(63)
         rho = random_hermitian(63, np.random.default_rng(28))
         inverse_wigner(ctx, wigner(ctx, rho))
-        assert max(dev for _, dev in verify_wigner_intertwining(ctx, trials=3)) < 1e-10
+        rows = verify_wigner_intertwining(margulis_channel(ctx), trials=3)
+        assert max(dev for _, dev in rows) < 1e-10
         assert _phase_point_stack.cache_info().currsize == 0
 
 

@@ -210,14 +210,6 @@ class TestQuadraticCircuit:
         for g in gl.gates:
             assert abs(g.c) == (2 if g.kind == "cphase" else 1)
 
-    def test_keep_trivial_re_emits_identities(self):
-        full = quadratic_circuit(3, 3, 1, keep_trivial=True)
-        assert len(full.gates) == 3 * 4 // 2  # all pairs l <= l'
-        dropped = [g for g in full.gates if g.M == 1]
-        for g in dropped:
-            assert np.allclose(evaluate(GateList(3, 3, (g,))), np.eye(27), atol=1e-13)
-        assert_equal_up_to_phase(evaluate(full), quadratic_phase(ctx_for(3, 3), 1))
-
     def test_bad_sign(self):
         with pytest.raises(ValueError, match="sign"):
             quadratic_circuit(3, 2, 0)

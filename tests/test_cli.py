@@ -4,14 +4,16 @@ import subprocess
 import sys
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import margulis
+from margulis import cli
 from margulis.circuits import evaluate, gate_list_from_jsonl
 from margulis.cli import main
-from margulis.channel import verify_wigner_intertwining
+from margulis.channel import margulis_channel, verify_wigner_intertwining
 from margulis.phasespace import (PhaseSpaceContext, _phase_point_stack, affine_unitary,
                                  inverse_wigner, operator_from_json, wigner)
 from margulis.walk import (AffineMap, GridDist, generator_map, grid_from_csv, grid_to_csv,
@@ -62,9 +64,9 @@ class TestWalkCommand:
 
     @pytest.mark.parametrize("fixed_scale", [False, True], ids=["own scale", "fixed scale"])
     def test_frames_streamed_as_if_all_were_kept(self, fixed_scale, tmp_path, monkeypatch):
-        # Each frame is written as it is made; --fixed-scale walks twice, the
-        # first time only for the shared range.  The files are those of
-        # keeping every frame, and at most the newest two are ever alive.
+        # Each frame is written as it is made, in one pass: --fixed-scale knows
+        # its shared range [0, 1] up front.  The files are those of keeping
+        # every frame, and at most the newest two are ever alive.
         made, alive = [], []
 
         def step(f):
@@ -76,7 +78,7 @@ class TestWalkCommand:
         monkeypatch.setattr("margulis.cli.walk_step", step)
         argv = ["walk", "--N", "9", "--steps", "6", "--start", "2,7", "--out", str(tmp_path)]
         assert main(argv + ["--fixed-scale"] * fixed_scale) == 0
-        assert len(made) == (12 if fixed_scale else 6)
+        assert len(made) == 6
         assert max(alive) == 2
         frames = [GridDist.delta(9, 2, 7)]
         for _ in range(6):
@@ -164,7 +166,8 @@ class TestVerifyCommand:
             return rho
 
         monkeypatch.setattr("margulis.channel.inverse_wigner", offset_lift)
-        dev = dict(verify_wigner_intertwining(PhaseSpaceContext(5), trials=20, seed=42))
+        ch = margulis_channel(PhaseSpaceContext(5))
+        dev = dict(verify_wigner_intertwining(ch, trials=20, seed=42))
         assert dev["intertwining"] < 1e-10 < dev["intertwining_lift"]
         assert main(["verify", "--N", "5"]) == 1
         assert _failed_rows(capsys.readouterr().out) == ["intertwining_lift"]
@@ -179,6 +182,8 @@ class TestVerifyCommand:
             return affine_unitary(ctx, AffineMap(T.linear, (-T.shift[0], -T.shift[1]),
                                                  T.modulus))
 
+        # The walk maps' unitaries come from the channel, the displacements' from the cli.
+        monkeypatch.setattr("margulis.channel.affine_unitary", negated_shift)
         monkeypatch.setattr("margulis.cli.affine_unitary", negated_shift)
         assert main(["verify", "--N", "101"]) == 1
         failed = _failed_rows(capsys.readouterr().out)
@@ -193,6 +198,73 @@ class TestVerifyCommand:
         monkeypatch.setattr("margulis.cli.wigner", scaled)
         assert main(["verify", "--N", "25"]) == 1
         assert _failed_rows(capsys.readouterr().out) == ["orthonormality"]
+
+    def test_nan_inverse_transform_fails_its_rows(self, monkeypatch, capsys):
+        # Python's max(acc, nan) keeps acc, so a row folded that way passes NaN.
+        def nan_lift(ctx, table):
+            return np.full((ctx.N, ctx.N), np.nan, dtype=complex)
+
+        monkeypatch.setattr("margulis.cli.inverse_wigner", nan_lift)
+        monkeypatch.setattr("margulis.channel.inverse_wigner", nan_lift)
+        assert main(["verify", "--N", "7"]) == 1
+        assert _failed_rows(capsys.readouterr().out) == ["orthonormality", "intertwining_lift"]
+
+    def test_nan_table_for_a_later_map_fails_covariance(self, monkeypatch, capsys):
+        # Python's max over the maps kept the first map's value.  Each trial
+        # tables rho for orthonormality, again for covariance, then U rho U^dag
+        # for T1, T2, ...: the fourth table is T2's.  GridDist refuses NaN, so
+        # a bare stand-in carries it.
+        calls = []
+
+        def nan_fourth(ctx, rho):
+            calls.append(rho)
+            table = wigner(ctx, rho)
+            if len(calls) == 4:
+                return SimpleNamespace(values=np.full_like(table.values, np.nan))
+            return table
+
+        monkeypatch.setattr("margulis.cli.wigner", nan_fourth)
+        assert main(["verify", "--N", "7"]) == 1
+        assert _failed_rows(capsys.readouterr().out) == ["covariance"]
+
+    def test_nan_from_one_circuit_fails_circuit_equivalence(self, monkeypatch, capsys):
+        calls = []
+
+        def nan_second(gl):
+            calls.append(gl)
+            U = evaluate(gl)
+            return np.full_like(U, np.nan) if len(calls) == 2 else U
+
+        monkeypatch.setattr("margulis.cli.evaluate", nan_second)
+        assert main(["verify", "--N", "9"]) == 1
+        assert len(calls) == 8
+        assert _failed_rows(capsys.readouterr().out) == ["circuit_equivalence"]
+
+    def test_one_unitary_per_map_and_one_set_of_reference_operators(self, tmp_path,
+                                                                   monkeypatch, capsys):
+        gold = tmp_path / "gold"
+        assert main(["verify", "--N", "5", "--dump-operators", str(gold)]) == 0
+        counts = {"channel": 0, "cli": 0, "reference": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr("margulis.channel.affine_unitary",
+                            counted("channel", affine_unitary))
+        monkeypatch.setattr("margulis.cli.affine_unitary", counted("cli", affine_unitary))
+        monkeypatch.setattr("margulis.cli._reference_operators",
+                            counted("reference", cli._reference_operators))
+        assert main(["verify", "--N", "5", "--compare-operators", str(gold),
+                     "--dump-operators", str(tmp_path / "again")]) == 0
+        # The channel's eight unitaries serve the covariance, intertwining and
+        # circuit rows; the cli builds the 50 displacements and, once, the
+        # eight golden U_* operators.
+        assert counts == {"channel": 8, "cli": 50 + 8, "reference": 1}
+        for path in gold.iterdir():
+            assert (tmp_path / "again" / path.name).read_bytes() == path.read_bytes()
 
     def test_never_builds_the_phase_point_stack(self, capsys):
         _phase_point_stack.cache_clear()
@@ -282,6 +354,7 @@ class TestUsage:
         ["spectrum", "--N", ","],
         ["verify", "--N", "245"],
         ["verify", "--compare-operators", "{missing}"],
+        ["circuit", "--d", "3", "--qudits", "12", "--check", "--transform", "T1"],
         ["frobnicate"],
         [],
     ], ids=lambda argv: " ".join(argv) or "no command")
@@ -325,6 +398,8 @@ class TestUsage:
         (["walk", "--N", "199999", "--steps", "0"], "--N 199999 exceeds the walk limit 1001"),
         (["moments", "--gamma", "nan,0,1"], "--gamma nan,0.0,1.0 is not finite"),
         (["moments", "--mean", "inf,0"], "--mean inf,0.0 is not finite"),
+        (["circuit", "--d", "3", "--qudits", "12", "--check"],
+         "--check on d^qudits = 3^12 levels exceeds the circuit check limit 2187"),
     ], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
     def test_caps_and_non_finite_values_refused_first(self, argv, message, tmp_path, capsys,
                                                       monkeypatch):
@@ -333,7 +408,7 @@ class TestUsage:
         def allocates(*args, **kwargs):
             raise AssertionError("called before the arguments were checked")
 
-        for name in ("discretize", "GridDist", "moments_csv", "_outdir"):
+        for name in ("discretize", "GridDist", "moments_csv", "_outdir", "generator_map"):
             monkeypatch.setattr(f"margulis.cli.{name}", allocates)
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"margulis: error: {message}\n"
@@ -358,6 +433,39 @@ class TestUsage:
                      str(tmp_path / "missing")]) == 2
         assert calls == []
         assert "fourier.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"dim": 5}', "fourier.json: operator dump is not an object {dim, re, im} of arrays"),
+        ("[1]", "fourier.json: operator dump is not an object {dim, re, im} of arrays"),
+        ("{", "fourier.json: Expecting property name enclosed in double quotes"),
+    ], ids=["missing keys", "not an object", "not json"])
+    def test_malformed_golden_file_is_usage_error(self, text, message, tmp_path, capsys):
+        (tmp_path / "fourier.json").write_text(text)
+        assert main(["verify", "--N", "5", "--compare-operators", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("margulis: error: ")
+        assert message in err
+
+    def test_golden_file_with_nan_entries_is_usage_error(self, tmp_path, capsys):
+        # NaN entries read as deviation 0 and passed.
+        assert main(["verify", "--N", "5", "--dump-operators", str(tmp_path)]) == 0
+        parity = json.loads((tmp_path / "parity.json").read_text())
+        parity["re"][2][3] = float("nan")
+        (tmp_path / "parity.json").write_text(json.dumps(parity))
+        capsys.readouterr()
+        assert main(["verify", "--N", "5", "--compare-operators", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"margulis: error: {tmp_path / 'parity.json'}: operator dump re and im are "
+            "not finite numeric dim x dim arrays for dim 5\n")
+
+    def test_golden_file_of_another_n_is_usage_error(self, tmp_path, capsys):
+        # Was numpy's broadcast message, naming neither the file nor the sizes.
+        assert main(["verify", "--N", "5", "--dump-operators", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--N", "7", "--compare-operators", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"margulis: error: {tmp_path / 'fourier.json'}: a 5x5 operator, but --N 7 "
+            "needs 7x7\n")
 
     def test_library_error_exits_2_in_a_real_process(self, tmp_path):
         proc = subprocess.run(

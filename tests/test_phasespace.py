@@ -439,3 +439,19 @@ class TestOperatorDump:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             operator_to_json(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("text", [
+        '{"dim": 2}', "[1]", "3", '{"dim": 2, "re": [[1, 0], [0, 1]]}',
+        '{"dim": 2, "re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]}',
+        '{"dim": 2, "re": [[1, 0], [0, NaN]], "im": [[0, 0], [0, 0]]}',
+        '{"dim": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, Infinity]]}',
+        '{"dim": 2, "re": [[1, 0], [0, "1"]], "im": [[0, 0], [0, 0]]}',
+        '{"dim": 2, "re": [[1, 0], [0, null]], "im": [[0, 0], [0, 0]]}',
+        '{"dim": 3, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}',
+        '{"dim": "2", "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}',
+        '{"dim": true, "re": [[1]], "im": [[0]]}',
+        '{"dim": 1, "re": [[true]], "im": [[0]]}',
+    ])
+    def test_rejects_malformed_dumps(self, text):
+        with pytest.raises(ValueError, match="operator dump"):
+            operator_from_json(text)
