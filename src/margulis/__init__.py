@@ -6,8 +6,9 @@ The package has five layers:
   stochastic step, its dense matrix, and spectral-gap reports.
 * :mod:`margulis.phasespace` -- Weyl-Heisenberg and phase-point operators,
   the Wigner transform, and the unitaries implementing affine lattice maps.
-* :mod:`margulis.channel` -- the degree-8 unitary-mixture channel, its
-  superoperator and mixing rate, and the walk/channel intertwining checks.
+* :mod:`margulis.channel` -- the degree-8 unitary-mixture channel built
+  from the eight walk maps, its superoperator and mixing rate, and the
+  walk/channel intertwining checks.
 * :mod:`margulis.circuits` -- qudit gate-list synthesis of the channel's
   unitaries for N = d^n, with dense verification.
 * :mod:`margulis.continuous` -- first/second-moment dynamics of the

@@ -10,7 +10,7 @@ directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -25,45 +25,42 @@ __all__ = [
     "superoperator",
     "channel_report",
     "expander_lambda",
-    "vectorize",
-    "unvectorize",
     "verify_wigner_intertwining",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """Mixture-of-unitaries channel rho -> (1/D) sum_U U rho U^dag.
+    """Mixture-of-unitaries channel rho -> (1/D) sum_T U_T rho U_T^dag.
 
-    ``kraus`` holds the D unitaries; each carries weight 1/D, so the Kraus
-    operators proper are U/sqrt(D).
+    Built from a non-empty tuple of D affine maps T of modulus ``ctx.N``;
+    each unitary is ``affine_unitary(ctx, T)``, which refuses any other
+    modulus, and carries weight 1/D, so the Kraus operators proper are
+    U_T/sqrt(D).  ``pairs`` holds the (T, U_T) pairs in map order.
     """
 
-    dim: int
-    kraus: tuple = field(repr=False)
+    ctx: PhaseSpaceContext
+    maps: InitVar[tuple]
+    pairs: tuple = field(init=False, repr=False)
 
-    def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        if not ops:
-            raise ValueError("channel needs at least one unitary")
-        eye = np.eye(self.dim)
-        for k in ops:
-            if k.shape != (self.dim, self.dim):
-                raise ValueError(f"unitary shape {k.shape} != ({self.dim}, {self.dim})")
-            if np.max(np.abs(k @ k.conj().T - eye)) > 1e-10:
-                raise ValueError("channel members must be unitary "
-                                 "(Kraus completeness would fail)")
-        object.__setattr__(self, "kraus", ops)
+    def __post_init__(self, maps):
+        pairs = tuple((T, affine_unitary(self.ctx, T)) for T in maps)
+        if not pairs:
+            raise ValueError("channel needs at least one map")
+        object.__setattr__(self, "pairs", pairs)
+
+    @property
+    def dim(self) -> int:
+        return self.ctx.N
 
     @property
     def degree(self) -> int:
-        return len(self.kraus)
+        return len(self.pairs)
 
 
 def margulis_channel(ctx: PhaseSpaceContext) -> KrausChannel:
-    """The degree-8 channel built from the eight affine-map unitaries."""
-    unitaries = [affine_unitary(ctx, T) for T in margulis_generators(ctx.N)]
-    return KrausChannel(ctx.N, tuple(unitaries))
+    """The degree-8 channel over the eight walk maps."""
+    return KrausChannel(ctx, tuple(margulis_generators(ctx.N)))
 
 
 def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
@@ -72,24 +69,16 @@ def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     if rho.shape != (ch.dim, ch.dim):
         raise ValueError(f"operator shape {rho.shape} != ({ch.dim}, {ch.dim})")
     out = np.zeros_like(rho)
-    for U in ch.kraus:
+    for _, U in ch.pairs:
         out += U @ rho @ U.conj().T
     return out / ch.degree
-
-
-def vectorize(rho: np.ndarray) -> np.ndarray:
-    """Column-stacking vec: vec(A X B^dag) = (conj(B) kron A) vec(X)."""
-    return np.asarray(rho).reshape(-1, order="F")
-
-
-def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
-    return np.asarray(vec).reshape(dim, dim, order="F")
 
 
 def superoperator(ch: KrausChannel) -> np.ndarray:
     """Dense N^2 x N^2 matrix of the channel on column-stacked operators.
 
-    M = (1/D) sum_U conj(U) kron U.  For this inverse-closed mixture M is
+    M = (1/D) sum_U conj(U) kron U, since vec(A X B^dag) = (conj(B) kron A) vec(X)
+    for vec(X) = X.reshape(-1, order="F").  For this inverse-closed mixture M is
     hermitian and fixes vec(identity).  N is capped at DENSE_MAX_MODULUS,
     as for walk_matrix.
     """
@@ -97,7 +86,7 @@ def superoperator(ch: KrausChannel) -> np.ndarray:
         raise ValueError(f"N={ch.dim} exceeds the dense cap {DENSE_MAX_MODULUS}")
     n2 = ch.dim * ch.dim
     M = np.zeros((n2, n2), dtype=complex)
-    for U in ch.kraus:
+    for _, U in ch.pairs:
         M += np.kron(U.conj(), U)
     return M / ch.degree
 
@@ -155,8 +144,7 @@ def verify_wigner_intertwining(ch: KrausChannel, trials: int = 20,
     ``("intertwining_lift", worst (b))``; the caller judges them.  A worst is
     NaN if any deviation is, so a non-finite deviation cannot pass.
     """
-    N = ch.dim
-    ctx = PhaseSpaceContext(N)
+    N, ctx = ch.dim, ch.ctx
     rng = np.random.default_rng(seed)
     devs = []
     for _ in range(trials):

@@ -38,8 +38,7 @@ from .phasespace import (PhaseSpaceContext, affine_unitary, fourier, inverse_wig
                          wigner)
 from .walk import (DENSE_MAX_MODULUS, GABBER_GALIL_BOUND, GENERATOR_LABELS,
                    AffineMap, GridDist, _csv_chunks, _fmt, _pullback_index, generator_map,
-                   grid_to_pgm, margulis_generators, spectral_report, walk_matrix,
-                   walk_step)
+                   grid_to_pgm, spectral_report, walk_matrix, walk_step)
 
 #: Largest N verify accepts: 3^5, so circuit_equivalence still runs on 5 qudits.
 VERIFY_MAX_MODULUS = 243
@@ -181,18 +180,18 @@ def _verify_checks(N: int, seed: int, trials: int) -> list[tuple[str, float]]:
     with no phase-point basis (Freivalds 1977): {A(v)/sqrt(N)} is orthonormal iff
     N sum W^2 = ||rho||_F^2 and inverse_wigner(W) = rho, and U A(v) U^dag = A(T(v))
     for all v iff wigner(U rho U^dag) = wigner(rho) o T^{-1} for all rho.  The rows
-    share the one channel built here; np.max of a row keeps the NaN Python's max drops."""
+    share the (T, U) pairs of the one channel built here; np.max of a row keeps the
+    NaN Python's max drops."""
     ctx = PhaseSpaceContext(N)
     rng = np.random.default_rng(seed)
     ch = margulis_channel(ctx)
-    maps = list(zip(margulis_generators(N), ch.kraus))
     ortho, cov = [], []
     for _ in range(trials):
         rho = _unit_hermitian(N, rng)
         table = wigner(ctx, rho)
         ortho += [abs(N * float(np.sum(table.values ** 2)) - 1.0),
                   float(np.max(np.abs(inverse_wigner(ctx, table) - rho)))]
-        cov += _covariance_deviations(ctx, maps, rho)
+        cov += _covariance_deviations(ctx, ch.pairs, rho)
 
     # Translation: covariance under 50 displacements v -> v + a, on one rho each.
     translation = []
@@ -207,7 +206,7 @@ def _verify_checks(N: int, seed: int, trials: int) -> list[tuple[str, float]]:
 
     d, n = _prime_power(N)
     circuit = []
-    for T, dense in maps:
+    for T, dense in ch.pairs:
         approx = evaluate(affine_circuit(d, n, T))
         _, phase = equal_up_to_phase(approx, dense)
         circuit.append(float(np.linalg.norm(dense - phase * approx)))
@@ -246,19 +245,21 @@ def cmd_verify(args) -> int:
         opdir.mkdir(parents=True, exist_ok=True)
         for name, op in ops.items():
             (opdir / f"{name}.json").write_text(operator_to_json(op))
-    items = [{"check": name, "max_deviation": dev, "tolerance": args.tol,
-              "passed": dev < args.tol} for name, dev in checks]
-    passed = all(item["passed"] for item in items)
-    report = {"N": args.N, "seed": args.seed, "trials": args.trials,
-              "tolerance": args.tol, "checks": items, "passed": passed}
+    rows = [(name, dev, dev < args.tol) for name, dev in checks]
+    passed = all(ok for _, _, ok in rows)
+    # Strict JSON has no NaN or inf: a non-finite deviation is written as null.
+    items = [{"check": name, "max_deviation": dev if math.isfinite(dev) else None,
+              "tolerance": args.tol, "passed": ok} for name, dev, ok in rows]
+    report = json.dumps({"N": args.N, "seed": args.seed, "trials": args.trials,
+                         "tolerance": args.tol, "checks": items, "passed": passed},
+                        indent=2, allow_nan=False)
     if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+        Path(args.out).write_text(report + "\n")
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(report)
     else:
-        for item in items:
-            mark = "ok  " if item["passed"] else "FAIL"
-            print(f"{mark} {item['check']:<20} max deviation {item['max_deviation']:.3e}")
+        for name, dev, ok in rows:
+            print(f"{'ok  ' if ok else 'FAIL'} {name:<20} max deviation {dev:.3e}")
         print(f"{'all checks passed' if passed else 'CHECKS FAILED'} "
               f"(N={args.N}, tol={args.tol:g})")
     return 0 if passed else 1
@@ -304,7 +305,10 @@ def cmd_moments(args) -> int:
     for flag, values in (("--gamma", astuple(args.gamma)), ("--mean", astuple(args.mean))):
         if not all(map(math.isfinite, values)):
             raise ValueError(f"{flag} {','.join(map(str, values))} is not finite")
-    text = moments_csv(args.gamma, args.mean, args.iters, args.map)
+    # moments_csv refuses a trace that leaves float range; numpy's overflow
+    # warnings on the way there would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        text = moments_csv(args.gamma, args.mean, args.iters, args.map)
     out = _outdir(args)
     (out / "moments.csv").write_text(text)
     print(text.strip().splitlines()[-1])
@@ -389,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contraction", help="one-step contraction of a test function")
     p.add_argument("--fn", choices=sorted(TEST_FUNCTIONS), default="box_dipole")
-    p.add_argument("--delta", type=float, default=0.25)
-    p.add_argument("--R", type=int, default=8)
+    p.add_argument("--delta", type=_positive_float, default=0.25)
+    p.add_argument("--R", type=_int_at_least(1), default=8)
     p.add_argument("--out")
     p.set_defaults(func=cmd_contraction)
     return parser

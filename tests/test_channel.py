@@ -5,11 +5,12 @@ import pytest
 
 from margulis.channel import (KrausChannel, apply_channel, channel_report,
                               expander_lambda, margulis_channel,
-                              random_hermitian, superoperator, unvectorize,
-                              vectorize, verify_wigner_intertwining)
-from margulis.phasespace import (PhaseSpaceContext, _phase_point_stack, fourier,
-                                 inverse_wigner, phase_point_basis, wigner)
-from margulis.walk import GridDist, spectral_report, walk_matrix, walk_step
+                              random_hermitian, superoperator,
+                              verify_wigner_intertwining)
+from margulis.phasespace import (PhaseSpaceContext, _phase_point_stack, affine_unitary,
+                                 fourier, inverse_wigner, phase_point_basis, wigner)
+from margulis.walk import (AffineMap, GridDist, margulis_generators, spectral_report,
+                           walk_matrix, walk_step)
 
 
 def random_density(N, rng):
@@ -26,7 +27,7 @@ class TestChannelConstruction:
     @pytest.mark.parametrize("N", [3, 5, 7])
     def test_kraus_completeness(self, N):
         ch = margulis_channel(PhaseSpaceContext(N))
-        kraus = [U / np.sqrt(ch.degree) for U in ch.kraus]
+        kraus = [U / np.sqrt(ch.degree) for _, U in ch.pairs]
         total = sum(K.conj().T @ K for K in kraus)
         assert np.max(np.abs(total - np.eye(N))) < 1e-10
 
@@ -82,22 +83,12 @@ class TestActionOnPhasePoints:
 
 
 class TestSuperoperator:
-    def test_vectorization_convention(self):
-        # Column stacking: vec(A X B^dag) = (conj(B) kron A) vec(X).
-        rng = np.random.default_rng(21)
-        A, B, X = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-                   for _ in range(3))
-        lhs = vectorize(A @ X @ B.conj().T)
-        rhs = np.kron(B.conj(), A) @ vectorize(X)
-        assert np.allclose(lhs, rhs, atol=1e-12)
-        assert np.allclose(unvectorize(vectorize(X), 4), X, atol=0)
-
     @pytest.mark.parametrize("N", [3, 5, 7])
     def test_hermitian_and_fixes_identity(self, N):
         ch = margulis_channel(PhaseSpaceContext(N))
         M = superoperator(ch)
         assert np.max(np.abs(M - M.conj().T)) < 1e-12
-        v = vectorize(np.eye(N, dtype=complex))
+        v = np.eye(N, dtype=complex).reshape(-1, order="F")
         assert np.allclose(M @ v, v, atol=1e-12)
 
     @pytest.mark.parametrize("N", [3, 5, 7])
@@ -113,7 +104,8 @@ class TestSuperoperator:
         M = superoperator(ch)
         rng = np.random.default_rng(22)
         rho = random_density(N, rng)
-        assert np.allclose(unvectorize(M @ vectorize(rho), N),
+        # Column stacking: vec(X) = X.reshape(-1, order="F").
+        assert np.allclose((M @ rho.reshape(-1, order="F")).reshape(N, N, order="F"),
                            apply_channel(ch, rho), atol=1e-12)
 
     def test_cap_guard(self):
@@ -142,7 +134,10 @@ class TestChannelReport:
 
     def test_one_unitary_channel_is_not_hermitian(self):
         # conj(F) kron F is not hermitian: eigvalsh would read half of it.
-        ch = KrausChannel(5, (fourier(PhaseSpaceContext(5)),))
+        # The map J = ((0, 1), (-1, 0)) has the unitary F.
+        ctx = PhaseSpaceContext(5)
+        ch = KrausChannel(ctx, (AffineMap(((0, 1), (-1, 0)), (0, 0), 5),))
+        assert np.allclose(ch.pairs[0][1], fourier(ctx), atol=1e-12)
         for solve in (channel_report, expander_lambda):
             with pytest.raises(ValueError, match="not hermitian"):
                 solve(ch)
@@ -181,7 +176,7 @@ class TestExpanderLambda:
         assert expander_lambda(ch) <= 0.8839
 
     def test_identity_channel_degenerate(self):
-        ch = KrausChannel(3, (np.eye(3, dtype=complex),))
+        ch = KrausChannel(PhaseSpaceContext(3), (AffineMap.identity(3),))
         assert expander_lambda(ch) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -293,6 +288,14 @@ class TestIntertwining:
 
 
 class TestKrausValidation:
-    def test_non_unitary_member_rejected(self):
-        with pytest.raises(ValueError, match="unitary"):
-            KrausChannel(3, (0.5 * np.eye(3, dtype=complex),))
+    def test_map_of_another_modulus_refused(self):
+        with pytest.raises(ValueError, match="map modulus 7 != context N 5"):
+            KrausChannel(PhaseSpaceContext(5), (AffineMap.identity(7),))
+
+    @pytest.mark.parametrize("N", [3, 7])
+    def test_pairs_each_walk_map_with_its_unitary(self, N):
+        ctx = PhaseSpaceContext(N)
+        pairs = margulis_channel(ctx).pairs
+        assert [T for T, _ in pairs] == margulis_generators(N)
+        for T, U in pairs:
+            assert np.array_equal(U, affine_unitary(ctx, T))

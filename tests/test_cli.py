@@ -209,6 +209,26 @@ class TestVerifyCommand:
         assert main(["verify", "--N", "7"]) == 1
         assert _failed_rows(capsys.readouterr().out) == ["orthonormality", "intertwining_lift"]
 
+    def test_nan_deviation_is_written_as_strict_json_null(self, tmp_path, monkeypatch, capsys):
+        # json.dumps writes NaN as the bare token NaN, which strict readers reject.
+        def nan_lift(ctx, table):
+            return np.full((ctx.N, ctx.N), np.nan, dtype=complex)
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        monkeypatch.setattr("margulis.cli.inverse_wigner", nan_lift)
+        monkeypatch.setattr("margulis.channel.inverse_wigner", nan_lift)
+        path = tmp_path / "report.json"
+        assert main(["verify", "--N", "5", "--json", "--out", str(path)]) == 1
+        stdout = capsys.readouterr().out
+        assert stdout == path.read_text()
+        report = json.loads(stdout, parse_constant=refuse)
+        rows = {c["check"]: c for c in report["checks"]}
+        for name in ("orthonormality", "intertwining_lift"):
+            assert rows[name]["max_deviation"] is None and rows[name]["passed"] is False
+        assert rows["covariance"]["passed"] is True and report["passed"] is False
+
     def test_nan_table_for_a_later_map_fails_covariance(self, monkeypatch, capsys):
         # Python's max over the maps kept the first map's value.  Each trial
         # tables rho for orthonormality, again for covariance, then U rho U^dag
@@ -321,6 +341,19 @@ class TestMomentsCommand:
             "(det not finite)\n")
         assert not out.exists()
 
+    def test_overflow_leaves_one_stderr_line(self, tmp_path):
+        # Run as a process: numpy's RuntimeWarnings go to stderr only once per
+        # call site, which a test run may already have spent.
+        proc = subprocess.run(
+            [sys.executable, "-m", "margulis", "moments", "--map", "f", "--mean",
+             "1e308,1e308", "--iters", "3", "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(margulis.__file__).parents[1])})
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "margulis: error: the moments leave float range at iteration 1 "
+            "(a, b, c, mean_x, mean_p, trace, det not finite)"]
+
     def test_bad_gamma_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["moments", "--gamma", "1,0"])
@@ -383,9 +416,11 @@ class TestUsage:
         (["verify", "--tol", "nan"], "--tol: expected a finite number > 0"),
         (["verify", "--tol", "-1"], "--tol: expected a finite number > 0"),
         (["verify", "--tol", "0"], "--tol: expected a finite number > 0"),
+        (["contraction", "--R", "-1"], "--R: expected an integer >= 1, got -1"),
+        (["contraction", "--delta", "nan"], "--delta: expected a finite number > 0, got nan"),
     ], ids=["circuit --qudits 0", "spectrum --N 3,51", "verify --N 245", "verify --trials 0",
             "verify --seed -1", "spectrum --N ,", "verify --tol nan", "verify --tol -1",
-            "verify --tol 0"])
+            "verify --tol 0", "contraction --R -1", "contraction --delta nan"])
     def test_usage_error_names_the_flag(self, argv, named, capsys):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -468,13 +503,15 @@ class TestUsage:
             "needs 7x7\n")
 
     def test_library_error_exits_2_in_a_real_process(self, tmp_path):
+        # --R 1 passes argparse; only discretize can judge it against the support.
         proc = subprocess.run(
-            [sys.executable, "-m", "margulis", "contraction", "--delta", "0",
+            [sys.executable, "-m", "margulis", "contraction", "--R", "1",
              "--out", str(tmp_path)],
             capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": str(Path(margulis.__file__).parents[1])})
         assert proc.returncode == 2
-        assert proc.stderr == "margulis: error: delta must be positive, got 0.0\n"
+        assert proc.stderr == ("margulis: error: support radius 1.375 exceeds grid extent "
+                               "R*delta = 0.25\n")
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as err:
