@@ -56,9 +56,13 @@ CIRCUIT_CHECK_MAX_DIM = 3 ** 7
 #: delta = 4 both sample to zero and "contract" with ratio 0.
 CONTRACTION_MAX_DELTA = 1.0
 
-#: Largest contraction --R: 16 samples on each of (2R + 1)^2 cells, a peak of
-#: about 170 MB at R = 256.
+#: Largest contraction --R.  At R = 256 the finest --delta a built-in function
+#: allows embeds it in N = 1539, and the command peaked at 65 MB resident.
 CONTRACTION_MAX_R = 256
+
+#: Largest moments --iters.  A trace that grows leaves float range by iteration
+#: 1002 (g from 5e-324,0,0); one that never does, as a + c = 0, only repeats.
+MOMENTS_MAX_ITERS = 1024
 
 
 def _odd_int(text: str) -> int:
@@ -302,6 +306,8 @@ def _mean(text: str) -> MeanVector:
 
 
 def cmd_moments(args) -> int:
+    if args.iters > MOMENTS_MAX_ITERS:
+        raise ValueError(f"--iters {args.iters} exceeds the moments limit {MOMENTS_MAX_ITERS}")
     for flag, values in (("--gamma", astuple(args.gamma)), ("--mean", astuple(args.mean))):
         if not all(map(math.isfinite, values)):
             raise ValueError(f"{flag} {','.join(map(str, values))} is not finite")

@@ -246,6 +246,10 @@ def _require_delta(delta: float) -> None:
         raise ValueError(f"delta must be small enough to square, got {delta}")
 
 
+#: Samples per strip of discretize: the test function's arrays at any R.
+_STRIP_SAMPLES = 1 << 15
+
+
 def discretize(test_fn, delta: float, R: int) -> SampledField:
     """Cell averages of a test function by 4-point Gauss-Legendre per axis.
 
@@ -266,14 +270,16 @@ def discretize(test_fn, delta: float, R: int) -> SampledField:
             f"R*delta = {R * delta}")
     nodes, weights = np.polynomial.legendre.leggauss(4)
     centers = np.arange(-R, R + 1) * delta
-    cx = centers[:, None, None, None]
-    cy = centers[None, :, None, None]
-    xs = cx + nodes[None, None, :, None] * (delta / 2.0)
-    ys = cy + nodes[None, None, None, :] * (delta / 2.0)
+    xs = centers[:, None, None, None] + nodes[None, None, :, None] * (delta / 2.0)
+    ys = centers[None, :, None, None] + nodes[None, None, None, :] * (delta / 2.0)
     w2 = np.outer(weights, weights) / 4.0
-    full_shape = np.broadcast_shapes(xs.shape, ys.shape)
-    samples = np.broadcast_to(np.asarray(test_fn(xs, ys), dtype=float), full_shape)
-    vals = np.einsum("xyab,ab->xy", samples, w2)
+    rows = max(1, _STRIP_SAMPLES // (16 * centers.size))
+    vals = np.empty((centers.size, centers.size))
+    for lo in range(0, centers.size, rows):  # a strip of cell rows at a time
+        strip = xs[lo:lo + rows]
+        full_shape = np.broadcast_shapes(strip.shape, ys.shape)
+        samples = np.broadcast_to(np.asarray(test_fn(strip, ys), dtype=float), full_shape)
+        vals[lo:lo + rows] = np.einsum("xyab,ab->xy", samples, w2)
     return SampledField(delta, R, vals)
 
 
@@ -320,7 +326,7 @@ def contraction_check(field: SampledField) -> ContractionReport:
     grid = np.zeros((N, N))
     idx = (np.arange(-radius, radius + 1)) % N
     grid[np.ix_(idx, idx)] = sub
-    stepped = walk_step(GridDist(N, grid))
+    stepped = walk_step(GridDist._adopt(grid))
     norm_in = field.norm2()
     norm_out = float(field.delta * np.linalg.norm(stepped.values))
     return ContractionReport(field.delta, field.R, N, norm_in, norm_out,

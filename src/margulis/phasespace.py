@@ -51,7 +51,6 @@ __all__ = [
     "fourier",
     "quadratic_phase",
     "metaplectic",
-    "word_matrix",
     "affine_unitary",
     "METAPLECTIC_GENERATORS",
     "operator_to_json",
@@ -244,20 +243,6 @@ def metaplectic(ctx: PhaseSpaceContext, word) -> np.ndarray:
                 f"unknown generator symbol {s!r}; "
                 f"expected one of {METAPLECTIC_GENERATORS}")
     return reduce(np.matmul, (_word_unitary(ctx, LINEAR_PARTS[s][1]) for s in word))
-
-
-def word_matrix(ctx: PhaseSpaceContext, word) -> tuple[tuple[int, int], tuple[int, int]]:
-    """SL(2, Z_N) matrix product of a generator word (left-to-right)."""
-    N = ctx.N
-    acc = ((1, 0), (0, 1))
-    for s in word:
-        if s not in LINEAR_PARTS:
-            raise ValueError(f"unknown generator symbol {s!r}")
-        (a, b), (c, d) = acc
-        (e, f_), (g, h) = LINEAR_PARTS[s][0]
-        acc = (((a * e + b * g) % N, (a * f_ + b * h) % N),
-               ((c * e + d * g) % N, (c * f_ + d * h) % N))
-    return acc
 
 
 def affine_unitary(ctx: PhaseSpaceContext, T: AffineMap) -> np.ndarray:

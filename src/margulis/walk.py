@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "AffineMap",
@@ -139,9 +140,6 @@ class AffineMap:
         object.__setattr__(self, "linear", _mod(self.linear, N))
         object.__setattr__(self, "shift", sh)
 
-    def __call__(self, v: tuple[int, int]) -> tuple[int, int]:
-        return apply_affine(self, v)
-
     def inverse(self) -> "AffineMap":
         """The inverse map v -> linear^{-1} (v - shift)."""
         N = self.modulus
@@ -226,10 +224,6 @@ class GridDist:
     def uniform(N: int) -> "GridDist":
         return GridDist(N, np.full((N, N), 1.0 / N**2))
 
-    def flatten(self) -> np.ndarray:
-        """Vector with index p*N + q, the basis order used by walk_matrix."""
-        return self.values.reshape(-1).copy()
-
 
 def _pullback_index(T: AffineMap) -> np.ndarray:
     """The array k with k[p, q] = flat index of T^{-1}(p, q), so f o T^{-1} = flat[k]."""
@@ -241,47 +235,70 @@ def _pullback_index(T: AffineMap) -> np.ndarray:
     return (a * p + b * q + s) % N * N + (c * p + d * q + t) % N
 
 
-@lru_cache(maxsize=4)
-def _paired_pullbacks(N: int) -> tuple[tuple[np.ndarray, tuple[int, int]], ...]:
-    """Per linear part L of the eight maps, the pair (k, u) walk_step needs.
+def _shear_table(maps) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+    """The walk maps as paired shears, one (axis, d, reads) per sheared axis.
 
-    WALK_MAPS gives each L two maps, T_0(v) = L v and T_t(v) = L v + t, so
-    f o T_0^{-1} + f o T_t^{-1} = g o L^{-1} with g = f + roll(f, u) and
-    u = L^{-1} t.  k is T_0's pullback index, built once per N and
-    read-only; u is read off T_t^{-1}(v) = L^{-1} v - u.  k stays intp:
-    numpy converts a narrower fancy index to intp on every gather.
+    ``maps`` are (label, linear, shift) triples over Z^2.  Each linear part
+    must add m times the other coordinate x to one axis y, and each shift t
+    must lie along y: then f o T^{-1} reads f(x, y - m x - t).  The two maps
+    with one m sum to g(x, y - m x + c), c = -min(t), for g = f + roll(f, d)
+    along y and d the gap between their t.  ``reads`` holds each (m, c).
     """
-    pairs = {}
-    for T in margulis_generators(N):
-        pairs.setdefault(T.linear, []).append(T)
+    axes: dict[int, dict[int, list[int]]] = {}
+    for label, ((a, b), (c, d)), (s, t) in maps:
+        axis, m, along, across = (0, b, s, t) if c == 0 else (1, c, t, s)
+        if (a, d) != (1, 1) or b * c or not m or across:
+            raise ValueError(f"{label}: {((a, b), (c, d))} + {(s, t)} is not a unit shear")
+        axes.setdefault(axis, {}).setdefault(m, []).append(along)
     table = []
-    for maps in pairs.values():
-        unshifted, shifted = sorted(maps, key=lambda T: T.shift != (0, 0))
-        k = _pullback_index(unshifted)
-        k.setflags(write=False)
-        table.append((k, tuple(-x % N for x in shifted.inverse().shift)))
+    for axis, pairs in sorted(axes.items()):
+        gaps = {max(ts) - min(ts) if len(ts) == 2 else None for ts in pairs.values()}
+        if len(gaps) != 1 or None in gaps:
+            raise ValueError(f"the shears along axis {axis} do not pair up with one gap")
+        table.append((axis, gaps.pop(), tuple((m, -min(ts)) for m, ts in pairs.items())))
     return tuple(table)
+
+
+_SHEARS = _shear_table(generator_data())
+
+#: Lattice cells per strip of walk_step: its scratch is a few arrays this size.
+_STRIP_CELLS = 1 << 15
 
 
 def walk_step(f: GridDist) -> GridDist:
     """One expander step: average of f o T^{-1} over the eight maps.
 
-    Each pair of maps with one linear part costs one roll and one gather
-    (see _paired_pullbacks).  Preserves total mass and nonnegativity; the
-    uniform distribution is its fixed point.  A sum that overflows raises
-    ValueError, as GridDist does for any table that is not finite.
+    Each axis of _shear_table is read a strip of lines at a time: a strip
+    holds f's lines, and before them the pair sum g's, so g's line x rotated
+    to start s = (c - m x) mod N is the window of length N at s.  The first
+    axis is read and written transposed.  Scratch is a few strips beside the
+    result, and nothing is kept between calls.  Preserves mass and
+    nonnegativity; a sum that overflows raises ValueError, as GridDist does
+    for any table that is not finite.
     """
     N = f.modulus
-    out = np.zeros((N, N))
-    for k, u in _paired_pullbacks(N):
-        g = np.roll(f.values, u, axis=(0, 1))
-        g += f.values  # in place: one N^2 temporary fewer than f + roll(f, u)
-        out += g.reshape(-1)[k]
-    # Hand the quotient over uncopied.  Allocated after the temporaries, it
-    # sits above them on the heap, so malloc keeps their freed memory for the
-    # next step; divided in place, out sat below them, and malloc gave that
-    # memory back to the system and faulted it in again on every step.
-    return GridDist._adopt(out / 8.0)
+    rows = min(N, max(1, _STRIP_CELLS // N))
+    strip = np.empty((rows, 2 * N))
+    windows = sliding_window_view(strip, N, axis=1)  # [i, s]: line i from s
+    x = np.arange(N)
+    out = np.empty((N, N))
+    for k, (axis, d, reads) in enumerate(_SHEARS):
+        src, dst = (f.values.T, out.T) if axis == 0 else (f.values, out)
+        starts = [(c - m * x) % N for m, c in reads]
+        for lo in range(0, N, rows):
+            n = min(rows, N - lo)
+            lines = strip[:n]
+            lines[:, N:] = src[lo:lo + n]  # f, then g = f + roll(f, d) before it
+            np.add(lines[:, N:], np.roll(lines[:, N:], d, axis=1), out=lines[:, :N])
+            lines[:, N:] = lines[:, :N]
+            acc = windows[x[:n], starts[0][lo:lo + n]]
+            for s in starts[1:]:
+                acc += windows[x[:n], s[lo:lo + n]]
+            if k:  # the first axis has written every cell
+                acc += dst[lo:lo + n]
+            dst[lo:lo + n] = acc
+    out /= 8.0
+    return GridDist._adopt(out)
 
 
 def walk_matrix(N: int) -> np.ndarray:

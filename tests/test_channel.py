@@ -249,8 +249,8 @@ class TestIntertwining:
         rng = np.random.default_rng(25)
         for _ in range(5):
             rho = random_hermitian(N, rng)
-            left = wigner(ctx, apply_channel(ch, rho)).flatten()
-            right = M @ wigner(ctx, rho).flatten()
+            left = wigner(ctx, apply_channel(ch, rho)).values.ravel()
+            right = M @ wigner(ctx, rho).values.ravel()
             assert np.max(np.abs(left - right)) < 1e-12
 
     def test_random_hermitian_matches_walk_table(self):

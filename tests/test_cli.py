@@ -12,7 +12,7 @@ import pytest
 import margulis
 from margulis import cli
 from margulis.circuits import evaluate, gate_list_from_jsonl
-from margulis.cli import main
+from margulis.cli import MOMENTS_MAX_ITERS, main
 from margulis.channel import margulis_channel, verify_wigner_intertwining
 from margulis.phasespace import (PhaseSpaceContext, _phase_point_stack, affine_unitary,
                                  inverse_wigner, operator_from_json, wigner)
@@ -341,6 +341,13 @@ class TestMomentsCommand:
             "(det not finite)\n")
         assert not out.exists()
 
+    def test_slowest_growth_overflows_inside_the_cap(self, tmp_path, capsys):
+        # From the smallest subnormal the trace grows slowest, and still leaves
+        # float range before --iters reaches its cap.
+        argv = ["moments", "--gamma", "5e-324,0,0", "--iters", str(MOMENTS_MAX_ITERS)]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "float range at iteration 1002 " in capsys.readouterr().err
+
     def test_overflow_leaves_one_stderr_line(self, tmp_path):
         # Run as a process: numpy's RuntimeWarnings go to stderr only once per
         # call site, which a test run may already have spent.
@@ -372,6 +379,7 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["walk", "--steps", "-1"],
         ["moments", "--iters", "-3"],
+        ["moments", "--iters", "1025"],
         ["verify", "--trials", "-2"],
         ["verify", "--trials", "0"],
         ["verify", "--tol", "nan"],
@@ -431,6 +439,7 @@ class TestUsage:
         (["contraction", "--delta", "1e300"], "--delta 1e+300 exceeds the contraction limit 1"),
         (["contraction", "--R", "100000"], "--R 100000 exceeds the contraction limit 256"),
         (["walk", "--N", "199999", "--steps", "0"], "--N 199999 exceeds the walk limit 1001"),
+        (["moments", "--iters", "200000"], "--iters 200000 exceeds the moments limit 1024"),
         (["moments", "--gamma", "nan,0,1"], "--gamma nan,0.0,1.0 is not finite"),
         (["moments", "--mean", "inf,0"], "--mean inf,0.0 is not finite"),
         (["circuit", "--d", "3", "--qudits", "12", "--check"],
@@ -452,6 +461,7 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["contraction", "--delta", "1"],
         ["walk", "--N", "1001", "--steps", "0"],
+        ["moments", "--gamma", "1,0,-1", "--iters", "1024"],
     ], ids=lambda argv: " ".join(argv))
     def test_values_at_the_caps_run(self, argv, tmp_path):
         assert main(argv + ["--out", str(tmp_path)]) == 0

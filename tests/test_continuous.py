@@ -1,12 +1,26 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import margulis.continuous
 from margulis.continuous import (TEST_FUNCTIONS, ContractionReport, CovMatrix,
                                  MeanVector, SampledField, TestFunction,
                                  contraction_check, discretize, f_map, g_map,
                                  g_matrix, gn_closed_form, growth_rate,
                                  mean_update, moments_csv, real_generators)
 from margulis.walk import GridDist, walk_step
+
+
+# discretize's samples taken all at once, (2R + 1)^2 cells of 16, kept as its reference.
+def _oracle_discretize(test_fn, delta, R):
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    centers = np.arange(-R, R + 1) * delta
+    xs = centers[:, None, None, None] + nodes[None, None, :, None] * (delta / 2.0)
+    ys = centers[None, :, None, None] + nodes[None, None, None, :] * (delta / 2.0)
+    samples = np.broadcast_to(np.asarray(test_fn(xs, ys), dtype=float),
+                              np.broadcast_shapes(xs.shape, ys.shape))
+    return np.einsum("xyab,ab->xy", samples, np.outer(weights, weights) / 4.0)
 
 
 def random_psd(rng):
@@ -204,6 +218,27 @@ class TestDiscretize:
         field = discretize("gaussian_dipole", 0.25, 8)
         assert abs(field.mass()) < 1e-15
 
+    @pytest.mark.parametrize("name", sorted(TEST_FUNCTIONS))
+    @pytest.mark.parametrize("delta,R,rows", [(0.25, 8, None), (0.03125, 64, None),
+                                              (0.25, 8, 1), (0.25, 8, 5)])
+    def test_strips_equal_the_all_at_once_samples(self, name, delta, R, rows, monkeypatch):
+        if rows:  # strips of `rows` cell rows, the last one short
+            monkeypatch.setattr(margulis.continuous, "_STRIP_SAMPLES", 16 * (2 * R + 1) * rows)
+        fn = TEST_FUNCTIONS[name]
+        assert np.array_equal(discretize(fn, delta, R).values, _oracle_discretize(fn, delta, R))
+
+    def test_peak_memory_at_the_largest_r(self):
+        # All at once, R = 256 took 16 samples per cell and several temporaries
+        # of them: a traced peak of 139 MB.  Strips keep it near the field.
+        tracemalloc.start()
+        try:
+            field = discretize("gaussian_dipole", 1 / 128, 256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert field.values.shape == (513, 513)
+        assert peak < 16e6
+
     def test_support_exceeding_grid_rejected(self):
         with pytest.raises(ValueError, match="support"):
             discretize("box_dipole", 0.25, 4)
@@ -278,6 +313,18 @@ class TestContractionCheck:
         stepped = walk_step(GridDist(N, grid))
         ratio = 0.25 * np.linalg.norm(stepped.values) / field.norm2()
         assert report.ratio == pytest.approx(ratio, rel=1e-12)
+
+    def test_embedding_is_adopted_not_copied(self):
+        # The step's result and the grid it was handed are the only N^2 arrays.
+        field = discretize("gaussian_dipole", 1 / 128, 256)
+        tracemalloc.start()
+        try:
+            report = contraction_check(field)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.N_embed == 1425
+        assert peak < 2 * 8 * report.N_embed ** 2 + 8e6
 
     def test_nonzero_mass_rejected(self):
         field = SampledField(0.5, 2, np.ones((5, 5)))

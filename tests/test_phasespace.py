@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from margulis.phasespace import (METAPLECTIC_GENERATORS, PhaseSpaceContext,
                                  operator_from_json, operator_to_json, parity,
                                  phase_point, phase_point_basis,
                                  quadratic_phase, shift_op,
-                                 weyl, wigner, word_matrix)
+                                 weyl, wigner)
 from margulis.walk import (LINEAR_PARTS, AffineMap, GridDist, apply_affine,
                            generator_map, linear_word, margulis_generators, walk_step)
 
@@ -319,7 +321,7 @@ class TestMetaplectic:
         ctx = PhaseSpaceContext(N)
         word = ["S1", "J", "S2inv"]
         mu = metaplectic(ctx, word)
-        (a, b), (c, d) = word_matrix(ctx, word)
+        (a, b), (c, d) = reduce(np.matmul, (LINEAR_PARTS[s][0] for s in word)) % N
         basis = phase_point_basis(ctx)
         for p, q in [(1, 0), (0, 1), (2, 3 % N), (N - 1, N - 2)]:
             tp, tq = (a * p + b * q) % N, (c * p + d * q) % N

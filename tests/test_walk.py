@@ -8,10 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import margulis.walk
 from margulis.walk import (GABBER_GALIL_BOUND, GENERATOR_LABELS, AffineMap,
                            GridDist, _axis_parities, _commutes_with_reflection,
                            _csv_heads, _csv_lines, _decimal_tables, _eigen_blocks,
-                           _parity_folds, _pullback_index, apply_affine, generator_data,
+                           _parity_folds, _pullback_index, _shear_table,
+                           apply_affine, generator_data,
                            generator_map, grid_from_csv, grid_to_csv,
                            grid_to_pgm, margulis_generators, spectral_report,
                            walk_matrix, walk_step)
@@ -25,10 +27,28 @@ def random_prob(N, rng):
     return GridDist(N, vals / vals.sum())
 
 
-# The eight-gather step the paired gathers replaced, kept as its reference.
-def _oracle_walk_step(f):
+# The eight-gather step the shear kernel replaced, kept as its reference.
+def _oracle_walk_step(f, maps=None):
+    N = f.modulus
+    maps = margulis_generators(N) if maps is None else [AffineMap(lin, sh, N)
+                                                         for _, lin, sh in maps]
     flat = f.values.reshape(-1)
-    return sum(flat[_pullback_index(T)] for T in margulis_generators(f.modulus)) / 8.0
+    return sum(flat[_pullback_index(T)] for T in maps) / 8.0
+
+
+# Eight maps shearing by 3 with shift gap 2, a table unlike WALK_MAPS in every
+# number the kernel derives: m, c and d.
+_OTHER_SHEARS = (
+    ("A", ((1, 3), (0, 1)), (1, 0)), ("B", ((1, 3), (0, 1)), (3, 0)),
+    ("Ai", ((1, -3), (0, 1)), (-1, 0)), ("Bi", ((1, -3), (0, 1)), (-3, 0)),
+    ("C", ((1, 0), (3, 1)), (0, 0)), ("D", ((1, 0), (3, 1)), (0, -2)),
+    ("Ci", ((1, 0), (-3, 1)), (0, 0)), ("Di", ((1, 0), (-3, 1)), (0, 2)),
+)
+
+# The walk maps with the shifts of T2 and T2inv dropped: on the first axis the
+# two maps of each pair coincide, and the pair sum is 2 f.
+_UNSHIFTED = tuple((label, lin, (0, 0) if label in ("T2", "T2inv") else sh)
+                   for label, lin, sh in generator_data())
 
 
 # The gather-form fold the row-by-row fold replaced, kept as its reference:
@@ -298,6 +318,59 @@ class TestWalkStep:
             assert f.values.sum() == pytest.approx(1.0, abs=1e-12)
             assert f.values.min() >= 0.0
 
+    def test_matches_oracle_at_n1001(self):
+        f = _table(1001, "negative", np.random.default_rng(1001))
+        assert np.allclose(walk_step(f).values, _oracle_walk_step(f), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("N", [7, 9, 15])
+    def test_strips_with_a_ragged_last_strip(self, N, monkeypatch):
+        monkeypatch.setattr(margulis.walk, "_STRIP_CELLS", 4 * N)  # strips of 4 lines
+        assert N > 4 and N % 4
+        rng = np.random.default_rng(N)
+        for kind in ("negative", "random"):
+            f = _table(N, kind, rng)
+            assert np.allclose(walk_step(f).values, _oracle_walk_step(f), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("maps", [_OTHER_SHEARS, _UNSHIFTED], ids=["by 3, gap 2", "gap 0"])
+    @pytest.mark.parametrize("N", [7, 9, 15])
+    def test_kernel_reads_its_numbers_off_the_map_table(self, N, maps, monkeypatch):
+        monkeypatch.setattr(margulis.walk, "_SHEARS", _shear_table(maps))
+        f = _table(N, "negative", np.random.default_rng(N))
+        want = _oracle_walk_step(f, maps)
+        assert np.allclose(walk_step(f).values, want, rtol=0, atol=1e-15)
+
+    def test_keeps_no_state_and_little_scratch(self):
+        # Traced from the first call at this N: only the result stays, and
+        # the step's scratch is a few strips, not N^2 arrays or index tables.
+        N = 1001
+        f = _table(N, "random", np.random.default_rng(7))
+        tracemalloc.start()
+        try:
+            g = walk_step(f)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.values.nbytes == 8 * N * N
+        assert current < g.values.nbytes + 2**16
+        assert peak < 1.5 * g.values.nbytes
+
+    @pytest.mark.parametrize("change,message", [
+        ({0: ("T1", ((0, 1), (-1, 0)), (0, 0))}, "T1: .* is not a unit shear"),
+        ({0: ("T1", ((1, 0), (0, 1)), (0, 0))}, "T1: .* is not a unit shear"),
+        ({0: ("T1", ((1, 2), (2, 5)), (0, 0))}, "T1: .* is not a unit shear"),
+        ({1: ("T2", ((1, 2), (0, 1)), (1, 1))}, "T2: .* is not a unit shear"),
+        ({1: ("T2", ((1, 2), (0, 1)), (2, 0))}, "axis 0 do not pair up"),
+        ({1: ("T2", ((1, 3), (0, 1)), (1, 0))}, "axis 0 do not pair up"),
+        ({2: ("T3", ((1, 0), (-2, 1)), (0, 0))}, "axis 1 do not pair up"),
+    ], ids=["rotation", "identity", "two-axis", "shift across", "gap 2 beside gap 1",
+            "one map of its m", "three maps of one m"])
+    def test_map_table_that_is_not_paired_shears_raises(self, change, message):
+        maps = list(generator_data())
+        for i, row in change.items():
+            maps[i] = row
+        with pytest.raises(ValueError, match=message):
+            _shear_table(maps)
+
     def test_overflowing_pair_sum_is_rejected(self):
         # f + roll(f, u) overflows to inf on a finite table; the step hands its
         # array to GridDist uncopied, but still checked.
@@ -358,7 +431,7 @@ class TestWalkMatrix:
         M = walk_matrix(N)
         for _ in range(20):
             f = random_prob(N, rng)
-            assert np.allclose(M @ f.flatten(), walk_step(f).flatten(), atol=1e-12)
+            assert np.allclose(M @ f.values.ravel(), walk_step(f).values.ravel(), atol=1e-12)
 
     def test_cap_guard(self):
         # One dense cap, shared with channel.superoperator; nothing overrides it.
