@@ -27,7 +27,7 @@ def random_prob(N, rng):
     return GridDist(N, vals / vals.sum())
 
 
-# The eight-gather step the shear kernel replaced, kept as its reference.
+# The eight-gather step, kept as the reference for walk_step.
 def _oracle_walk_step(f, maps=None):
     N = f.modulus
     maps = margulis_generators(N) if maps is None else [AffineMap(lin, sh, N)
