@@ -230,6 +230,14 @@ class SampledField:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def _adopt(cls, delta: float, R: int, vals: np.ndarray) -> "SampledField":
+        """Take over vals, a fresh (2R+1, 2R+1) float array, for a delta already checked."""
+        vals.setflags(write=False)
+        f = object.__new__(cls)
+        f.__dict__.update(delta=delta, R=R, values=vals)  # frozen: no setattr
+        return f
+
     def norm2(self) -> float:
         """Cell-volume-weighted 2-norm (delta^2 * sum of squares)^(1/2)."""
         return float(self.delta * np.linalg.norm(self.values))
@@ -280,7 +288,7 @@ def discretize(test_fn, delta: float, R: int) -> SampledField:
         full_shape = np.broadcast_shapes(strip.shape, ys.shape)
         samples = np.broadcast_to(np.asarray(test_fn(strip, ys), dtype=float), full_shape)
         vals[lo:lo + rows] = np.einsum("xyab,ab->xy", samples, w2)
-    return SampledField(delta, R, vals)
+    return SampledField._adopt(delta, R, vals)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import math
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -269,9 +269,9 @@ def walk_step(f: GridDist) -> GridDist:
     """One expander step: average of f o T^{-1} over the eight maps.
 
     Each axis of _shear_table is read a strip of lines at a time: a strip
-    holds f's lines, and before them the pair sum g's, so g's line x rotated
-    to start s = (c - m x) mod N is the window of length N at s.  The first
-    axis is read and written transposed.  Scratch is a few strips beside the
+    holds the pair sum g's lines twice over, so g's line x rotated to start
+    s = (c - m x) mod N is the window of length N at s.  The first axis is
+    read and written transposed.  Scratch is a few strips beside the
     result, and nothing is kept between calls.  Preserves mass and
     nonnegativity; a sum that overflows raises ValueError, as GridDist does
     for any table that is not finite.
@@ -285,19 +285,20 @@ def walk_step(f: GridDist) -> GridDist:
     for k, (axis, d, reads) in enumerate(_SHEARS):
         src, dst = (f.values.T, out.T) if axis == 0 else (f.values, out)
         starts = [(c - m * x) % N for m, c in reads]
+        d %= N
         for lo in range(0, N, rows):
             n = min(rows, N - lo)
-            lines = strip[:n]
-            lines[:, N:] = src[lo:lo + n]  # f, then g = f + roll(f, d) before it
-            np.add(lines[:, N:], np.roll(lines[:, N:], d, axis=1), out=lines[:, :N])
-            lines[:, N:] = lines[:, :N]
+            f_lines, g = src[lo:lo + n], strip[:n, :N]  # g = f + roll(f, d)
+            np.add(f_lines[:, d:], f_lines[:, :N - d], out=g[:, d:])
+            np.add(f_lines[:, :d], f_lines[:, N - d:], out=g[:, :d])
+            strip[:n, N:] = g
             acc = windows[x[:n], starts[0][lo:lo + n]]
             for s in starts[1:]:
                 acc += windows[x[:n], s[lo:lo + n]]
             if k:  # the first axis has written every cell
                 acc += dst[lo:lo + n]
             dst[lo:lo + n] = acc
-    out /= 8.0
+    out *= 0.125  # rounds the exact x / 8 once, as / 8 does
     return GridDist._adopt(out)
 
 
@@ -753,56 +754,67 @@ def _csv_lines(text: str) -> Iterator[str]:
 
 def _square_side(rows: int) -> int:
     N = math.isqrt(rows)
-    if N * N != rows:
+    if N * N != rows or not rows:
         raise ValueError(f"expected a square table, got {rows} rows")
     return N
+
+
+#: Rows that grid_from_csv parses with one np.loadtxt call.
+_CSV_ROWS = 1 << 12
+_loadtxt = partial(np.loadtxt, delimiter=",", comments=None, ndmin=1,
+                   dtype=[("p", np.int64), ("q", np.int64), ("value", np.float64)])
 
 
 def grid_from_csv(text: str) -> GridDist:
     """Inverse of grid_to_csv: each cell once, rows in any order, CRLF and blank lines ok.
 
-    np.loadtxt reads the rows from _csv_lines, a piece at a time, so the
-    N*N lines are never all held at once; a bad row is found again by
-    number to name it.
+    np.loadtxt parses _csv_lines _CSV_ROWS at a time into int32 indices and
+    values.  Once the row count fixes N, each batch in file order is checked
+    against a bitmap of the cells seen and written into the grid.
     """
     lines = _csv_lines(text)
     header = next(lines, "")
     if header.strip() != "p,q,value":
         raise ValueError(f"expected header 'p,q,value', got {header!r}")
-    first = next(lines, None)
-    if first is None:  # raised here, as loadtxt warns on no rows
-        raise ValueError("expected a square table, got 0 rows")
-    try:
-        with warnings.catch_warnings():
-            # numpy < 2 reads an index such as 1.0 with only a DeprecationWarning.
-            warnings.simplefilter("error", DeprecationWarning)
-            cells = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None,
-                               ndmin=1, dtype=[("p", np.int64), ("q", np.int64),
-                                               ("value", np.float64)])
-    except ValueError:
-        # A table that is not square is named as such, whatever its rows hold.
-        _square_side(sum(1 for _ in _csv_lines(text)) - 1)
-        raise
-    N = _square_side(len(cells))
-    p, q = cells["p"], cells["q"]
-    outside = (p < 0) | (p >= N) | (q < 0) | (q >= N)
-    key = p * N + q
-    order = np.argsort(key, kind="stable")  # a cell's first row sorts ahead of its repeats
-    repeat = np.zeros(len(key), dtype=bool)
-    repeat[order[1:]] = np.diff(key[order]) == 0
-    bad = np.flatnonzero(outside | repeat)
-    if bad.size:
-        i = bad[0]
-        row = next(itertools.islice(_csv_lines(text), i + 1, None))
-        if outside[i]:
-            raise ValueError(f"row {row!r}: index outside 0..{N - 1}")
-        raise ValueError(f"row {row!r}: duplicate cell ({p[i]}, {q[i]})")
-    # N*N rows in range and pairwise distinct cover every cell: key[order] is 0 .. N*N - 1.
-    return GridDist(N, cells["value"][order].reshape(N, N))
+    batches = []
+    with warnings.catch_warnings():
+        # numpy < 2 reads an index such as 1.0 with only a DeprecationWarning.
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            for first in lines:
+                cells = _loadtxt(itertools.chain([first], itertools.islice(lines, _CSV_ROWS - 1)))
+                # Clipped, an index past int32 stays outside for any N; a cast wraps 2**32 to 0.
+                batches.append([np.clip(cells[k], -1, 2**31 - 1).astype(np.int32) for k in "pq"]
+                               + [cells["value"].copy()])
+        except ValueError:
+            # A table that is not square is named as such, whatever its rows
+            # hold; else loadtxt's message numbers the row among all rows.
+            _square_side(sum(1 for _ in _csv_lines(text)) - 1)
+            _loadtxt(itertools.islice(_csv_lines(text), 1, None))
+            raise
+    N = _square_side(sum(p.size for p, _, _ in batches))
+    vals, seen = np.empty((N, N)), np.zeros(N * N, dtype=bool)
+    for b, (p, q, value) in enumerate(batches):
+        outside = (p < 0) | (p >= N) | (q < 0) | (q >= N)
+        key = np.where(outside, 0, p.astype(np.intp) * N + q)  # an outside row is bad anyway
+        _, first, cell = np.unique(key, return_index=True, return_inverse=True)
+        bad = np.flatnonzero(outside | seen[key] | (first[cell] != np.arange(p.size)))
+        if bad.size:
+            i = bad[0]
+            row = next(itertools.islice(_csv_lines(text), b * _CSV_ROWS + i + 1, None))
+            if outside[i]:
+                raise ValueError(f"row {row!r}: index outside 0..{N - 1}")
+            raise ValueError(f"row {row!r}: duplicate cell ({p[i]}, {q[i]})")
+        seen[key] = True
+        vals.reshape(-1)[key] = value
+    # N*N rows in range and pairwise distinct cover every cell.
+    _require_odd_modulus(N)
+    return GridDist._adopt(vals)
 
 
-#: The 256 gray levels as text, looked up rather than formatted per pixel.
-_PGM_LEVELS = [str(level) for level in range(256)]
+#: Gray level k as the bytes of "k", NUL-padded, and a space: (256, 4).
+_PGM_LEVELS = np.array([f"{k}".encode().ljust(3, b"\0") + b" " for k in range(256)],
+                       dtype="S4").view(np.uint8).reshape(256, 4)
 
 
 def grid_to_pgm(f: GridDist, lo: float | None = None, hi: float | None = None) -> str:
@@ -816,9 +828,9 @@ def grid_to_pgm(f: GridDist, lo: float | None = None, hi: float | None = None) -
     hi = float(vals.max()) if hi is None else float(hi)
     if hi > lo:
         # Clip before the cast: a value far above hi overflows int.
-        pix = np.clip(np.rint((vals - lo) / (hi - lo) * 255.0), 0, 255).astype(int)
+        pix = np.clip(np.rint((vals - lo) / (hi - lo) * 255.0), 0, 255).astype(np.uint8)
     else:
-        pix = np.zeros_like(vals, dtype=int)
-    lines = ["P2", f"{f.modulus} {f.modulus}", "255"]
-    lines += [" ".join([_PGM_LEVELS[v] for v in row]) for row in pix.tolist()]
-    return "\n".join(lines) + "\n"
+        pix = np.zeros_like(vals, dtype=np.uint8)
+    text = _PGM_LEVELS[pix]
+    text[:, -1, -1] = ord("\n")  # each row's last space; then the NUL bytes go
+    return f"P2\n{f.modulus} {f.modulus}\n255\n" + text[text != 0].tobytes().decode("ascii")

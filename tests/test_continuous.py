@@ -239,6 +239,19 @@ class TestDiscretize:
         assert field.values.shape == (513, 513)
         assert peak < 16e6
 
+    def test_field_is_adopted_not_copied(self):
+        # The field is made once and handed over: the samples' strips are
+        # the only scratch beside it (a copy of it read 2.1 fields).
+        discretize("gaussian_dipole", 0.25, 8)  # imports numpy.polynomial first
+        tracemalloc.start()
+        try:
+            field = discretize("gaussian_dipole", 1 / 128, 256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not field.values.flags.writeable
+        assert peak < 1.75 * field.values.nbytes
+
     def test_support_exceeding_grid_rejected(self):
         with pytest.raises(ValueError, match="support"):
             discretize("box_dipole", 0.25, 4)

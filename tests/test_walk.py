@@ -161,6 +161,8 @@ BAD_CELLS = [
     ("-1,0", "outside"),   # a negative index must not wrap to N-1
     ("3,0", "outside"),
     ("1,0", "duplicate"),  # would overwrite (1,0) and leave (2,0) unset
+    ("4294967296,0", "outside"),  # must not wrap to 0 in the reader's int32 columns
+    ("0,-4294967296", "outside"),
 ]
 MALFORMED_FIELDS = [
     "2,0",          # two fields
@@ -771,12 +773,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             grid_from_csv("\n".join(lines) + "\n")
 
-    @pytest.mark.parametrize("piece", [1, 2, 3, 7])
-    def test_reader_corpus_in_small_pieces(self, piece, monkeypatch):
-        # Cut into pieces of a few characters, every line, CRLF pair and
-        # blank run of the corpus meets a cut, and the stripped ends span
-        # several pieces.  Values and messages must not change, and must
-        # be the oracle's, bar the messages of loadtxt's own parse.
+    @staticmethod
+    def _assert_corpus_read_alike(monkeypatch, setting, size):
+        # Values and messages must not change with `setting` patched to
+        # `size`, and must be the oracle's, bar the messages of loadtxt's
+        # own parse.
         def read(text):
             try:
                 return grid_from_csv(text).values.tobytes()
@@ -785,7 +786,7 @@ class TestSerialization:
 
         corpus = list(_reader_corpus())
         whole = [read(text) for text in corpus]
-        monkeypatch.setattr("margulis.walk._CSV_PIECE", piece)
+        monkeypatch.setattr(margulis.walk, setting, size)
         assert [read(text) for text in corpus] == whole
         for text, got in zip(corpus, whole):
             try:
@@ -796,6 +797,54 @@ class TestSerialization:
                 assert got == want
             else:
                 assert isinstance(got, str)
+
+    @pytest.mark.parametrize("piece", [1, 2, 3, 7])
+    def test_reader_corpus_in_small_pieces(self, piece, monkeypatch):
+        # Cut into pieces of a few characters, every line, CRLF pair and
+        # blank run of the corpus meets a cut, and the stripped ends span
+        # several pieces.
+        self._assert_corpus_read_alike(monkeypatch, "_CSV_PIECE", piece)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_reader_corpus_in_small_batches(self, rows, monkeypatch):
+        # Every table of the corpus spans several batches, and its bad rows
+        # fall first, last and inside them.
+        self._assert_corpus_read_alike(monkeypatch, "_CSV_ROWS", rows)
+
+    @pytest.mark.parametrize("row, bad, named", [
+        (5000, "1.5,0,0.5", "at row 4999, column 1."), (9001, "3,0", "at row 9001;"),
+        (4097, "3,0,0.5,0.5", "at row 4097;"), (10201, "3,0,x", "at row 10200, column 3.")])
+    def test_loadtxt_message_numbers_the_row_among_all_rows(self, row, bad, named):
+        # Past the first batch, the message is that of one parse of every
+        # row: its row number counts from the top, not from the batch.
+        lines = grid_to_csv(_table(101, "random", np.random.default_rng(3))).splitlines()
+        lines[row] = bad
+        assert row > margulis.walk._CSV_ROWS
+        with pytest.raises(ValueError) as whole:
+            np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=1,
+                       dtype=[("p", np.int64), ("q", np.int64), ("value", np.float64)])
+        assert named in str(whole.value)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(whole.value))}$"):
+            grid_from_csv("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("first, second", [
+        ((4096, "-1,0"), (4097, "dup")), ((4097, "-1,0"), (4096, "dup")),
+        ((4096, "dup"), (4097, "101,0")), ((4097, "dup"), (4096, "0,101")),
+        ((4100, "dup"), (4000, "dup")), ((8193, "0,-1"), (100, "dup")),
+        ((4097, "dup"), (8200, "-1,0"))])
+    def test_reader_names_the_first_bad_row_across_a_batch_boundary(self, first, second):
+        # Line 4096 (the header is line 0) ends the first batch and line
+        # 4097 starts the second; a "dup" line repeats the cell (0, 0).
+        lines = grid_to_csv(_table(101, "random", np.random.default_rng(3))).splitlines()
+        assert margulis.walk._CSV_ROWS == 4096 and lines[1].startswith("0,0,")
+        for row, cell in (first, second):
+            lines[row] = f"{'0,0' if cell == 'dup' else cell},0.5"
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(ValueError) as oracle:
+            _oracle_grid_from_csv(text)
+        assert str(oracle.value).startswith(f"row '{lines[min(first[0], second[0])]}'")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(oracle.value))}$"):
+            grid_from_csv(text)
 
     @pytest.mark.parametrize("piece", [1, 2, 5, 1 << 16])
     def test_csv_lines_are_the_stripped_texts_lines(self, piece, monkeypatch):
@@ -811,8 +860,10 @@ class TestSerialization:
             assert list(_csv_lines(text)) == [ln for ln in text.strip().splitlines() if ln]
 
     def test_csv_reader_peak_at_n401(self):
-        # loadtxt takes the lines a piece at a time, so the parsed cells and
-        # the index arrays are the peak; a list of the lines read 23.2 MiB.
+        # The grid, its bitmap of cells seen and each row's int32 indices
+        # and value (two grids) are the peak, 4.2 MiB.  A list of the lines
+        # read 23.2 MiB, one parse of every row into 24-byte records, sorted
+        # by cell, 9.05 MiB.
         text = grid_to_csv(_table(401, "negative", np.random.default_rng(9)))
         tracemalloc.start()
         try:
@@ -820,7 +871,7 @@ class TestSerialization:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 11 * 2**20
+        assert peak <= 5 * 2**20
 
     def test_pgm_format_and_rescale(self):
         f = GridDist.delta(3)
