@@ -30,6 +30,7 @@ import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from typing import NoReturn
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -518,17 +519,6 @@ def _fmt(x: float) -> str:
 _CSV_CHUNK = 1 << 14
 
 
-@lru_cache(maxsize=4)
-def _csv_heads(N: int) -> np.ndarray:
-    """Row k is the bytes of "k," for k in 0..N-1, NUL-padded to one width; read-only.
-
-    grid_to_csv starts each row with the heads of p and q.
-    """
-    heads = np.array([f"{k}," for k in range(N)], dtype="S").view(np.uint8).reshape(N, -1)
-    heads.setflags(write=False)
-    return heads
-
-
 @dataclass(frozen=True)
 class _DecimalTables:
     """Lookup tables for _decimal_digits and _write_values.
@@ -686,12 +676,12 @@ def _write_values(x: np.ndarray, out: np.ndarray) -> None:
 def _csv_chunks(f: GridDist) -> Iterator[str]:
     """grid_to_csv's text in pieces: the header, then each chunk of rows.
 
-    Rows are built as NUL-padded byte matrices, heads "p," and "q," from
-    _csv_heads, then the value and a newline, a few thousand rows at a time
-    so the matrices stay near 1 MB; each chunk drops its NUL bytes.
+    Rows are built as NUL-padded byte matrices, heads "p," and "q," (row k
+    of heads is "k,"), then the value and a newline, a few thousand rows at
+    a time so the matrices stay near 1 MB; each chunk drops its NUL bytes.
     """
     N = f.modulus
-    heads = _csv_heads(N)
+    heads = np.array([f"{k}," for k in range(N)], dtype="S").view(np.uint8).reshape(N, -1)
     w = heads.shape[1]
     width = 2 * w + _VALUE_WIDTH + 1
     cols = max(1, _CSV_CHUNK // N)
@@ -765,12 +755,30 @@ _loadtxt = partial(np.loadtxt, delimiter=",", comments=None, ndmin=1,
                    dtype=[("p", np.int64), ("q", np.int64), ("value", np.float64)])
 
 
+def _diagnose(text: str) -> NoReturn:
+    """Raise grid_from_csv's error for a table it could not place: not square,
+    whatever its rows hold; else loadtxt's message from one parse of every row
+    (counted from the top), or the first row outside 0..N-1 or on a cell seen."""
+    N = _square_side(sum(1 for _ in _csv_lines(text)) - 1)
+    cells = _loadtxt(itertools.islice(_csv_lines(text), 1, None))
+    p, q = cells["p"], cells["q"]
+    outside = (p < 0) | (p >= N) | (q < 0) | (q >= N)
+    key = np.where(outside, 0, p * N + q)  # an outside row is bad anyway
+    _, first, cell = np.unique(key, return_index=True, return_inverse=True)
+    i = np.flatnonzero(outside | (first[cell] != np.arange(key.size)))[0]
+    row = next(itertools.islice(_csv_lines(text), i + 1, None))
+    if outside[i]:
+        raise ValueError(f"row {row!r}: index outside 0..{N - 1}")
+    raise ValueError(f"row {row!r}: duplicate cell ({p[i]}, {q[i]})")
+
+
 def grid_from_csv(text: str) -> GridDist:
     """Inverse of grid_to_csv: each cell once, rows in any order, CRLF and blank lines ok.
 
     np.loadtxt parses _csv_lines _CSV_ROWS at a time into int32 indices and
-    values.  Once the row count fixes N, each batch in file order is checked
-    against a bitmap of the cells seen and written into the grid.
+    values.  Once the row count fixes N, each batch is range-tested, written
+    into the grid and marked in a bitmap: N*N rows in range that mark every
+    cell hold each cell once.  _diagnose names the fault of any other table.
     """
     lines = _csv_lines(text)
     header = next(lines, "")
@@ -787,27 +795,17 @@ def grid_from_csv(text: str) -> GridDist:
                 batches.append([np.clip(cells[k], -1, 2**31 - 1).astype(np.int32) for k in "pq"]
                                + [cells["value"].copy()])
         except ValueError:
-            # A table that is not square is named as such, whatever its rows
-            # hold; else loadtxt's message numbers the row among all rows.
-            _square_side(sum(1 for _ in _csv_lines(text)) - 1)
-            _loadtxt(itertools.islice(_csv_lines(text), 1, None))
-            raise
+            _diagnose(text)
     N = _square_side(sum(p.size for p, _, _ in batches))
     vals, seen = np.empty((N, N)), np.zeros(N * N, dtype=bool)
-    for b, (p, q, value) in enumerate(batches):
-        outside = (p < 0) | (p >= N) | (q < 0) | (q >= N)
-        key = np.where(outside, 0, p.astype(np.intp) * N + q)  # an outside row is bad anyway
-        _, first, cell = np.unique(key, return_index=True, return_inverse=True)
-        bad = np.flatnonzero(outside | seen[key] | (first[cell] != np.arange(p.size)))
-        if bad.size:
-            i = bad[0]
-            row = next(itertools.islice(_csv_lines(text), b * _CSV_ROWS + i + 1, None))
-            if outside[i]:
-                raise ValueError(f"row {row!r}: index outside 0..{N - 1}")
-            raise ValueError(f"row {row!r}: duplicate cell ({p[i]}, {q[i]})")
+    for p, q, value in batches:
+        if min(p.min(), q.min()) < 0 or max(p.max(), q.max()) >= N:
+            _diagnose(text)
+        key = p.astype(np.intp) * N + q
         seen[key] = True
         vals.reshape(-1)[key] = value
-    # N*N rows in range and pairwise distinct cover every cell.
+    if not seen.all():
+        _diagnose(text)
     _require_odd_modulus(N)
     return GridDist._adopt(vals)
 
