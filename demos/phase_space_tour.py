@@ -3,20 +3,20 @@
 
 Checks, numerically and loudly, the identities everything else rests on:
 the phase-point operators form an orthonormal basis, displacements translate
-them, the metaplectic generators move their labels by the right matrices,
-and the Wigner transform inverts cleanly.
+them, the quadratic phase and the walk unitaries move their labels by the
+right matrices, and the Wigner transform inverts cleanly.
 """
 
 import numpy as np
 
 from margulis import (PhaseSpaceContext, affine_unitary, inverse_wigner,
-                      margulis_generators, parity, phase_point_basis,
+                      margulis_generators, parity, phase_point,
                       quadratic_phase, weyl, wigner)
 from margulis.walk import apply_affine
 
 N = 5
 ctx = PhaseSpaceContext(N)
-basis = phase_point_basis(ctx)
+basis = np.array([phase_point(ctx, p, q) for p in range(N) for q in range(N)])
 
 gram = np.einsum("vij,wji->vw", basis, basis) / N
 print("orthonormality: max |(1/N) tr(A(v) A(w)) - delta| =",

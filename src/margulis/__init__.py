@@ -24,8 +24,8 @@ from .walk import (AffineMap, GridDist, SpectralReport, GABBER_GALIL_BOUND,
                    generator_map, margulis_generators, spectral_report,
                    walk_matrix, walk_step)
 from .phasespace import (PhaseSpaceContext, affine_unitary, fourier,
-                         inverse_wigner, metaplectic, parity, phase_point,
-                         phase_point_basis, quadratic_phase, weyl, wigner)
+                         inverse_wigner, parity, phase_point, quadratic_phase,
+                         weyl, wigner)
 from .channel import (KrausChannel, apply_channel, channel_report,
                       expander_lambda, margulis_channel, superoperator,
                       verify_wigner_intertwining)

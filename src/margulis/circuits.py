@@ -11,13 +11,13 @@ Synthesized families:
 
 * ``qft_circuit``: the N-level Fourier transform from n single-qudit
   Fourier gates, n(n-1)/2 controlled phases, and one reversal.
-* ``quadratic_circuit``: diag(exp(sign*2*pi*i*j^2/N)) as its digit
-  expansion; pairs (l, l') with l + l' <= n carry integer phase exponents
-  and are dropped.
+* ``quadratic_circuit``: diag(exp(k*2*pi*i*j^2/N)) as its digit
+  expansion; pairs (l, l') whose phase exponent is an integer are dropped.
 * ``weyl_circuit``: z(p) is a product of n local phases; x(q) is
   synthesized as F^dag z(q) F; the displacement's scalar prefactor is kept
   as an exact global-phase annotation.
-* ``affine_circuit``: generator word followed by the displacement.
+* ``affine_circuit``: the shear's chirp, Fourier-conjugated on axis 1,
+  followed by the displacement.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import AffineMap, linear_word
+from .phasespace import _shear_chirp
+from .walk import AffineMap
 
 __all__ = [
     "Gate",
@@ -189,26 +190,27 @@ def qft_circuit(d: int, n: int) -> GateList:
     return GateList(d, n, _qft_gates(d, n))
 
 
-def quadratic_circuit(d: int, n: int, sign: int) -> GateList:
-    """Circuit for diag(exp(sign*2*pi*i*j^2/d^n)), sign = +-1.
+def quadratic_circuit(d: int, n: int, k: int) -> GateList:
+    """Circuit for diag(exp(k*2*pi*i*j^2/d^n)), for any integer k.
 
     The digit expansion of j^2 gives one phase term per qudit pair (l, l'),
-    with exponent d^{n-l-l'}; terms with l + l' <= n are integer phases and
-    are dropped.  Off-diagonal pairs are emitted once with coefficient
-    2*sign; diagonal terms become single-qudit quadratic phases with
-    coefficient sign.
+    with exponent d^{n-l-l'}: off-diagonal pairs are emitted once with
+    coefficient 2k, diagonal terms become single-qudit quadratic phases
+    with coefficient k.  Terms whose phase is trivial (c = 0 mod M) are
+    dropped, among them every pair with l + l' <= n and, for k = 0 mod d^n,
+    all of them.
     """
     _require_odd_d(d)
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    if not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
     gates = []
     for l in range(1, n + 1):
         for lp in range(max(l, n + 1 - l), n + 1):
             M = d ** (l + lp - n)
-            if lp == l:
-                gates.append(Gate("quadratic_phase", d, (l,), sign, M))
-            else:
-                gates.append(Gate("cphase", d, (l, lp), 2 * sign, M))
+            if lp == l and k % M:
+                gates.append(Gate("quadratic_phase", d, (l,), k, M))
+            elif lp != l and 2 * k % M:
+                gates.append(Gate("cphase", d, (l, lp), 2 * k, M))
     return GateList(d, n, tuple(gates))
 
 
@@ -242,30 +244,22 @@ def weyl_circuit(d: int, n: int, p: int, q: int) -> GateList:
     return GateList(d, n, tuple(gates), phase_num=num, phase_den=N if num else 1)
 
 
-def _primitive_gates(d: int, n: int) -> dict[str, tuple[Gate, ...]]:
-    """Gate lists of the primitives that the words in LINEAR_PARTS use."""
-    qft = _qft_gates(d, n)
-    return {"Q+": quadratic_circuit(d, n, +1).gates,
-            "Q-": quadratic_circuit(d, n, -1).gates,
-            "F": qft,
-            "Finv": inverse_gates(qft)}
-
-
 def affine_circuit(d: int, n: int, T: AffineMap) -> GateList:
     """Gate list for the unitary implementing the affine map T on N = d^n.
 
-    Equals ``phasespace.affine_unitary`` up to a global phase; supported
-    linear parts are the identity and the symbols of
-    :data:`margulis.walk.LINEAR_PARTS`.  A word in matrix order acts last
-    factor first, so its primitives are emitted in reverse.
+    Equals ``phasespace.affine_unitary`` up to a global phase, for the unit
+    shears it supports.  The chirp's coefficient is centred into
+    (-N/2, N/2]; on axis 1 it runs between F^dag and F, so F acts last.
     """
     _require_odd_d(d)
     N = d ** n
     if T.modulus != N:
         raise ValueError(f"map modulus {T.modulus} != d^n = {N}")
-    word = linear_word(T.linear, N)
-    prims = _primitive_gates(d, n)
-    gates = tuple(g for p in reversed(word) for g in prims[p])
+    axis, c = _shear_chirp(T)
+    gates = quadratic_circuit(d, n, c - N if c > N // 2 else c).gates
+    if axis:
+        qft = _qft_gates(d, n)
+        gates = inverse_gates(qft) + gates + qft
     disp = weyl_circuit(d, n, T.shift[0], T.shift[1])
     return GateList(d, n, gates + disp.gates,
                     phase_num=disp.phase_num, phase_den=disp.phase_den)

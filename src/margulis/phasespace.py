@@ -22,21 +22,18 @@ Conventions, all pinned by tests:
 
   indices mod N.  ``wigner`` gathers g[q,y] = rho[q-y, q+y] and reads
   entry 2p mod N of ``numpy.fft.ifft`` along y; ``inverse_wigner`` is the
-  transpose, rho[q+y, q-y] = sum_p W[p,q] omega^{2py}.  Neither touches
-  ``phase_point_basis``, whose N^2 x N x N stack (O(N^4) memory) is kept
-  as the test oracle for these formulas.
+  transpose, rho[q+y, q-y] = sum_p W[p,q] omega^{2py}.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
-from .walk import (LINEAR_PARTS, AffineMap, GridDist, _require_odd_modulus,
-                   linear_word)
+from .walk import AffineMap, GridDist, _require_odd_modulus, _unit_shear
 
 __all__ = [
     "PhaseSpaceContext",
@@ -45,14 +42,11 @@ __all__ = [
     "weyl",
     "parity",
     "phase_point",
-    "phase_point_basis",
     "wigner",
     "inverse_wigner",
     "fourier",
     "quadratic_phase",
-    "metaplectic",
     "affine_unitary",
-    "METAPLECTIC_GENERATORS",
     "operator_to_json",
     "operator_from_json",
 ]
@@ -119,27 +113,6 @@ def phase_point(ctx: PhaseSpaceContext, p: int, q: int) -> np.ndarray:
     return w @ parity(ctx) @ w.conj().T
 
 
-@lru_cache(maxsize=16)
-def _phase_point_stack(N: int) -> np.ndarray:
-    ctx = PhaseSpaceContext(N)
-    stack = np.empty((N * N, N, N), dtype=complex)
-    for p in range(N):
-        for q in range(N):
-            stack[p * N + q] = phase_point(ctx, p, q)
-    stack.setflags(write=False)
-    return stack
-
-
-def phase_point_basis(ctx: PhaseSpaceContext) -> np.ndarray:
-    """All N^2 phase-point operators stacked as [p*N+q, :, :] (read-only).
-
-    Dense and cached: O(N^4) time and memory on first use per N.  No
-    transform or CLI command uses it; it is the oracle that the closed-form
-    ``wigner`` and ``inverse_wigner`` are tested against.
-    """
-    return _phase_point_stack(ctx.N)
-
-
 @lru_cache(maxsize=4)
 def _antidiagonal_indices(N: int) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (q-y, q+y) mod N, both indexed [q, y]; read-only, built once per N."""
@@ -202,82 +175,49 @@ def quadratic_phase(ctx: PhaseSpaceContext, sign: int) -> np.ndarray:
     return np.diag(_quadratic_diagonal(ctx, sign))
 
 
-def _quadratic_diagonal(ctx: PhaseSpaceContext, sign: int) -> np.ndarray:
+def _quadratic_diagonal(ctx: PhaseSpaceContext, c: int) -> np.ndarray:
+    """exp(2*pi*i * c * j^2 / N) for j < N; c and j^2 are reduced mod N
+    before they multiply, so the product stays below N^2."""
     j = np.arange(ctx.N)
-    return _phases(ctx, sign * j * j)
+    return _phases(ctx, c % ctx.N * (j * j % ctx.N))
 
 
-#: The quadratic-phase symbols of the words in LINEAR_PARTS, with their signs.
-_QUADRATIC_SIGNS = {"Q+": 1, "Q-": -1}
+def _shear_chirp(T: AffineMap) -> tuple[int, int]:
+    """(axis, c) for T's unit shear mod N: mu(linear) is diag(omega^{c j^2})
+    on axis 0 and F diag(omega^{c j^2}) F^dag on axis 1, 0 <= c < N.
 
-
-#: Word symbols accepted by :func:`metaplectic`.
-METAPLECTIC_GENERATORS = tuple(LINEAR_PARTS)
-
-# Dense unitaries of the primitives that the words in LINEAR_PARTS use.
-_PRIMITIVES = {
-    "Q+": lambda ctx: quadratic_phase(ctx, +1),
-    "Q-": lambda ctx: quadratic_phase(ctx, -1),
-    "F": fourier,
-    "Finv": lambda ctx: fourier(ctx).conj().T,
-}
-
-
-def _word_unitary(ctx: PhaseSpaceContext, word) -> np.ndarray:
-    """Product of the primitives in a nonempty word, left to right."""
-    return reduce(np.matmul, (_PRIMITIVES[p](ctx) for p in word))
-
-
-def metaplectic(ctx: PhaseSpaceContext, word) -> np.ndarray:
-    """Product of generator unitaries for a word over METAPLECTIC_GENERATORS.
-
-    The representation is projective: the result implements the word's
-    matrix product on phase-point labels, up to a global phase.
+    diag(omega^{c j^2}) moves labels by [[1, 2c], [0, 1]], and conjugation
+    by F = mu(J) turns that into [[1, 0], [-2c, 1]]; so c = +-inv2 * m.
     """
-    word = list(word)
-    if not word:
-        raise ValueError("word must be nonempty")
-    for s in word:
-        if s not in LINEAR_PARTS:
-            raise ValueError(
-                f"unknown generator symbol {s!r}; "
-                f"expected one of {METAPLECTIC_GENERATORS}")
-    return reduce(np.matmul, (_word_unitary(ctx, LINEAR_PARTS[s][1]) for s in word))
+    axis, m = _unit_shear(T.linear)
+    inv2 = (T.modulus + 1) // 2
+    return axis, (-inv2 * m if axis else inv2 * m) % T.modulus
 
 
 def affine_unitary(ctx: PhaseSpaceContext, T: AffineMap) -> np.ndarray:
     """Unitary U_T = w(shift) mu(linear) with U_T A(v) U_T^dag = A(T(v)).
 
-    Supports linear parts that are the identity or one symbol of
-    :data:`margulis.walk.LINEAR_PARTS`; all eight walk maps qualify.  Built
-    in closed form from the symbol's word, with no matrix product: mu is the
-    identity, a quadratic phase Q, the DFT F, or the circulant F Q F^dag,
-    whose first column is ifft of Q's diagonal.  w(p, q) moves row k - q of
-    mu to row k and scales it by omega^{p k - inv2 p q}.  The word's matrix
-    product, as :func:`metaplectic` forms it, is the test oracle.
+    Supports linear parts that are unit shears, which all eight walk maps
+    are; any other raises ValueError.  Built in closed form from the chirp
+    of :func:`_shear_chirp`, with no matrix product: mu is the chirp on
+    axis 0, and on axis 1 the circulant F chirp F^dag, whose first column
+    is ifft of the chirp.  w(p, q) moves row k - q of mu to row k and
+    scales it by omega^{p k - inv2 p q}.
     """
     if T.modulus != ctx.N:
         raise ValueError(f"map modulus {T.modulus} != context N {ctx.N}")
     N = ctx.N
-    word = linear_word(T.linear, N)
+    axis, c = _shear_chirp(T)
+    chirp = _quadratic_diagonal(ctx, c)
     p, q = T.shift
     k = np.arange(N)
     src = (k - q) % N  # the row of mu that lands on row k
     phase = _phases(ctx, p * k - ctx.inv2 * p * q)
-    match word:
-        case ("F",):
-            return phase[:, None] * _phases(ctx, np.outer(src, k)) / np.sqrt(N)
-        case ("F", quad, "Finv"):
-            column = np.fft.ifft(_quadratic_diagonal(ctx, _QUADRATIC_SIGNS[quad]))
-            return phase[:, None] * column[(src[:, None] - k) % N]
-        case (quad,):
-            diagonal = _quadratic_diagonal(ctx, _QUADRATIC_SIGNS[quad])
-        case ():
-            diagonal = np.ones(N)
-        case _:
-            raise ValueError(f"no closed form for the word {word}")
+    if axis:
+        column = np.fft.ifft(chirp)
+        return phase[:, None] * column[(src[:, None] - k) % N]
     U = np.zeros((N, N), dtype=complex)
-    U[k, src] = phase * diagonal[src]
+    U[k, src] = phase * chirp[src]
     return U
 
 

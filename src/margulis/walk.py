@@ -40,12 +40,10 @@ __all__ = [
     "GridDist",
     "SpectralReport",
     "GENERATOR_LABELS",
-    "LINEAR_PARTS",
     "WALK_MAPS",
     "GABBER_GALIL_BOUND",
     "DENSE_MAX_MODULUS",
     "generator_data",
-    "linear_word",
     "margulis_generators",
     "generator_map",
     "apply_affine",
@@ -64,23 +62,13 @@ GABBER_GALIL_BOUND = math.sqrt(2.0) * 5.0 / 8.0
 #: N^2 x N^2 matrices.
 DENSE_MAX_MODULUS = 49
 
-#: Linear-part symbol -> (SL(2, Z) matrix, metaplectic word).  A word is in
-#: matrix order over Q+/Q- (quadratic phase of sign +-1) and F/Finv (DFT);
-#: its unitary moves phase-point labels by the matrix.
-LINEAR_PARTS = {
-    "S1": (((1, 2), (0, 1)), ("Q+",)),
-    "S1inv": (((1, -2), (0, 1)), ("Q-",)),
-    "S2": (((1, 0), (2, 1)), ("F", "Q-", "Finv")),
-    "S2inv": (((1, 0), (-2, 1)), ("F", "Q+", "Finv")),
-    "J": (((0, 1), (-1, 0)), ("F",)),
-}
-
-#: The eight walk maps, label -> (linear-part symbol, shift over Z^2).
+#: The eight walk maps, label -> (linear part, shift), both over Z^2.  Every
+#: linear part is a unit shear (see _unit_shear).
 WALK_MAPS = {
-    "T1": ("S1", (0, 0)), "T2": ("S1", (1, 0)),
-    "T3": ("S2", (0, 0)), "T4": ("S2", (0, -1)),
-    "T1inv": ("S1inv", (0, 0)), "T2inv": ("S1inv", (-1, 0)),
-    "T3inv": ("S2inv", (0, 0)), "T4inv": ("S2inv", (0, 1)),
+    "T1": (((1, 2), (0, 1)), (0, 0)), "T2": (((1, 2), (0, 1)), (1, 0)),
+    "T3": (((1, 0), (2, 1)), (0, 0)), "T4": (((1, 0), (2, 1)), (0, -1)),
+    "T1inv": (((1, -2), (0, 1)), (0, 0)), "T2inv": (((1, -2), (0, 1)), (-1, 0)),
+    "T3inv": (((1, 0), (-2, 1)), (0, 0)), "T4inv": (((1, 0), (-2, 1)), (0, 1)),
 }
 
 #: Labels for the eight maps returned by :func:`margulis_generators`, in order.
@@ -93,8 +81,7 @@ def generator_data() -> tuple[tuple[str, tuple, tuple], ...]:
     The same data, reduced mod N, drives the lattice walk; over the reals it
     drives the moment maps.
     """
-    return tuple((label, LINEAR_PARTS[symbol][0], shift)
-                 for label, (symbol, shift) in WALK_MAPS.items())
+    return tuple((label, linear, shift) for label, (linear, shift) in WALK_MAPS.items())
 
 
 def _mod(matrix, N: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -102,14 +89,16 @@ def _mod(matrix, N: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return ((a % N, b % N), (c % N, d % N))
 
 
-def linear_word(linear, N: int) -> tuple[str, ...]:
-    """Word of a linear part reduced mod N; () for the identity."""
-    if linear == ((1, 0), (0, 1)):
-        return ()
-    for matrix, word in LINEAR_PARTS.values():
-        if _mod(matrix, N) == linear:
-            return word
-    raise ValueError(f"unsupported linear part {linear} mod {N}")
+def _unit_shear(linear) -> tuple[int, int]:
+    """(axis, m) of a unit shear, which adds m times the other coordinate to one.
+
+    ((1, m), (0, 1)) is axis 0 and ((1, 0), (m, 1)) axis 1; the identity is
+    (0, 0).  Any other matrix raises ValueError.
+    """
+    (a, b), (c, d) = linear
+    if (a, d) != (1, 1) or b * c:
+        raise ValueError(f"{linear} is not a unit shear")
+    return (1, c) if c else (0, b)
 
 
 def _require_odd_modulus(N: int) -> None:
@@ -246,11 +235,15 @@ def _shear_table(maps) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ..
     along y and d the gap between their t.  ``reads`` holds each (m, c).
     """
     axes: dict[int, dict[int, list[int]]] = {}
-    for label, ((a, b), (c, d)), (s, t) in maps:
-        axis, m, along, across = (0, b, s, t) if c == 0 else (1, c, t, s)
-        if (a, d) != (1, 1) or b * c or not m or across:
-            raise ValueError(f"{label}: {((a, b), (c, d))} + {(s, t)} is not a unit shear")
-        axes.setdefault(axis, {}).setdefault(m, []).append(along)
+    for label, linear, shift in maps:
+        message = f"{label}: {linear} + {shift} is not a unit shear"
+        try:
+            axis, m = _unit_shear(linear)
+        except ValueError:
+            raise ValueError(message) from None
+        if not m or shift[1 - axis]:
+            raise ValueError(message)
+        axes.setdefault(axis, {}).setdefault(m, []).append(shift[axis])
     table = []
     for axis, pairs in sorted(axes.items()):
         gaps = {max(ts) - min(ts) if len(ts) == 2 else None for ts in pairs.values()}

@@ -18,10 +18,10 @@ from margulis.cli import main
 from margulis.continuous import (CovMatrix, MeanVector, contraction_check,
                                  discretize, f_map, g_map, gn_closed_form,
                                  growth_rate)
-from margulis.phasespace import (PhaseSpaceContext, affine_unitary,
-                                 phase_point_basis)
+from margulis.phasespace import PhaseSpaceContext, affine_unitary
 from margulis.walk import (GridDist, apply_affine, grid_from_csv,
                            margulis_generators, spectral_report, walk_matrix)
+from oracles import phase_point_basis
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

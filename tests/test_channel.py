@@ -7,10 +7,11 @@ from margulis.channel import (KrausChannel, apply_channel, channel_report,
                               expander_lambda, margulis_channel,
                               random_hermitian, superoperator,
                               verify_wigner_intertwining)
-from margulis.phasespace import (PhaseSpaceContext, _phase_point_stack, affine_unitary,
-                                 fourier, inverse_wigner, phase_point_basis, wigner)
+from margulis.phasespace import (PhaseSpaceContext, affine_unitary, inverse_wigner,
+                                 quadratic_phase, wigner)
 from margulis.walk import (AffineMap, GridDist, margulis_generators, spectral_report,
                            walk_matrix, walk_step)
+from oracles import phase_point_basis
 
 
 def random_density(N, rng):
@@ -133,11 +134,11 @@ class TestChannelReport:
         assert rep.lam == abs(rep.spectrum[1]) == expander_lambda(ch)
 
     def test_one_unitary_channel_is_not_hermitian(self):
-        # conj(F) kron F is not hermitian: eigvalsh would read half of it.
-        # The map J = ((0, 1), (-1, 0)) has the unitary F.
+        # conj(U) kron U of a non-real chirp U is not hermitian: eigvalsh
+        # would read half of it.  T1 alone has the unitary Q+.
         ctx = PhaseSpaceContext(5)
-        ch = KrausChannel(ctx, (AffineMap(((0, 1), (-1, 0)), (0, 0), 5),))
-        assert np.allclose(ch.pairs[0][1], fourier(ctx), atol=1e-12)
+        ch = KrausChannel(ctx, (AffineMap(((1, 2), (0, 1)), (0, 0), 5),))
+        assert np.allclose(ch.pairs[0][1], quadratic_phase(ctx, +1), atol=1e-12)
         for solve in (channel_report, expander_lambda):
             with pytest.raises(ValueError, match="not hermitian"):
                 solve(ch)
@@ -276,15 +277,6 @@ class TestIntertwining:
         rows = verify_wigner_intertwining(margulis_channel(PhaseSpaceContext(N)), trials=20,
                                           seed=42)
         assert max(dev for _, dev in rows) < 1e-10
-
-    def test_transforms_never_build_the_phase_point_stack(self):
-        _phase_point_stack.cache_clear()
-        ctx = PhaseSpaceContext(63)
-        rho = random_hermitian(63, np.random.default_rng(28))
-        inverse_wigner(ctx, wigner(ctx, rho))
-        rows = verify_wigner_intertwining(margulis_channel(ctx), trials=3)
-        assert max(dev for _, dev in rows) < 1e-10
-        assert _phase_point_stack.cache_info().currsize == 0
 
 
 class TestKrausValidation:

@@ -8,7 +8,8 @@ from margulis.circuits import (Gate, GateList, affine_circuit, digits,
                                weyl_circuit)
 from margulis.phasespace import (PhaseSpaceContext, affine_unitary, boost_op,
                                  fourier, quadratic_phase, shift_op, weyl)
-from margulis.walk import generator_map, margulis_generators
+from margulis.walk import AffineMap, apply_affine, generator_map, margulis_generators
+from oracles import phase_point_basis
 
 DN = [(3, 2), (3, 3), (5, 2)]
 
@@ -210,9 +211,21 @@ class TestQuadraticCircuit:
         for g in gl.gates:
             assert abs(g.c) == (2 if g.kind == "cphase" else 1)
 
-    def test_bad_sign(self):
-        with pytest.raises(ValueError, match="sign"):
-            quadratic_circuit(3, 2, 0)
+    def test_k_zero_mod_n_emits_no_gates(self):
+        for k in (0, 9, -18):
+            assert quadratic_circuit(3, 2, k).gates == ()
+
+    def test_non_integer_k_refused(self):
+        with pytest.raises(ValueError, match="integer"):
+            quadratic_circuit(3, 2, 0.5)
+
+    @pytest.mark.parametrize("d,n", DN)
+    @pytest.mark.parametrize("k", [2, -4, 7])
+    def test_any_coefficient_matches_dense(self, d, n, k):
+        N = d ** n
+        j = np.arange(N)
+        dense = np.diag(np.exp(2j * np.pi * (k * j * j % N) / N))
+        assert_equal_up_to_phase(evaluate(quadratic_circuit(d, n, k)), dense)
 
 
 class TestWeylCircuit:
@@ -266,8 +279,6 @@ class TestAffineCircuit:
         assert ok
 
     def test_t2_covariance_on_all_points(self):
-        from margulis.phasespace import phase_point_basis
-        from margulis.walk import apply_affine
         N = 9
         ctx = ctx_for(3, 2)
         T2 = generator_map(N)["T2"]
@@ -297,9 +308,10 @@ class TestAffineCircuit:
             assert np.max(np.abs(residual)) <= 3.0
 
     def test_unsupported_linear_part(self):
-        from margulis.walk import AffineMap
-        with pytest.raises(ValueError, match="unsupported"):
-            affine_circuit(3, 2, AffineMap(((1, 3), (0, 1)), (0, 0), 9))
+        # J and a dilation have det 1 mod 9, but neither is a unit shear.
+        for linear in (((0, 1), (-1, 0)), ((2, 0), (0, 5))):
+            with pytest.raises(ValueError, match="is not a unit shear"):
+                affine_circuit(3, 2, AffineMap(linear, (0, 0), 9))
 
     def test_modulus_mismatch(self):
         T = generator_map(7)["T1"]

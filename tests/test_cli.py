@@ -14,7 +14,7 @@ from margulis import cli
 from margulis.circuits import evaluate, gate_list_from_jsonl
 from margulis.cli import MOMENTS_MAX_ITERS, main
 from margulis.channel import margulis_channel, verify_wigner_intertwining
-from margulis.phasespace import (PhaseSpaceContext, _phase_point_stack, affine_unitary,
+from margulis.phasespace import (PhaseSpaceContext, affine_unitary,
                                  inverse_wigner, operator_from_json, wigner)
 from margulis.walk import (AffineMap, GridDist, generator_map, grid_from_csv, grid_to_csv,
                            grid_to_pgm, walk_step)
@@ -285,11 +285,6 @@ class TestVerifyCommand:
         assert counts == {"channel": 8, "cli": 50 + 8, "reference": 1}
         for path in gold.iterdir():
             assert (tmp_path / "again" / path.name).read_bytes() == path.read_bytes()
-
-    def test_never_builds_the_phase_point_stack(self, capsys):
-        _phase_point_stack.cache_clear()
-        assert main(["verify", "--N", "25"]) == 0
-        assert _phase_point_stack.cache_info().currsize == 0
 
     def test_even_n_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

@@ -3,15 +3,14 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from margulis.phasespace import (METAPLECTIC_GENERATORS, PhaseSpaceContext,
-                                 _antidiagonal_indices, _word_unitary, affine_unitary,
-                                 boost_op, fourier, inverse_wigner, metaplectic,
+from margulis.phasespace import (PhaseSpaceContext, _antidiagonal_indices,
+                                 affine_unitary, boost_op, fourier, inverse_wigner,
                                  operator_from_json, operator_to_json, parity,
-                                 phase_point, phase_point_basis,
-                                 quadratic_phase, shift_op,
+                                 phase_point, quadratic_phase, shift_op,
                                  weyl, wigner)
-from margulis.walk import (LINEAR_PARTS, AffineMap, GridDist, apply_affine,
-                           generator_map, linear_word, margulis_generators, walk_step)
+from margulis.walk import (AffineMap, GridDist, apply_affine, generator_map,
+                           margulis_generators, walk_step)
+from oracles import LINEAR_WORDS, phase_point_basis, word_unitary
 
 ODD_N = [3, 5, 7, 9]
 
@@ -293,11 +292,16 @@ class TestQuadraticPhase:
             quadratic_phase(PhaseSpaceContext(3), 2)
 
 
+def shear(symbol, N):
+    """The unshifted map of a walk linear part, mod N."""
+    return AffineMap(LINEAR_WORDS[symbol][0], (0, 0), N)
+
+
 class TestMetaplectic:
     def test_single_s1_covariance_n7(self):
         N = 7
         ctx = PhaseSpaceContext(N)
-        mu = metaplectic(ctx, ["S1"])
+        mu = affine_unitary(ctx, shear("S1", N))
         basis = phase_point_basis(ctx)
         for p in range(N):
             for q in range(N):
@@ -308,36 +312,25 @@ class TestMetaplectic:
         ctx = PhaseSpaceContext(5)
         F = fourier(ctx)
         expected = F @ quadratic_phase(ctx, -1) @ F.conj().T
-        assert phase_blind_equal(metaplectic(ctx, ["S2"]), expected)
+        assert phase_blind_equal(affine_unitary(ctx, shear("S2", 5)), expected)
 
     def test_word_with_inverse_is_identity_up_to_phase(self):
         ctx = PhaseSpaceContext(7)
-        mu = metaplectic(ctx, ["S1", "S1inv"])
+        mu = affine_unitary(ctx, shear("S1", 7)) @ affine_unitary(ctx, shear("S1inv", 7))
         assert phase_blind_equal(mu, np.eye(7))
 
     @pytest.mark.parametrize("N", [5, 9])
     def test_word_product_covariance(self, N):
-        # Covariance of a composite word matches its matrix product.
+        # Covariance of a product of shears on both axes matches the matrix product.
         ctx = PhaseSpaceContext(N)
-        word = ["S1", "J", "S2inv"]
-        mu = metaplectic(ctx, word)
-        (a, b), (c, d) = reduce(np.matmul, (LINEAR_PARTS[s][0] for s in word)) % N
+        word = ["S1", "S2", "S2inv", "S2inv"]
+        mu = reduce(np.matmul, (affine_unitary(ctx, shear(s, N)) for s in word))
+        (a, b), (c, d) = reduce(np.matmul, (LINEAR_WORDS[s][0] for s in word)) % N
         basis = phase_point_basis(ctx)
         for p, q in [(1, 0), (0, 1), (2, 3 % N), (N - 1, N - 2)]:
             tp, tq = (a * p + b * q) % N, (c * p + d * q) % N
             moved = mu @ basis[p * N + q] @ mu.conj().T
             assert np.linalg.norm(moved - basis[tp * N + tq]) < 1e-11
-
-    def test_unknown_symbol_rejected(self):
-        with pytest.raises(ValueError, match="unknown generator"):
-            metaplectic(PhaseSpaceContext(5), ["S3"])
-
-    def test_empty_word_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            metaplectic(PhaseSpaceContext(5), [])
-
-    def test_generator_symbols_exported(self):
-        assert set(METAPLECTIC_GENERATORS) == {"S1", "S1inv", "S2", "S2inv", "J"}
 
 
 class TestAffineUnitary:
@@ -373,22 +366,23 @@ class TestAffineUnitary:
     @pytest.mark.parametrize("N", list(range(3, 50, 2)) + [243])
     def test_closed_form_matches_word_product(self, N):
         # The oracle is w(shift) times the word's matrix product, for the
-        # identity and every LINEAR_PARTS symbol, at random shifts.
+        # identity and every walk linear part, at random shifts.
         ctx = PhaseSpaceContext(N)
         rng = np.random.default_rng(N)
-        linears = [((1, 0), (0, 1))] + [matrix for matrix, _ in LINEAR_PARTS.values()]
-        for linear in linears:
+        for symbol in [None, *LINEAR_WORDS]:
+            linear = LINEAR_WORDS[symbol][0] if symbol else ((1, 0), (0, 1))
+            mu = word_unitary(ctx, [symbol]) if symbol else np.eye(N)
             for shift in rng.integers(-N, 2 * N, size=(3, 2)).tolist():
                 T = AffineMap(linear, shift, N)
-                word = linear_word(T.linear, N)
-                mu = _word_unitary(ctx, word) if word else np.eye(N)
                 expected = weyl(ctx, *T.shift) @ mu
                 assert np.max(np.abs(affine_unitary(ctx, T) - expected)) <= 1e-13
 
     def test_unsupported_linear_part(self):
-        ctx = PhaseSpaceContext(7)
-        with pytest.raises(ValueError, match="unsupported"):
-            affine_unitary(ctx, AffineMap(((1, 3), (0, 1)), (0, 0), 7))
+        # J and a dilation have det 1 mod 9, but neither is a unit shear.
+        ctx = PhaseSpaceContext(9)
+        for linear in (((0, 1), (-1, 0)), ((2, 0), (0, 5))):
+            with pytest.raises(ValueError, match="is not a unit shear"):
+                affine_unitary(ctx, AffineMap(linear, (0, 0), 9))
 
     def test_modulus_mismatch(self):
         ctx = PhaseSpaceContext(7)

@@ -1,4 +1,5 @@
-"""Property tests of the walk step, the channel and the Wigner map at odd N <= 31."""
+"""Property tests of the walk step, the channel, the Wigner map and the
+unit-shear unitaries at odd N <= 31."""
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from margulis.channel import apply_channel, margulis_channel  # noqa: E402
-from margulis.phasespace import PhaseSpaceContext, wigner  # noqa: E402
-from margulis.walk import GridDist, walk_step  # noqa: E402
+from margulis.circuits import affine_circuit, equal_up_to_phase, evaluate  # noqa: E402
+from margulis.phasespace import PhaseSpaceContext, affine_unitary, wigner  # noqa: E402
+from margulis.walk import AffineMap, GridDist, _pullback_index, walk_step  # noqa: E402
 
 moduli = st.integers(1, 15).map(lambda k: 2 * k + 1)
 
@@ -64,3 +66,36 @@ def test_wigner_carries_the_channel_to_the_walk(a):
     left = wigner(ctx, apply_channel(margulis_channel(ctx), rho)).values
     right = walk_step(wigner(ctx, rho)).values
     assert np.allclose(left, right, rtol=0, atol=1e-12)
+
+
+def unit_shears(N):
+    """A unit shear of either axis by any m mod N, with any shift."""
+    def build(axis, m, shift):
+        linear = ((1, m), (0, 1)) if axis == 0 else ((1, 0), (m, 1))
+        return AffineMap(linear, shift, N)
+    residues = st.integers(0, N - 1)
+    return st.builds(build, st.integers(0, 1), residues, st.tuples(residues, residues))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(moduli.flatmap(lambda N: st.tuples(unit_shears(N), operators(N))))
+def test_unit_shear_unitary_pulls_the_wigner_table_back(case):
+    T, a = case
+    N = T.modulus
+    ctx = PhaseSpaceContext(N)
+    rho = a + a.conj().T
+    U = affine_unitary(ctx, T)
+    assert np.allclose(U @ U.conj().T, np.eye(N), rtol=0, atol=1e-12)
+    left = wigner(ctx, U @ rho @ U.conj().T).values
+    right = wigner(ctx, rho).values.reshape(-1)[_pullback_index(T)]
+    assert np.allclose(left, right, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from([(3, 2), (5, 2), (3, 3)]).flatmap(
+    lambda dn: st.tuples(st.just(dn), unit_shears(dn[0] ** dn[1]))))
+def test_unit_shear_circuit_matches_its_unitary(case):
+    (d, n), T = case
+    ok, _ = equal_up_to_phase(evaluate(affine_circuit(d, n, T)),
+                              affine_unitary(PhaseSpaceContext(T.modulus), T))
+    assert ok

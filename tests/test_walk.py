@@ -12,7 +12,7 @@ import margulis.walk
 from margulis.walk import (GABBER_GALIL_BOUND, GENERATOR_LABELS, AffineMap,
                            GridDist, _axis_parities, _commutes_with_reflection,
                            _csv_lines, _decimal_tables, _eigen_blocks,
-                           _parity_folds, _pullback_index, _shear_table,
+                           _parity_folds, _pullback_index, _shear_table, _unit_shear,
                            apply_affine, generator_data,
                            generator_map, grid_from_csv, grid_to_csv,
                            grid_to_pgm, margulis_generators, spectral_report,
@@ -363,15 +363,24 @@ class TestWalkStep:
         assert current < g.values.nbytes + 2**16
         assert peak < 1.5 * g.values.nbytes
 
+    def test_unit_shear_reads_axis_and_m_off_the_matrix(self):
+        assert _unit_shear(((1, 2), (0, 1))) == (0, 2)
+        assert _unit_shear(((1, 0), (-2, 1))) == (1, -2)
+        assert _unit_shear(((1, 0), (0, 1))) == (0, 0)
+        for linear in (((0, 1), (-1, 0)), ((2, 0), (0, 5)), ((1, 2), (2, 5))):
+            with pytest.raises(ValueError, match="is not a unit shear"):
+                _unit_shear(linear)
+
     @pytest.mark.parametrize("change,message", [
         ({0: ("T1", ((0, 1), (-1, 0)), (0, 0))}, "T1: .* is not a unit shear"),
         ({0: ("T1", ((1, 0), (0, 1)), (0, 0))}, "T1: .* is not a unit shear"),
         ({0: ("T1", ((1, 2), (2, 5)), (0, 0))}, "T1: .* is not a unit shear"),
+        ({0: ("T1", ((2, 0), (0, 5)), (0, 0))}, "T1: .* is not a unit shear"),
         ({1: ("T2", ((1, 2), (0, 1)), (1, 1))}, "T2: .* is not a unit shear"),
         ({1: ("T2", ((1, 2), (0, 1)), (2, 0))}, "axis 0 do not pair up"),
         ({1: ("T2", ((1, 3), (0, 1)), (1, 0))}, "axis 0 do not pair up"),
         ({2: ("T3", ((1, 0), (-2, 1)), (0, 0))}, "axis 1 do not pair up"),
-    ], ids=["rotation", "identity", "two-axis", "shift across", "gap 2 beside gap 1",
+    ], ids=["rotation", "identity", "two-axis", "dilation", "shift across", "gap 2 beside gap 1",
             "one map of its m", "three maps of one m"])
     def test_map_table_that_is_not_paired_shears_raises(self, change, message):
         maps = list(generator_data())
