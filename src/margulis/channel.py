@@ -10,13 +10,13 @@ directions.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .phasespace import PhaseSpaceContext, affine_unitary, inverse_wigner, wigner
-from .walk import (DENSE_MAX_MODULUS, GridDist, SpectralReport, margulis_generators,
-                   walk_step)
+from .phasespace import PhaseSpaceContext, affine_action, affine_unitary, inverse_wigner, wigner
+from .walk import (DENSE_MAX_MODULUS, GridDist, SpectralReport, _unit_shear,
+                   margulis_generators, walk_step)
 
 __all__ = [
     "KrausChannel",
@@ -31,23 +31,21 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """Mixture-of-unitaries channel rho -> (1/D) sum_T U_T rho U_T^dag.
-
-    Built from a non-empty tuple of D affine maps T of modulus ``ctx.N``;
-    each unitary is ``affine_unitary(ctx, T)``, which refuses any other
-    modulus, and carries weight 1/D, so the Kraus operators proper are
-    U_T/sqrt(D).  ``pairs`` holds the (T, U_T) pairs in map order.
-    """
+    """Mixture-of-unitaries channel rho -> (1/D) sum_T U_T rho U_T^dag over a
+    non-empty tuple ``maps`` of D affine maps T of modulus ``ctx.N`` whose linear
+    parts are unit shears (any other is refused).  Each U_T acts through
+    ``affine_action`` with weight 1/D, so the Kraus operators are U_T/sqrt(D)."""
 
     ctx: PhaseSpaceContext
-    maps: InitVar[tuple]
-    pairs: tuple = field(init=False, repr=False)
+    maps: tuple
 
-    def __post_init__(self, maps):
-        pairs = tuple((T, affine_unitary(self.ctx, T)) for T in maps)
-        if not pairs:
+    def __post_init__(self):
+        if not self.maps:
             raise ValueError("channel needs at least one map")
-        object.__setattr__(self, "pairs", pairs)
+        for T in self.maps:
+            if T.modulus != self.ctx.N:
+                raise ValueError(f"map modulus {T.modulus} != context N {self.ctx.N}")
+            _unit_shear(T.linear)
 
     @property
     def dim(self) -> int:
@@ -55,7 +53,7 @@ class KrausChannel:
 
     @property
     def degree(self) -> int:
-        return len(self.pairs)
+        return len(self.maps)
 
 
 def margulis_channel(ctx: PhaseSpaceContext) -> KrausChannel:
@@ -63,15 +61,17 @@ def margulis_channel(ctx: PhaseSpaceContext) -> KrausChannel:
     return KrausChannel(ctx, tuple(margulis_generators(ctx.N)))
 
 
+def _conjugate(ctx: PhaseSpaceContext, T, rho: np.ndarray) -> np.ndarray:
+    """U_T rho U_T^dag as (U_T (U_T rho)^dag)^dag, with no U_T formed."""
+    return affine_action(ctx, T, affine_action(ctx, T, rho).conj().T).conj().T
+
+
 def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """(1/D) sum_U U rho U^dag."""
+    """(1/D) sum_T U_T rho U_T^dag."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (ch.dim, ch.dim):
         raise ValueError(f"operator shape {rho.shape} != ({ch.dim}, {ch.dim})")
-    out = np.zeros_like(rho)
-    for _, U in ch.pairs:
-        out += U @ rho @ U.conj().T
-    return out / ch.degree
+    return sum(_conjugate(ch.ctx, T, rho) for T in ch.maps) / ch.degree
 
 
 def superoperator(ch: KrausChannel) -> np.ndarray:
@@ -86,7 +86,7 @@ def superoperator(ch: KrausChannel) -> np.ndarray:
         raise ValueError(f"N={ch.dim} exceeds the dense cap {DENSE_MAX_MODULUS}")
     n2 = ch.dim * ch.dim
     M = np.zeros((n2, n2), dtype=complex)
-    for _, U in ch.pairs:
+    for U in (affine_unitary(ch.ctx, T) for T in ch.maps):
         M += np.kron(U.conj(), U)
     return M / ch.degree
 

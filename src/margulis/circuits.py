@@ -4,8 +4,8 @@ Registers carry n qudits of odd dimension d with the most significant digit
 first: basis label j = sum_l j_l d^{n-l} for qudits l = 1..n.  Circuits are
 built from single-qudit Fourier gates, diagonal phase gates with exact
 integer parameters, two-qudit controlled phases, and an explicit
-digit-reversal permutation.  Every synthesis routine is checked against the
-dense operators from :mod:`margulis.phasespace` up to a global phase.
+digit-reversal permutation.  Checks apply a list to states (``apply_gates``)
+and compare with :func:`margulis.phasespace.affine_action` up to a phase.
 
 Synthesized families:
 
@@ -37,6 +37,7 @@ __all__ = [
     "GATE_KINDS",
     "digits",
     "undigits",
+    "apply_gates",
     "evaluate",
     "inverse_gates",
     "qft_circuit",
@@ -133,13 +134,12 @@ def _apply(gate: Gate, n: int, reg: np.ndarray) -> np.ndarray:
     if gate.kind == "reverse":
         # |j_1 ... j_n> -> |j_n ... j_1>
         return reg.transpose(tuple(range(n - 1, -1, -1)) + (n,))
+    if gate.kind in ("fourier", "fourier_inv"):
+        # F[k, j] = omega^{jk}/sqrt(d) is the orthonormal inverse DFT, with no d x d matrix.
+        fft = np.fft.ifft if gate.kind == "fourier" else np.fft.fft
+        return fft(reg, axis=gate.targets[0] - 1, norm="ortho")
     d = gate.d
     j = np.arange(d)
-    if gate.kind in ("fourier", "fourier_inv"):
-        sign = 1 if gate.kind == "fourier" else -1
-        f = np.exp(sign * 2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
-        axis = gate.targets[0] - 1
-        return np.moveaxis(np.tensordot(f, reg, axes=(1, axis)), 0, axis)
     # Digit j_t shaped to broadcast along register axis t-1; the exponent is
     # the product of the target digits, squared for a single quadratic_phase.
     x = [j.reshape((d,) + (1,) * (n + 1 - t)) for t in gate.targets]
@@ -147,12 +147,19 @@ def _apply(gate: Gate, n: int, reg: np.ndarray) -> np.ndarray:
     return reg * np.exp(2j * np.pi * gate.c * (e % gate.M) / gate.M)
 
 
-def evaluate(gl: GateList) -> np.ndarray:
-    """Dense unitary of the list (first gate rightmost), phase included."""
-    reg = np.eye(gl.dim, dtype=complex).reshape((gl.d,) * gl.n + (gl.dim,))
+def apply_gates(gl: GateList, X) -> np.ndarray:
+    """The list's unitary (first gate rightmost, phase included) along axis 0 of X."""
+    if np.shape(X)[:1] != (gl.dim,):
+        raise ValueError(f"expected {gl.dim} rows, got shape {np.shape(X)}")
+    reg = np.reshape(X, (gl.d,) * gl.n + (-1,))
     for g in gl.gates:
         reg = _apply(g, gl.n, reg)
-    return gl.global_phase() * reg.reshape(gl.dim, gl.dim)
+    return gl.global_phase() * reg.reshape(np.shape(X))
+
+
+def evaluate(gl: GateList) -> np.ndarray:
+    """Dense unitary of the list: apply_gates on the identity, the small-n oracle."""
+    return apply_gates(gl, np.eye(gl.dim))
 
 
 def inverse_gates(gates) -> tuple[Gate, ...]:

@@ -3,7 +3,7 @@
 Provides the shift/boost pair, symmetrized Weyl operators, the parity
 operator and its translates (the phase-point basis), the Wigner transform
 and its inverse, the discrete Fourier transform, quadratic-phase unitaries,
-and unitaries implementing affine maps of the N x N phase-space lattice.
+and the closed-form action of the unitaries of affine phase-space maps.
 
 Conventions, all pinned by tests:
 
@@ -46,6 +46,7 @@ __all__ = [
     "inverse_wigner",
     "fourier",
     "quadratic_phase",
+    "affine_action",
     "affine_unitary",
     "operator_to_json",
     "operator_from_json",
@@ -194,31 +195,28 @@ def _shear_chirp(T: AffineMap) -> tuple[int, int]:
     return axis, (-inv2 * m if axis else inv2 * m) % T.modulus
 
 
-def affine_unitary(ctx: PhaseSpaceContext, T: AffineMap) -> np.ndarray:
-    """Unitary U_T = w(shift) mu(linear) with U_T A(v) U_T^dag = A(T(v)).
-
-    Supports linear parts that are unit shears, which all eight walk maps
-    are; any other raises ValueError.  Built in closed form from the chirp
-    of :func:`_shear_chirp`, with no matrix product: mu is the chirp on
-    axis 0, and on axis 1 the circulant F chirp F^dag, whose first column
-    is ifft of the chirp.  w(p, q) moves row k - q of mu to row k and
-    scales it by omega^{p k - inv2 p q}.
-    """
+def affine_action(ctx: PhaseSpaceContext, T: AffineMap, X) -> np.ndarray:
+    """U_T X along axis 0 of X, U_T = w(shift) mu(linear) being the unitary with
+    U_T A(v) U_T^dag = A(T(v)) for T whose linear part is a unit shear (any other
+    raises ValueError).  mu is the chirp of :func:`_shear_chirp` on axis 0 and
+    ifft(chirp * fft(X)) on axis 1; w(p, q) then moves row k - q to row k and
+    scales it by omega^{p k - inv2 p q}.  U_T itself is never formed."""
     if T.modulus != ctx.N:
         raise ValueError(f"map modulus {T.modulus} != context N {ctx.N}")
-    N = ctx.N
+    if np.shape(X)[:1] != (ctx.N,):
+        raise ValueError(f"expected {ctx.N} rows, got shape {np.shape(X)}")
     axis, c = _shear_chirp(T)
-    chirp = _quadratic_diagonal(ctx, c)
-    p, q = T.shift
-    k = np.arange(N)
-    src = (k - q) % N  # the row of mu that lands on row k
-    phase = _phases(ctx, p * k - ctx.inv2 * p * q)
+    (p, q), k = T.shift, np.arange(ctx.N)
+    chirp, phase = _quadratic_diagonal(ctx, c), _phases(ctx, p * k - ctx.inv2 * p * q)
+    src, column = (k - q) % ctx.N, (slice(None),) + (None,) * (np.ndim(X) - 1)  # column: down axis 0
     if axis:
-        column = np.fft.ifft(chirp)
-        return phase[:, None] * column[(src[:, None] - k) % N]
-    U = np.zeros((N, N), dtype=complex)
-    U[k, src] = phase * chirp[src]
-    return U
+        return phase[column] * np.fft.ifft(chirp[column] * np.fft.fft(X, axis=0), axis=0)[src]
+    return (phase * chirp[src])[column] * np.take(X, src, axis=0)
+
+
+def affine_unitary(ctx: PhaseSpaceContext, T: AffineMap) -> np.ndarray:
+    """Dense U_T: affine_action on the identity."""
+    return affine_action(ctx, T, np.eye(ctx.N))
 
 
 # ---------------------------------------------------------------------------

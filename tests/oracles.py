@@ -1,5 +1,5 @@
-"""Dense oracles the library does not ship: the phase-point stack and the
-metaplectic words of the four walk linear parts.
+"""Dense oracles the library does not ship: the phase-point stack, and the
+metaplectic words of the four walk linear parts with the unitaries they give.
 
 The words are written out here, independently of the chirp that
 ``affine_unitary`` derives from each matrix, and built from the public
@@ -10,7 +10,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from margulis.phasespace import PhaseSpaceContext, fourier, phase_point, quadratic_phase
+from margulis.phasespace import PhaseSpaceContext, fourier, phase_point, quadratic_phase, weyl
+from margulis.walk import AffineMap
 
 #: Walk linear part -> (SL(2, Z) matrix, word in matrix order over Q+/Q-
 #: (quadratic phase of sign +-1), F and Finv (the DFT and its adjoint)).
@@ -33,6 +34,13 @@ def word_unitary(ctx: PhaseSpaceContext, symbols) -> np.ndarray:
     """Product of the words of the symbols of LINEAR_WORDS, left to right."""
     return reduce(np.matmul, (_PRIMITIVES[p](ctx) for s in symbols
                               for p in LINEAR_WORDS[s][1]))
+
+
+def oracle_unitary(ctx: PhaseSpaceContext, T: AffineMap) -> np.ndarray:
+    """Dense U_T of a walk map T: w(shift) times the word of its linear part."""
+    symbol, = (s for s, (matrix, _) in LINEAR_WORDS.items()
+               if AffineMap(matrix, (0, 0), ctx.N).linear == T.linear)
+    return weyl(ctx, *T.shift) @ word_unitary(ctx, [symbol])
 
 
 @lru_cache(maxsize=16)

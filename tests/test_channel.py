@@ -11,7 +11,7 @@ from margulis.phasespace import (PhaseSpaceContext, affine_unitary, inverse_wign
                                  quadratic_phase, wigner)
 from margulis.walk import (AffineMap, GridDist, margulis_generators, spectral_report,
                            walk_matrix, walk_step)
-from oracles import phase_point_basis
+from oracles import oracle_unitary, phase_point_basis
 
 
 def random_density(N, rng):
@@ -28,7 +28,7 @@ class TestChannelConstruction:
     @pytest.mark.parametrize("N", [3, 5, 7])
     def test_kraus_completeness(self, N):
         ch = margulis_channel(PhaseSpaceContext(N))
-        kraus = [U / np.sqrt(ch.degree) for _, U in ch.pairs]
+        kraus = [affine_unitary(ch.ctx, T) / np.sqrt(ch.degree) for T in ch.maps]
         total = sum(K.conj().T @ K for K in kraus)
         assert np.max(np.abs(total - np.eye(N))) < 1e-10
 
@@ -138,7 +138,7 @@ class TestChannelReport:
         # would read half of it.  T1 alone has the unitary Q+.
         ctx = PhaseSpaceContext(5)
         ch = KrausChannel(ctx, (AffineMap(((1, 2), (0, 1)), (0, 0), 5),))
-        assert np.allclose(ch.pairs[0][1], quadratic_phase(ctx, +1), atol=1e-12)
+        assert np.allclose(affine_unitary(ctx, ch.maps[0]), quadratic_phase(ctx, +1), atol=1e-12)
         for solve in (channel_report, expander_lambda):
             with pytest.raises(ValueError, match="not hermitian"):
                 solve(ch)
@@ -284,10 +284,32 @@ class TestKrausValidation:
         with pytest.raises(ValueError, match="map modulus 7 != context N 5"):
             KrausChannel(PhaseSpaceContext(5), (AffineMap.identity(7),))
 
+    def test_map_that_is_not_a_unit_shear_refused(self):
+        # Refused when the channel is built, not at its first apply.
+        J = AffineMap(((0, 1), (4, 0)), (0, 0), 5)
+        with pytest.raises(ValueError, match="is not a unit shear"):
+            KrausChannel(PhaseSpaceContext(5), (AffineMap.identity(5), J))
+
     @pytest.mark.parametrize("N", [3, 7])
     def test_pairs_each_walk_map_with_its_unitary(self, N):
+        # The channel keeps the maps; each one's term is conjugation by its unitary.
         ctx = PhaseSpaceContext(N)
-        pairs = margulis_channel(ctx).pairs
-        assert [T for T, _ in pairs] == margulis_generators(N)
-        for T, U in pairs:
-            assert np.array_equal(U, affine_unitary(ctx, T))
+        ch = margulis_channel(ctx)
+        assert ch.maps == tuple(margulis_generators(N))
+        rho = random_density(N, np.random.default_rng(N))
+        for T in ch.maps:
+            U = affine_unitary(ctx, T)
+            one = KrausChannel(ctx, (T,))
+            assert np.max(np.abs(apply_channel(one, rho) - U @ rho @ U.conj().T)) < 1e-14
+
+    @pytest.mark.parametrize("N", [5, 25, 63, 243])
+    def test_apply_channel_matches_the_oracle_kraus_sum(self, N):
+        # The Kraus sum of unitaries built from the words, on a unit-norm
+        # operator that need not be hermitian.
+        ctx = PhaseSpaceContext(N)
+        rng = np.random.default_rng(N)
+        X = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        X /= np.linalg.norm(X)
+        dense = sum(U @ X @ U.conj().T
+                    for U in (oracle_unitary(ctx, T) for T in margulis_generators(N))) / 8
+        assert np.max(np.abs(apply_channel(margulis_channel(ctx), X) - dense)) <= 1e-12

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from margulis.circuits import (Gate, GateList, affine_circuit, digits,
+from margulis.circuits import (Gate, GateList, affine_circuit, apply_gates, digits,
                                equal_up_to_phase, evaluate, gate_list_from_jsonl,
                                gate_list_to_jsonl, inverse_gates,
                                qft_circuit, quadratic_circuit, undigits,
@@ -154,6 +154,17 @@ class TestEvaluate:
     def test_global_phase_annotation_applied(self):
         gl = GateList(3, 1, (), phase_num=1, phase_den=3)
         assert np.allclose(evaluate(gl), np.exp(2j * np.pi / 3) * np.eye(3), atol=1e-14)
+
+    def test_apply_gates_is_the_dense_unitary_on_states(self):
+        # T4's list has every gate kind: Fourier pairs, phases and a reversal.
+        gl = affine_circuit(3, 3, generator_map(27)["T4"])
+        U = evaluate(gl)
+        rng = np.random.default_rng(3)
+        for shape in [(27,), (27, 3)]:
+            X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert np.allclose(apply_gates(gl, X), U @ X, atol=1e-12)
+        with pytest.raises(ValueError, match="expected 27 rows"):
+            apply_gates(gl, np.ones(54))
 
 
 class TestQftCircuit:

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import margulis
-from margulis import cli
-from margulis.circuits import evaluate, gate_list_from_jsonl
+from margulis import cli, phasespace
+from margulis.circuits import GateList, apply_gates, evaluate, gate_list_from_jsonl
 from margulis.cli import MOMENTS_MAX_ITERS, main
 from margulis.channel import margulis_channel, verify_wigner_intertwining
-from margulis.phasespace import (PhaseSpaceContext, affine_unitary,
+from margulis.phasespace import (PhaseSpaceContext, affine_action, affine_unitary,
                                  inverse_wigner, operator_from_json, wigner)
 from margulis.walk import (AffineMap, GridDist, generator_map, grid_from_csv, grid_to_csv,
                            grid_to_pgm, walk_step)
@@ -178,16 +178,29 @@ class TestVerifyCommand:
         assert report["N"] == 101 and report["passed"] is True
 
     def test_wrong_shift_sign_fails_covariance(self, monkeypatch, capsys):
-        def negated_shift(ctx, T):
-            return affine_unitary(ctx, AffineMap(T.linear, (-T.shift[0], -T.shift[1]),
-                                                 T.modulus))
+        def negated_shift(ctx, T, X):
+            return affine_action(ctx, AffineMap(T.linear, (-T.shift[0], -T.shift[1]),
+                                                T.modulus), X)
 
-        # The walk maps' unitaries come from the channel, the displacements' from the cli.
-        monkeypatch.setattr("margulis.channel.affine_unitary", negated_shift)
-        monkeypatch.setattr("margulis.cli.affine_unitary", negated_shift)
+        # Both covariance rows conjugate through the channel's affine_action.
+        monkeypatch.setattr("margulis.channel.affine_action", negated_shift)
         assert main(["verify", "--N", "101"]) == 1
         failed = _failed_rows(capsys.readouterr().out)
         assert "covariance" in failed and "translation" in failed
+
+    def test_wrong_sign_chirp_fails_the_unitary_rows(self, monkeypatch, capsys):
+        # The gate lists keep circuits' own binding of _shear_chirp, so they
+        # stay right and the closed form is caught against them too.
+        chirp = phasespace._shear_chirp
+
+        def negated(T):
+            axis, c = chirp(T)
+            return axis, -c % T.modulus
+
+        monkeypatch.setattr("margulis.phasespace._shear_chirp", negated)
+        assert main(["verify", "--N", "25"]) == 1
+        failed = _failed_rows(capsys.readouterr().out)
+        assert {"covariance", "intertwining", "circuit_equivalence"} <= set(failed)
 
     def test_wigner_off_by_a_scale_fails_orthonormality(self, monkeypatch, capsys):
         # A scaled table still commutes with every map, so only Parseval and
@@ -250,12 +263,12 @@ class TestVerifyCommand:
     def test_nan_from_one_circuit_fails_circuit_equivalence(self, monkeypatch, capsys):
         calls = []
 
-        def nan_second(gl):
+        def nan_second(gl, X):
             calls.append(gl)
-            U = evaluate(gl)
-            return np.full_like(U, np.nan) if len(calls) == 2 else U
+            Y = apply_gates(gl, X)
+            return np.full_like(Y, np.nan) if len(calls) == 2 else Y
 
-        monkeypatch.setattr("margulis.cli.evaluate", nan_second)
+        monkeypatch.setattr("margulis.cli.apply_gates", nan_second)
         assert main(["verify", "--N", "9"]) == 1
         assert len(calls) == 8
         assert _failed_rows(capsys.readouterr().out) == ["circuit_equivalence"]
@@ -279,10 +292,9 @@ class TestVerifyCommand:
                             counted("reference", cli._reference_operators))
         assert main(["verify", "--N", "5", "--compare-operators", str(gold),
                      "--dump-operators", str(tmp_path / "again")]) == 0
-        # The channel's eight unitaries serve the covariance, intertwining and
-        # circuit rows; the cli builds the 50 displacements and, once, the
-        # eight golden U_* operators.
-        assert counts == {"channel": 8, "cli": 50 + 8, "reference": 1}
+        # The checks act by affine_action and build no unitary; the cli builds
+        # the eight golden U_* operators, once.
+        assert counts == {"channel": 0, "cli": 8, "reference": 1}
         for path in gold.iterdir():
             assert (tmp_path / "again" / path.name).read_bytes() == path.read_bytes()
 
@@ -316,6 +328,27 @@ class TestCircuitCommand:
                      "--out", str(tmp_path)]) == 0
         for label in ("T1", "T4inv"):
             assert (tmp_path / f"gates-{label}.jsonl").exists()
+
+    def test_one_large_qudit_is_checked_with_no_d_by_d_gate(self, tmp_path, capsys):
+        # Its Fourier gates act by FFT, so the d^qudits cap holds for any d.
+        assert main(["circuit", "--d", "19683", "--qudits", "1", "--check",
+                     "--transform", "T4", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.endswith("equal up to phase: true\n")
+
+    @pytest.mark.parametrize("qudits", ["3", "5"])
+    def test_dropped_gate_fails_the_check(self, qudits, tmp_path, monkeypatch, capsys):
+        # No gate is a scalar, so a list missing any one of them is wrong.
+        synth = cli.affine_circuit
+
+        def drop_first(d, n, T):
+            gl = synth(d, n, T)
+            return GateList(gl.d, gl.n, gl.gates[1:], gl.phase_num, gl.phase_den)
+
+        monkeypatch.setattr("margulis.cli.affine_circuit", drop_first)
+        assert main(["circuit", "--d", "3", "--qudits", qudits, "--check",
+                     "--out", str(tmp_path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 8 and all(ln.endswith("equal up to phase: false") for ln in lines)
 
 
 class TestMomentsCommand:
@@ -388,7 +421,7 @@ class TestUsage:
         ["contraction", "--R", "2"],
         ["spectrum", "--N", "51"],
         ["spectrum", "--N", ","],
-        ["verify", "--N", "245"],
+        ["verify", "--N", "731"],
         ["verify", "--compare-operators", "{missing}"],
         ["circuit", "--d", "3", "--qudits", "12", "--check", "--transform", "T1"],
         ["frobnicate"],
@@ -412,7 +445,7 @@ class TestUsage:
     @pytest.mark.parametrize("argv,named", [
         (["circuit", "--qudits", "0"], "--qudits"),
         (["spectrum", "--N", "3,51"], "--N: 51 exceeds the dense limit 49"),
-        (["verify", "--N", "245"], "--N: 245 exceeds the verify limit 243"),
+        (["verify", "--N", "731"], "--N: 731 exceeds the verify limit 729"),
         (["verify", "--trials", "0"], "--trials"),
         (["verify", "--seed", "-1"], "--seed: expected an integer >= 0"),
         (["spectrum", "--N", ","], "--N: expected at least one N"),
@@ -421,7 +454,7 @@ class TestUsage:
         (["verify", "--tol", "0"], "--tol: expected a finite number > 0"),
         (["contraction", "--R", "-1"], "--R: expected an integer >= 1, got -1"),
         (["contraction", "--delta", "nan"], "--delta: expected a finite number > 0, got nan"),
-    ], ids=["circuit --qudits 0", "spectrum --N 3,51", "verify --N 245", "verify --trials 0",
+    ], ids=["circuit --qudits 0", "spectrum --N 3,51", "verify --N 731", "verify --trials 0",
             "verify --seed -1", "spectrum --N ,", "verify --tol nan", "verify --tol -1",
             "verify --tol 0", "contraction --R -1", "contraction --delta nan"])
     def test_usage_error_names_the_flag(self, argv, named, capsys):
@@ -438,7 +471,9 @@ class TestUsage:
         (["moments", "--gamma", "nan,0,1"], "--gamma nan,0.0,1.0 is not finite"),
         (["moments", "--mean", "inf,0"], "--mean inf,0.0 is not finite"),
         (["circuit", "--d", "3", "--qudits", "12", "--check"],
-         "--check on d^qudits = 3^12 levels exceeds the circuit check limit 2187"),
+         "--check on d^qudits = 3^12 levels exceeds the circuit check limit 177147"),
+        (["circuit", "--d", "177149", "--qudits", "1", "--check"],
+         "--check on d^qudits = 177149^1 levels exceeds the circuit check limit 177147"),
     ], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
     def test_caps_and_non_finite_values_refused_first(self, argv, message, tmp_path, capsys,
                                                       monkeypatch):

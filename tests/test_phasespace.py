@@ -3,7 +3,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from margulis.phasespace import (PhaseSpaceContext, _antidiagonal_indices,
+from margulis.phasespace import (PhaseSpaceContext, _antidiagonal_indices, affine_action,
                                  affine_unitary, boost_op, fourier, inverse_wigner,
                                  operator_from_json, operator_to_json, parity,
                                  phase_point, quadratic_phase, shift_op,
@@ -366,7 +366,9 @@ class TestAffineUnitary:
     @pytest.mark.parametrize("N", list(range(3, 50, 2)) + [243])
     def test_closed_form_matches_word_product(self, N):
         # The oracle is w(shift) times the word's matrix product, for the
-        # identity and every walk linear part, at random shifts.
+        # identity and every walk linear part, at random shifts; the action
+        # is checked on a vector, three columns and a square block, each
+        # column of unit norm.
         ctx = PhaseSpaceContext(N)
         rng = np.random.default_rng(N)
         for symbol in [None, *LINEAR_WORDS]:
@@ -376,6 +378,17 @@ class TestAffineUnitary:
                 T = AffineMap(linear, shift, N)
                 expected = weyl(ctx, *T.shift) @ mu
                 assert np.max(np.abs(affine_unitary(ctx, T) - expected)) <= 1e-13
+                for shape in [(N,), (N, 3), (N, N)]:
+                    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    X /= np.linalg.norm(X, axis=0)
+                    assert affine_action(ctx, T, X).shape == shape
+                    assert np.max(np.abs(affine_action(ctx, T, X) - expected @ X)) <= 1e-13
+
+    def test_action_refuses_a_wrong_row_count(self):
+        ctx = PhaseSpaceContext(5)
+        for X in (np.ones(1), np.ones((4, 5)), np.ones((25,))):
+            with pytest.raises(ValueError, match="expected 5 rows"):
+                affine_action(ctx, generator_map(5)["T2"], X)
 
     def test_unsupported_linear_part(self):
         # J and a dilation have det 1 mod 9, but neither is a unit shear.
