@@ -7,10 +7,10 @@ The package has five layers:
 * :mod:`margulis.phasespace` -- Weyl-Heisenberg and phase-point operators,
   the Wigner transform, and the unitaries implementing affine lattice maps.
 * :mod:`margulis.channel` -- the degree-8 unitary-mixture channel built
-  from the eight walk maps, its superoperator and mixing rate, and the
-  walk/channel intertwining checks.
+  from the eight walk maps, its superoperator and mixing rate, and
+  ``verify_identities``, the random-input checks behind ``margulis verify``.
 * :mod:`margulis.circuits` -- qudit gate-list synthesis of the channel's
-  unitaries for N = d^n, with dense verification.
+  unitaries for N = d^n, checked against their action on random states.
 * :mod:`margulis.continuous` -- first/second-moment dynamics of the
   real-plane version and the discretized contraction experiment.
 
@@ -28,9 +28,10 @@ from .phasespace import (PhaseSpaceContext, affine_unitary, fourier,
                          weyl, wigner)
 from .channel import (KrausChannel, apply_channel, channel_report,
                       expander_lambda, margulis_channel, superoperator,
-                      verify_wigner_intertwining)
-from .circuits import (Gate, GateList, affine_circuit, equal_up_to_phase,
-                       evaluate, qft_circuit, quadratic_circuit, weyl_circuit)
+                      verify_identities)
+from .circuits import (Gate, GateList, affine_circuit, circuit_deviation,
+                       equal_up_to_phase, evaluate, qft_circuit, quadratic_circuit,
+                       weyl_circuit)
 from .continuous import (ContractionReport, CovMatrix, MeanVector,
                          SampledField, TEST_FUNCTIONS, contraction_check,
                          discretize, f_map, g_map, g_matrix, gn_closed_form,

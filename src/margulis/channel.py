@@ -4,19 +4,21 @@ The channel applies one of the unitaries implementing the walk maps, chosen
 uniformly at random.  On Wigner tables it acts exactly as the classical walk
 acts on distributions, so its superoperator spectrum coincides with the walk
 matrix spectrum; this module builds the channel, its dense superoperator and
-spectrum, the mixing rate, and a random-input check of that identity in both
-directions.
+spectrum and the mixing rate, and ``verify_identities`` checks that identity
+and the phase-space identities under it on random inputs, at any odd N.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .circuits import affine_circuit, circuit_deviation
 from .phasespace import PhaseSpaceContext, affine_action, affine_unitary, inverse_wigner, wigner
-from .walk import (DENSE_MAX_MODULUS, GridDist, SpectralReport, _unit_shear,
-                   margulis_generators, walk_step)
+from .walk import (DENSE_MAX_MODULUS, AffineMap, GridDist, SpectralReport, _pullback_index,
+                   _unit_shear, margulis_generators, walk_step)
 
 __all__ = [
     "KrausChannel",
@@ -25,7 +27,7 @@ __all__ = [
     "superoperator",
     "channel_report",
     "expander_lambda",
-    "verify_wigner_intertwining",
+    "verify_identities",
 ]
 
 
@@ -129,35 +131,56 @@ def random_hermitian(N: int, rng: np.random.Generator) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
-def verify_wigner_intertwining(ch: KrausChannel, trials: int = 20,
-                               seed: int = 0) -> list[tuple[str, float]]:
-    """Check that the channel ``ch`` acts on Wigner tables as the walk acts on grids.
+def _covariance(ctx: PhaseSpaceContext, T: AffineMap, rho: np.ndarray,
+                table: np.ndarray) -> float:
+    """Entrywise worst |wigner(U_T rho U_T^dag) - W o T^{-1}| for the table W of rho."""
+    return float(np.max(np.abs(wigner(ctx, _conjugate(ctx, T, rho)).values
+                               - table.reshape(-1)[_pullback_index(T)])))
 
-    The identity is linear, so random inputs catch a wrong map with high
-    probability on each trial (Freivalds 1977).  Entrywise, on ``trials``
-    inputs each: (a) wigner(ch(rho)) against walk_step(wigner(rho)) for
-    random hermitian rho; then (b) the lift, ch(inverse_wigner(f)) against
-    inverse_wigner(walk_step(f)) for standard-normal tables f.  No walk matrix
-    is formed, so the check runs at any odd N = ch.dim.
 
-    Returns the (name, max deviation) rows ``("intertwining", worst (a))`` and
-    ``("intertwining_lift", worst (b))``; the caller judges them.  A worst is
-    NaN if any deviation is, so a non-finite deviation cannot pass.
+def verify_identities(N: int, *, seed: int = 42, trials: int = 20) -> list[tuple[str, float]]:
+    """(name, max deviation) rows of the phase-space identities at odd N, on one
+    default_rng(seed): orthonormality, covariance, translation, intertwining,
+    intertwining_lift and circuit_equivalence, in that order; the caller judges them.
+
+    Each identity is linear, so random inputs test it with no phase-point basis
+    (Freivalds 1977): {A(v)/sqrt(N)} is orthonormal iff N sum W^2 = ||rho||_F^2 and
+    inverse_wigner(W) = rho, and U A(v) U^dag = A(T(v)) for all v iff
+    wigner(U rho U^dag) = wigner(rho) o T^{-1} for all rho.  Each of ``trials``
+    hermitian draws g checks the intertwining wigner(ch(g)) = walk_step(wigner(g))
+    as drawn, then orthonormality and the eight maps' covariance on
+    rho = g / ||g||_F, so one tolerance fits every N.  Then come 50 displacements
+    v -> v + a, each on a fresh unit rho, and the lift
+    ch(inverse_wigner(f)) = inverse_wigner(walk_step(f)) on ``trials``
+    standard-normal tables f.  The circuit row tests each map's gate list on
+    N = d^n (smallest d) against its unitary.  No matrix of size N^2 is formed.
+    A row is the np.max of its deviations, so one NaN makes the row NaN.
     """
-    N, ctx = ch.dim, ch.ctx
+    ctx = PhaseSpaceContext(N)
+    ch = margulis_channel(ctx)
     rng = np.random.default_rng(seed)
-    devs = []
+    rows = {name: [] for name in ("orthonormality", "covariance", "translation",
+                                  "intertwining", "intertwining_lift")}
     for _ in range(trials):
-        rho = random_hermitian(N, rng)
-        left = wigner(ctx, apply_channel(ch, rho)).values
-        right = walk_step(wigner(ctx, rho)).values
-        devs.append(float(np.max(np.abs(left - right))))
-
-    lift = []
+        g = random_hermitian(N, rng)
+        rows["intertwining"].append(float(np.max(np.abs(
+            wigner(ctx, apply_channel(ch, g)).values - walk_step(wigner(ctx, g)).values))))
+        rho = g / np.linalg.norm(g)
+        table = wigner(ctx, rho)
+        rows["orthonormality"] += [abs(N * float(np.sum(table.values ** 2)) - 1.0),
+                                   float(np.max(np.abs(inverse_wigner(ctx, table) - rho)))]
+        rows["covariance"] += [_covariance(ctx, T, rho, table.values) for T in ch.maps]
+    for a in rng.integers(0, N, size=(50, 2)).tolist():
+        g = random_hermitian(N, rng)
+        rho = g / np.linalg.norm(g)
+        rows["translation"].append(_covariance(ctx, AffineMap(((1, 0), (0, 1)), a, N), rho,
+                                               wigner(ctx, rho).values))
     for _ in range(trials):
         f = GridDist(N, rng.standard_normal((N, N)))
-        left = apply_channel(ch, inverse_wigner(ctx, f))
-        right = inverse_wigner(ctx, walk_step(f))
-        lift.append(float(np.max(np.abs(left - right))))
+        rows["intertwining_lift"].append(float(np.max(np.abs(
+            apply_channel(ch, inverse_wigner(ctx, f)) - inverse_wigner(ctx, walk_step(f))))))
 
-    return [("intertwining", float(np.max(devs))), ("intertwining_lift", float(np.max(lift)))]
+    d, n = next((d, n) for d in range(3, N + 1) if d ** (n := round(math.log(N, d))) == N)
+    circuit = [circuit_deviation(ctx, T, affine_circuit(d, n, T), seed) for T in ch.maps]
+    return [(name, float(np.max(devs))) for name, devs in rows.items()] + [
+        ("circuit_equivalence", float(np.max(circuit)))]

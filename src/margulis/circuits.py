@@ -4,8 +4,9 @@ Registers carry n qudits of odd dimension d with the most significant digit
 first: basis label j = sum_l j_l d^{n-l} for qudits l = 1..n.  Circuits are
 built from single-qudit Fourier gates, diagonal phase gates with exact
 integer parameters, two-qudit controlled phases, and an explicit
-digit-reversal permutation.  Checks apply a list to states (``apply_gates``)
-and compare with :func:`margulis.phasespace.affine_action` up to a phase.
+digit-reversal permutation.  ``circuit_deviation`` applies a list to states
+(``apply_gates``) and compares with :func:`margulis.phasespace.affine_action`
+up to a phase.
 
 Synthesized families:
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phasespace import _shear_chirp
+from .phasespace import PhaseSpaceContext, _shear_chirp, affine_action
 from .walk import AffineMap
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
     "weyl_circuit",
     "affine_circuit",
     "equal_up_to_phase",
+    "circuit_deviation",
     "gate_list_to_jsonl",
     "gate_list_from_jsonl",
 ]
@@ -286,6 +288,16 @@ def equal_up_to_phase(A: np.ndarray, B: np.ndarray) -> tuple[bool, complex]:
     ok = bool(abs(abs(t) - A.shape[0]) < 1e-8)
     phase = t / abs(t) if abs(t) > 0 else complex(1.0)
     return ok, phase
+
+
+def circuit_deviation(ctx: PhaseSpaceContext, T: AffineMap, gl: GateList, seed: int) -> float:
+    """||U_T V - phi G V|| for T's gate list G, two unit states V from default_rng(seed)
+    and the one phase phi fitting both: random V test G = U_T up to phase (Freivalds)."""
+    V = np.random.default_rng(seed).standard_normal((ctx.N, 4)).view(complex)
+    V /= np.linalg.norm(V, axis=0)
+    want, got = affine_action(ctx, T, V), apply_gates(gl, V)
+    t = np.vdot(got, want)
+    return float(np.linalg.norm(want - (t / abs(t) if abs(t) > 0 else 1.0) * got))
 
 
 # ---------------------------------------------------------------------------

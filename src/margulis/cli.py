@@ -28,19 +28,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import (_conjugate, channel_report, margulis_channel, random_hermitian,
-                      verify_wigner_intertwining)
-from .circuits import affine_circuit, apply_gates, gate_list_to_jsonl
+from .channel import channel_report, margulis_channel, verify_identities
+from .circuits import affine_circuit, circuit_deviation, gate_list_to_jsonl
 from .continuous import (CovMatrix, MeanVector, TEST_FUNCTIONS,
                          contraction_check, discretize, moments_csv)
-from .phasespace import (PhaseSpaceContext, affine_action, affine_unitary, fourier,
-                         inverse_wigner, parity, quadratic_phase, operator_from_json,
-                         operator_to_json, wigner)
-from .walk import (DENSE_MAX_MODULUS, GABBER_GALIL_BOUND, GENERATOR_LABELS,
-                   AffineMap, GridDist, _csv_chunks, _fmt, _pullback_index, generator_map,
-                   grid_to_pgm, spectral_report, walk_matrix, walk_step)
+from .phasespace import (PhaseSpaceContext, affine_unitary, fourier, parity, quadratic_phase,
+                         operator_from_json, operator_to_json)
+from .walk import (DENSE_MAX_MODULUS, GABBER_GALIL_BOUND, GENERATOR_LABELS, GridDist,
+                   _csv_chunks, generator_map, grid_to_pgm, spectral_report, walk_matrix,
+                   walk_step)
 
-#: Largest N verify accepts: 3^6, where verify took 22 s and peaked at 134 MB.
+#: Largest N verify accepts: 3^6, where verify took 20 s and peaked at 122 MB.
 VERIFY_MAX_MODULUS = 729
 
 #: Largest N walk accepts: about a million cells, some 8 MB a frame in memory
@@ -85,6 +83,10 @@ def _dense_modulus_list(text: str) -> list[int]:
     moduli = [_odd_at_most(DENSE_MAX_MODULUS, "dense")(t) for t in text.split(",") if t]
     if not moduli:
         raise argparse.ArgumentTypeError(f"expected at least one N, got {text!r}")
+    for i, n in enumerate(moduli):
+        # Each N keys its rows in spectra.csv and lambdas.csv.
+        if n in moduli[:i]:
+            raise argparse.ArgumentTypeError(f"{n} is repeated")
     return moduli
 
 
@@ -138,6 +140,10 @@ def cmd_walk(args) -> int:
     return 0
 
 
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
 def cmd_spectrum(args) -> int:
     out = _outdir(args)
     kinds = ("classical", "quantum") if args.mode == "both" else (args.mode,)
@@ -154,73 +160,6 @@ def cmd_spectrum(args) -> int:
     (out / "lambdas.csv").write_text("\n".join(lambdas) + "\n")
     print(f"wrote spectra.csv and lambdas.csv for N in {args.N} to {out}")
     return 0
-
-
-def _prime_power(N: int) -> tuple[int, int]:
-    """Smallest (d, n) with d^n = N, falling back to (N, 1)."""
-    for d in range(3, N):
-        n = round(math.log(N, d))
-        if d ** n == N:
-            return d, n
-    return N, 1
-
-
-def _unit_hermitian(N: int, rng: np.random.Generator) -> np.ndarray:
-    """Random hermitian operator of unit Frobenius norm, so one --tol fits every N."""
-    rho = random_hermitian(N, rng)
-    return rho / np.linalg.norm(rho)
-
-
-def _covariance_deviations(ctx: PhaseSpaceContext, maps, rho: np.ndarray) -> list[float]:
-    """Entrywise worst |wigner(U_T rho U_T^dag) - wigner(rho) o T^{-1}|, one per map T."""
-    table = wigner(ctx, rho).values.reshape(-1)
-    return [float(np.max(np.abs(wigner(ctx, _conjugate(ctx, T, rho)).values
-                                - table[_pullback_index(T)])))
-            for T in maps]
-
-
-def _circuit_deviation(ctx: PhaseSpaceContext, T: AffineMap, gl, seed: int) -> float:
-    """||U_T V - phi G V|| for T's gate list G, two unit states V from default_rng(seed)
-    and the one phase phi fitting both: random V test G = U_T up to phase (Freivalds)."""
-    V = np.random.default_rng(seed).standard_normal((ctx.N, 4)).view(complex)
-    V /= np.linalg.norm(V, axis=0)
-    want, got = affine_action(ctx, T, V), apply_gates(gl, V)
-    t = np.vdot(got, want)
-    return float(np.linalg.norm(want - (t / abs(t) if abs(t) > 0 else 1.0) * got))
-
-
-def _verify_checks(N: int, seed: int, trials: int) -> list[tuple[str, float]]:
-    """(name, max deviation) rows.  Each identity is linear, so random rho test it
-    with no phase-point basis (Freivalds 1977): {A(v)/sqrt(N)} is orthonormal iff
-    N sum W^2 = ||rho||_F^2 and inverse_wigner(W) = rho, and U A(v) U^dag = A(T(v))
-    for all v iff wigner(U rho U^dag) = wigner(rho) o T^{-1} for all rho.  The rows
-    share the maps of the one channel built here; np.max of a row keeps the NaN
-    Python's max drops."""
-    ctx = PhaseSpaceContext(N)
-    rng = np.random.default_rng(seed)
-    ch = margulis_channel(ctx)
-    ortho, cov = [], []
-    for _ in range(trials):
-        rho = _unit_hermitian(N, rng)
-        table = wigner(ctx, rho)
-        ortho += [abs(N * float(np.sum(table.values ** 2)) - 1.0),
-                  float(np.max(np.abs(inverse_wigner(ctx, table) - rho)))]
-        cov += _covariance_deviations(ctx, ch.maps, rho)
-
-    # Translation: covariance under 50 displacements v -> v + a, on one rho each.
-    translation = []
-    for a in rng.integers(0, N, size=(50, 2)).tolist():
-        T = AffineMap(((1, 0), (0, 1)), a, N)
-        translation += _covariance_deviations(ctx, [T], _unit_hermitian(N, rng))
-    checks = [(name, float(np.max(devs))) for name, devs in
-              (("orthonormality", ortho), ("covariance", cov), ("translation", translation))]
-
-    checks += verify_wigner_intertwining(ch, trials=trials, seed=seed)
-
-    d, n = _prime_power(N)
-    circuit = [_circuit_deviation(ctx, T, affine_circuit(d, n, T), seed) for T in ch.maps]
-    checks.append(("circuit_equivalence", float(np.max(circuit))))
-    return checks
 
 
 def _reference_operators(ctx: PhaseSpaceContext) -> dict[str, np.ndarray]:
@@ -248,7 +187,7 @@ def cmd_verify(args) -> int:
                 raise ValueError(f"{path}: {err}") from None
             devs.append(float(np.max(np.abs(gold - op))))
         golden.append(("golden_operators", float(np.max(devs))))
-    checks = _verify_checks(args.N, args.seed, args.trials) + golden
+    checks = verify_identities(args.N, seed=args.seed, trials=args.trials) + golden
     if args.dump_operators:
         opdir = Path(args.dump_operators)
         opdir.mkdir(parents=True, exist_ok=True)
@@ -288,7 +227,7 @@ def cmd_circuit(args) -> int:
         (out / f"gates-{label}.jsonl").write_text(gate_list_to_jsonl(gl, label))
         line = f"{label}: {len(gl.gates)} gates"
         if args.check:
-            ok = _circuit_deviation(ctx, gens[label], gl, 0) < 1e-8
+            ok = circuit_deviation(ctx, gens[label], gl, 0) < 1e-8
             line += f", equal up to phase: {'true' if ok else 'false'}"
             if not ok:
                 status = 1

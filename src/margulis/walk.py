@@ -504,10 +504,6 @@ def spectral_report(M: np.ndarray, *, modulus: int = 0) -> SpectralReport:
 # ---------------------------------------------------------------------------
 # Serialization: CSV (p,q,value) and ASCII PGM heatmaps.
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 #: Values per grid_to_csv chunk, so its byte matrices stay near 1 MB.
 _CSV_CHUNK = 1 << 14
 

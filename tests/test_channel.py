@@ -5,8 +5,7 @@ import pytest
 
 from margulis.channel import (KrausChannel, apply_channel, channel_report,
                               expander_lambda, margulis_channel,
-                              random_hermitian, superoperator,
-                              verify_wigner_intertwining)
+                              random_hermitian, superoperator, verify_identities)
 from margulis.phasespace import (PhaseSpaceContext, affine_unitary, inverse_wigner,
                                  quadratic_phase, wigner)
 from margulis.walk import (AffineMap, GridDist, margulis_generators, spectral_report,
@@ -218,9 +217,10 @@ class TestMixing:
 
 class TestIntertwining:
     def test_report_n7(self):
-        rows = verify_wigner_intertwining(margulis_channel(PhaseSpaceContext(7)), trials=20,
-                                          seed=42)
-        assert [name for name, _ in rows] == ["intertwining", "intertwining_lift"]
+        rows = verify_identities(7, seed=42, trials=20)
+        assert [name for name, _ in rows] == ["orthonormality", "covariance", "translation",
+                                              "intertwining", "intertwining_lift",
+                                              "circuit_equivalence"]
         assert max(dev for _, dev in rows) < 1e-10
 
     def test_uniform_eigenvector_lifts_to_maximally_mixed(self):
@@ -274,8 +274,7 @@ class TestIntertwining:
 
     @pytest.mark.parametrize("N", [51, 101])
     def test_report_beyond_the_dense_walk_cap(self, N):
-        rows = verify_wigner_intertwining(margulis_channel(PhaseSpaceContext(N)), trials=20,
-                                          seed=42)
+        rows = verify_identities(N, seed=42, trials=20)
         assert max(dev for _, dev in rows) < 1e-10
 
 

@@ -13,7 +13,7 @@ import margulis
 from margulis import cli, phasespace
 from margulis.circuits import GateList, apply_gates, evaluate, gate_list_from_jsonl
 from margulis.cli import MOMENTS_MAX_ITERS, main
-from margulis.channel import margulis_channel, verify_wigner_intertwining
+from margulis.channel import verify_identities
 from margulis.phasespace import (PhaseSpaceContext, affine_action, affine_unitary,
                                  inverse_wigner, operator_from_json, wigner)
 from margulis.walk import (AffineMap, GridDist, generator_map, grid_from_csv, grid_to_csv,
@@ -157,20 +157,44 @@ class TestVerifyCommand:
         assert names == {"orthonormality", "covariance", "translation",
                          "intertwining", "intertwining_lift", "circuit_equivalence"}
 
+    @pytest.mark.parametrize("seed", [3, 42])
+    @pytest.mark.parametrize("N", [5, 25])
+    def test_json_rows_are_the_library_rows(self, N, seed, capsys):
+        # JSON writes each float in its shortest round-trip form, so equal means bitwise.
+        assert main(["verify", "--N", str(N), "--seed", str(seed), "--trials", "4",
+                     "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        rows = [(c["check"], c["max_deviation"]) for c in report["checks"]]
+        assert rows == verify_identities(N, seed=seed, trials=4)
+
+    def test_one_random_stream_for_operators_and_tables(self, monkeypatch, capsys):
+        # One generator draws every operator and table; each of the eight
+        # circuit checks seeds its own two states.
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def recorded(seed=None):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recorded)
+        assert main(["verify", "--N", "9", "--seed", "5", "--trials", "3"]) == 0
+        assert seeds == [5] * 9
+
     def test_broken_lift_fails(self, monkeypatch, capsys):
         # A scaled inverse transform would commute with both sides; an offset
-        # on one matrix entry that the channel moves does not.
+        # on one matrix entry that the channel moves does not.  The round trip
+        # of orthonormality runs the same inverse transform and sees it too.
         def offset_lift(ctx, table):
             rho = inverse_wigner(ctx, table)
             rho[0, 0] += 1e-6
             return rho
 
         monkeypatch.setattr("margulis.channel.inverse_wigner", offset_lift)
-        ch = margulis_channel(PhaseSpaceContext(5))
-        dev = dict(verify_wigner_intertwining(ch, trials=20, seed=42))
+        dev = dict(verify_identities(5, seed=42, trials=20))
         assert dev["intertwining"] < 1e-10 < dev["intertwining_lift"]
         assert main(["verify", "--N", "5"]) == 1
-        assert _failed_rows(capsys.readouterr().out) == ["intertwining_lift"]
+        assert _failed_rows(capsys.readouterr().out) == ["orthonormality", "intertwining_lift"]
 
     def test_passes_beyond_the_dense_limit(self, capsys):
         assert main(["verify", "--N", "101", "--json"]) == 0
@@ -208,7 +232,7 @@ class TestVerifyCommand:
         def scaled(ctx, rho):
             return GridDist(ctx.N, (1 + 1e-6) * wigner(ctx, rho).values)
 
-        monkeypatch.setattr("margulis.cli.wigner", scaled)
+        monkeypatch.setattr("margulis.channel.wigner", scaled)
         assert main(["verify", "--N", "25"]) == 1
         assert _failed_rows(capsys.readouterr().out) == ["orthonormality"]
 
@@ -217,7 +241,6 @@ class TestVerifyCommand:
         def nan_lift(ctx, table):
             return np.full((ctx.N, ctx.N), np.nan, dtype=complex)
 
-        monkeypatch.setattr("margulis.cli.inverse_wigner", nan_lift)
         monkeypatch.setattr("margulis.channel.inverse_wigner", nan_lift)
         assert main(["verify", "--N", "7"]) == 1
         assert _failed_rows(capsys.readouterr().out) == ["orthonormality", "intertwining_lift"]
@@ -230,7 +253,6 @@ class TestVerifyCommand:
         def refuse(token):
             raise ValueError(f"non-standard JSON constant {token}")
 
-        monkeypatch.setattr("margulis.cli.inverse_wigner", nan_lift)
         monkeypatch.setattr("margulis.channel.inverse_wigner", nan_lift)
         path = tmp_path / "report.json"
         assert main(["verify", "--N", "5", "--json", "--out", str(path)]) == 1
@@ -244,19 +266,19 @@ class TestVerifyCommand:
 
     def test_nan_table_for_a_later_map_fails_covariance(self, monkeypatch, capsys):
         # Python's max over the maps kept the first map's value.  Each trial
-        # tables rho for orthonormality, again for covariance, then U rho U^dag
-        # for T1, T2, ...: the fourth table is T2's.  GridDist refuses NaN, so
-        # a bare stand-in carries it.
+        # tables ch(g) and g for the intertwining, rho = g / ||g|| for
+        # orthonormality and covariance, then U rho U^dag for T1, T2, ...: the
+        # fifth table is T2's.  GridDist refuses NaN, so a bare stand-in carries it.
         calls = []
 
-        def nan_fourth(ctx, rho):
+        def nan_fifth(ctx, rho):
             calls.append(rho)
             table = wigner(ctx, rho)
-            if len(calls) == 4:
+            if len(calls) == 5:
                 return SimpleNamespace(values=np.full_like(table.values, np.nan))
             return table
 
-        monkeypatch.setattr("margulis.cli.wigner", nan_fourth)
+        monkeypatch.setattr("margulis.channel.wigner", nan_fifth)
         assert main(["verify", "--N", "7"]) == 1
         assert _failed_rows(capsys.readouterr().out) == ["covariance"]
 
@@ -268,7 +290,7 @@ class TestVerifyCommand:
             Y = apply_gates(gl, X)
             return np.full_like(Y, np.nan) if len(calls) == 2 else Y
 
-        monkeypatch.setattr("margulis.cli.apply_gates", nan_second)
+        monkeypatch.setattr("margulis.circuits.apply_gates", nan_second)
         assert main(["verify", "--N", "9"]) == 1
         assert len(calls) == 8
         assert _failed_rows(capsys.readouterr().out) == ["circuit_equivalence"]
@@ -421,6 +443,7 @@ class TestUsage:
         ["contraction", "--R", "2"],
         ["spectrum", "--N", "51"],
         ["spectrum", "--N", ","],
+        ["spectrum", "--N", "3,3"],
         ["verify", "--N", "731"],
         ["verify", "--compare-operators", "{missing}"],
         ["circuit", "--d", "3", "--qudits", "12", "--check", "--transform", "T1"],
@@ -449,14 +472,15 @@ class TestUsage:
         (["verify", "--trials", "0"], "--trials"),
         (["verify", "--seed", "-1"], "--seed: expected an integer >= 0"),
         (["spectrum", "--N", ","], "--N: expected at least one N"),
+        (["spectrum", "--N", "3,5,3"], "--N: 3 is repeated"),
         (["verify", "--tol", "nan"], "--tol: expected a finite number > 0"),
         (["verify", "--tol", "-1"], "--tol: expected a finite number > 0"),
         (["verify", "--tol", "0"], "--tol: expected a finite number > 0"),
         (["contraction", "--R", "-1"], "--R: expected an integer >= 1, got -1"),
         (["contraction", "--delta", "nan"], "--delta: expected a finite number > 0, got nan"),
     ], ids=["circuit --qudits 0", "spectrum --N 3,51", "verify --N 731", "verify --trials 0",
-            "verify --seed -1", "spectrum --N ,", "verify --tol nan", "verify --tol -1",
-            "verify --tol 0", "contraction --R -1", "contraction --delta nan"])
+            "verify --seed -1", "spectrum --N ,", "spectrum --N 3,5,3", "verify --tol nan",
+            "verify --tol -1", "verify --tol 0", "contraction --R -1", "contraction --delta nan"])
     def test_usage_error_names_the_flag(self, argv, named, capsys):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -499,11 +523,11 @@ class TestUsage:
     def test_golden_files_read_before_the_checks(self, tmp_path, capsys, monkeypatch):
         calls = []
 
-        def checks(*args):
+        def checks(*args, **kwargs):
             calls.append(args)
             raise AssertionError("the checks ran before the golden files were read")
 
-        monkeypatch.setattr("margulis.cli._verify_checks", checks)
+        monkeypatch.setattr("margulis.cli.verify_identities", checks)
         assert main(["verify", "--N", "5", "--compare-operators",
                      str(tmp_path / "missing")]) == 2
         assert calls == []
