@@ -156,6 +156,8 @@ def verify_identities(N: int, *, seed: int = 42, trials: int = 20) -> list[tuple
     N = d^n (smallest d) against its unitary.  No matrix of size N^2 is formed.
     A row is the np.max of its deviations, so one NaN makes the row NaN.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     ctx = PhaseSpaceContext(N)
     ch = margulis_channel(ctx)
     rng = np.random.default_rng(seed)

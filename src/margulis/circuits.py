@@ -325,16 +325,26 @@ def gate_list_to_jsonl(gl: GateList, transform: str = "") -> str:
 
 
 def gate_list_from_jsonl(text: str) -> tuple[GateList, str]:
-    """Parse a dump back into (GateList, transform label)."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    header = json.loads(lines[0])
+    """Parse a dump back into (GateList, transform label).  Raises ValueError, naming
+    the line, on an empty dump, a line that is not a JSON object or a missing key."""
+    rows = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not rows:
+        raise ValueError("gate list dump is empty: no header line")
     gates = []
-    for ln in lines[1:]:
-        obj = json.loads(ln)
-        targets = tuple(obj[k] for k in ("t1", "t2") if k in obj)
-        gates.append(Gate(obj["op"], obj["d"], targets,
-                          obj.get("c", 0), obj.get("M", 1)))
-    gl = GateList(header["d"], header["n"], tuple(gates),
-                  phase_num=header["global_phase_num"],
-                  phase_den=header["global_phase_den"])
-    return gl, header.get("transform", "")
+    for i, ln in rows:
+        try:
+            obj = json.loads(ln)
+            if not isinstance(obj, dict):
+                raise ValueError(f"expected a JSON object, got {ln!r}")
+            if i == rows[0][0]:
+                header = (obj["d"], obj["n"], obj["global_phase_num"],
+                          obj["global_phase_den"], obj.get("transform", ""))
+            else:
+                targets = tuple(obj[k] for k in ("t1", "t2") if k in obj)
+                gates.append(Gate(obj["op"], obj["d"], targets, obj.get("c", 0), obj.get("M", 1)))
+        except KeyError as err:
+            raise ValueError(f"line {i}: missing key {err}") from None
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"line {i}: {err}") from None
+    d, n, phase_num, phase_den, label = header
+    return GateList(d, n, tuple(gates), phase_num=phase_num, phase_den=phase_den), label

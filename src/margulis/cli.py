@@ -9,10 +9,13 @@ Subcommands::
     moments      iterate the covariance maps; CSV trace
     contraction  discretize a test function and measure the one-step ratio
 
-Exit status: 0 success, 1 check failure, 2 usage error.  All output is
-deterministic for a fixed seed.  CSV files write floats with 17 significant
-digits (%.17g), JSON reports in JSON's shortest round-trip form.  The default
-output directory is $MARGULIS_OUT, else the current directory.
+Exit status: 0 success, 1 check failure, 2 usage error.  Each flag's type holds
+its whole domain (bound, oddness, cap), so argparse refuses a bad value in one
+line, ``margulis: error: argument --FLAG: ...``; the checks that need two flags,
+the library or the filesystem print one ``margulis: error: ...`` line.  All
+output is deterministic for a fixed seed.  CSV files write floats with 17
+significant digits (%.17g), JSON reports in JSON's shortest round-trip form.
+The default output directory is $MARGULIS_OUT, else the current directory.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -63,24 +65,28 @@ CONTRACTION_MAX_R = 256
 MOMENTS_MAX_ITERS = 1024
 
 
-def _odd_int(text: str) -> int:
-    n = int(text)
-    if n < 3 or n % 2 == 0:
-        raise argparse.ArgumentTypeError(f"{n} is not an odd integer >= 3")
-    return n
+def _number(kind: type, lo, limit=None, name: str = "", *, strict=False, odd=False):
+    """argparse type for one finite int or float: at least lo (above it if
+    strict), odd if asked, and at most ``limit``, the flag's ``name`` limit."""
+    fmt = "g" if kind is float else "d"  # f"{1234567:g}" is 1.23457e+06
 
-
-def _odd_at_most(limit: int, kind: str):
-    def modulus(text: str) -> int:
-        n = _odd_int(text)
-        if n > limit:
-            raise argparse.ArgumentTypeError(f"{n} exceeds the {kind} limit {limit}")
-        return n
-    return modulus
+    def number(text: str):
+        x = kind(text)
+        if odd and (x < lo or x % 2 == 0):
+            raise argparse.ArgumentTypeError(f"{x} is not an odd integer >= {lo}")
+        if not ((kind is int or math.isfinite(x)) and (x > lo if strict else x >= lo)):
+            what = "an integer" if kind is int else "a finite number"
+            raise argparse.ArgumentTypeError(
+                f"expected {what} {'>' if strict else '>='} {lo:{fmt}}, got {x:{fmt}}")
+        if limit is not None and x > limit:
+            raise argparse.ArgumentTypeError(f"{x:{fmt}} exceeds the {name} limit {limit:{fmt}}")
+        return x
+    return number
 
 
 def _dense_modulus_list(text: str) -> list[int]:
-    moduli = [_odd_at_most(DENSE_MAX_MODULUS, "dense")(t) for t in text.split(",") if t]
+    modulus = _number(int, 3, DENSE_MAX_MODULUS, "dense", odd=True)
+    moduli = [modulus(t) for t in text.split(",") if t]
     if not moduli:
         raise argparse.ArgumentTypeError(f"expected at least one N, got {text!r}")
     for i, n in enumerate(moduli):
@@ -88,22 +94,6 @@ def _dense_modulus_list(text: str) -> list[int]:
         if n in moduli[:i]:
             raise argparse.ArgumentTypeError(f"{n} is repeated")
     return moduli
-
-
-def _int_at_least(lo: int):
-    def integer(text: str) -> int:
-        n = int(text)
-        if n < lo:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {n}")
-        return n
-    return integer
-
-
-def _positive_float(text: str) -> float:
-    x = float(text)
-    if not (math.isfinite(x) and x > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text}")
-    return x
 
 
 def _point(text: str) -> tuple[int, int]:
@@ -120,8 +110,6 @@ def _outdir(args) -> Path:
 
 
 def cmd_walk(args) -> int:
-    if args.N > WALK_MAX_MODULUS:
-        raise ValueError(f"--N {args.N} exceeds the walk limit {WALK_MAX_MODULUS}")
     if not all(0 <= x < args.N for x in args.start):
         raise ValueError(f"--start {args.start[0]},{args.start[1]} is outside "
                          f"0..{args.N - 1} for --N {args.N}")
@@ -235,30 +223,25 @@ def cmd_circuit(args) -> int:
     return status
 
 
-def _gamma(text: str) -> CovMatrix:
+def _finite_floats(text: str, names: str) -> list[float]:
     parts = [float(t) for t in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected 'a,b,c', got {text!r}")
-    return CovMatrix(*parts)
+    if len(parts) != len(names.split(",")):
+        raise argparse.ArgumentTypeError(f"expected {names!r}, got {text!r}")
+    if not all(map(math.isfinite, parts)):
+        raise argparse.ArgumentTypeError(f"{text} is not finite")
+    return parts
+
+
+def _gamma(text: str) -> CovMatrix:
+    return CovMatrix(*_finite_floats(text, "a,b,c"))
 
 
 def _mean(text: str) -> MeanVector:
-    parts = [float(t) for t in text.split(",")]
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 'x,p', got {text!r}")
-    return MeanVector(*parts)
+    return MeanVector(*_finite_floats(text, "x,p"))
 
 
 def cmd_moments(args) -> int:
-    if args.iters > MOMENTS_MAX_ITERS:
-        raise ValueError(f"--iters {args.iters} exceeds the moments limit {MOMENTS_MAX_ITERS}")
-    for flag, values in (("--gamma", astuple(args.gamma)), ("--mean", astuple(args.mean))):
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"{flag} {','.join(map(str, values))} is not finite")
-    # moments_csv refuses a trace that leaves float range; numpy's overflow
-    # warnings on the way there would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        text = moments_csv(args.gamma, args.mean, args.iters, args.map)
+    text = moments_csv(args.gamma, args.mean, args.iters, args.map)
     out = _outdir(args)
     (out / "moments.csv").write_text(text)
     print(text.strip().splitlines()[-1])
@@ -266,14 +249,8 @@ def cmd_moments(args) -> int:
 
 
 def cmd_contraction(args) -> int:
-    if args.delta > CONTRACTION_MAX_DELTA:
-        raise ValueError(f"--delta {args.delta:g} exceeds the contraction limit "
-                         f"{CONTRACTION_MAX_DELTA:g}")
-    if args.R > CONTRACTION_MAX_R:
-        raise ValueError(f"--R {args.R} exceeds the contraction limit {CONTRACTION_MAX_R}")
+    report = contraction_check(discretize(args.fn, args.delta, args.R))
     out = _outdir(args)
-    field = discretize(args.fn, args.delta, args.R)
-    report = contraction_check(field)
     (out / f"contraction-{args.fn}.json").write_text(report.to_json() + "\n")
     print(f"{args.fn}: ratio {report.ratio:.6f} (bound {report.bound:.6f}, "
           f"N_embed {report.N_embed})")
@@ -295,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("walk", help="iterate the walk from a point mass")
-    p.add_argument("--N", type=_odd_int, default=7)
-    p.add_argument("--steps", type=_int_at_least(0), default=3)
+    p.add_argument("--N", type=_number(int, 3, WALK_MAX_MODULUS, "walk", odd=True), default=7)
+    p.add_argument("--steps", type=_number(int, 0), default=3)
     p.add_argument("--start", type=_point, default=(0, 0), metavar="P,Q")
     p.add_argument("--fixed-scale", action="store_true",
                    help="share one grayscale range across frames")
@@ -311,10 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify", help="operator-identity check bundle")
-    p.add_argument("--N", type=_odd_at_most(VERIFY_MAX_MODULUS, "verify"), default=7)
-    p.add_argument("--seed", type=_int_at_least(0), default=42)
-    p.add_argument("--trials", type=_int_at_least(1), default=20)
-    p.add_argument("--tol", type=_positive_float, default=1e-10)
+    p.add_argument("--N", type=_number(int, 3, VERIFY_MAX_MODULUS, "verify", odd=True), default=7)
+    p.add_argument("--seed", type=_number(int, 0), default=42)
+    p.add_argument("--trials", type=_number(int, 1), default=20)
+    p.add_argument("--tol", type=_number(float, 0, strict=True), default=1e-10)
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument("--out", help="also write the JSON report to this path")
     p.add_argument("--dump-operators", metavar="DIR",
@@ -324,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("circuit", help="synthesize walk unitaries as gate lists")
-    p.add_argument("--d", type=_odd_int, default=3, help="qudit dimension (odd)")
-    p.add_argument("--qudits", "-n", type=_int_at_least(1), default=2)
+    p.add_argument("--d", type=_number(int, 3, odd=True), default=3, help="qudit dimension (odd)")
+    p.add_argument("--qudits", "-n", type=_number(int, 1), default=2)
     p.add_argument("--transform", choices=GENERATOR_LABELS + ("all",), default="all")
     p.add_argument("--check", action="store_true",
                    help="compare with the unitary's action on two random states")
@@ -336,15 +313,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=_gamma, default=CovMatrix(1.0, 0.0, 1.0),
                    metavar="A,B,C")
     p.add_argument("--mean", type=_mean, default=MeanVector(0.0, 0.0), metavar="X,P")
-    p.add_argument("--iters", type=_int_at_least(0), default=4)
+    p.add_argument("--iters", type=_number(int, 0, MOMENTS_MAX_ITERS, "moments"), default=4)
     p.add_argument("--map", choices=("g", "f"), default="g")
     p.add_argument("--out")
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("contraction", help="one-step contraction of a test function")
     p.add_argument("--fn", choices=sorted(TEST_FUNCTIONS), default="box_dipole")
-    p.add_argument("--delta", type=_positive_float, default=0.25)
-    p.add_argument("--R", type=_int_at_least(1), default=8)
+    p.add_argument("--delta", default=0.25, type=_number(
+        float, 0, CONTRACTION_MAX_DELTA, "contraction", strict=True))
+    p.add_argument("--R", type=_number(int, 1, CONTRACTION_MAX_R, "contraction"), default=8)
     p.add_argument("--out")
     p.set_defaults(func=cmd_contraction)
     return parser
@@ -356,8 +334,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as err:
-        # Values only the library can judge, and unreadable or unwritable
-        # paths, are usage errors as much as the ones argparse catches.
+        # Checks of two flags or by the library, and bad paths: usage errors too.
         print(f"{parser.prog}: error: {err}", file=sys.stderr)
         return 2
 

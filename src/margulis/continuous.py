@@ -347,6 +347,7 @@ def moments_csv(gamma: CovMatrix, mean: MeanVector, iters: int,
 
     Raises ValueError, naming the iteration, if any cell of the trace
     leaves float range: the diagonal grows as 3^n, and det overflows first.
+    That error is the only report: numpy's overflow warnings are silenced.
     """
     if which not in ("g", "f"):
         raise ValueError(f"map must be 'g' or 'f', got {which!r}")
@@ -359,8 +360,9 @@ def moments_csv(gamma: CovMatrix, mean: MeanVector, iters: int,
             raise ValueError(f"the moments leave float range at iteration {n} "
                              f"({', '.join(bad)} not finite)")
         lines.append(",".join([str(n)] + [format(v, ".17g") for v in values]))
-        if which == "g":
-            cur_g = g_map(cur_g)
-        else:
-            cur_g, cur_m = f_map(cur_g, cur_m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if which == "g":
+                cur_g = g_map(cur_g)
+            else:
+                cur_g, cur_m = f_map(cur_g, cur_m)
     return "\n".join(lines) + "\n"

@@ -223,6 +223,12 @@ class TestIntertwining:
                                               "circuit_equivalence"]
         assert max(dev for _, dev in rows) < 1e-10
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_refused(self, trials):
+        # Was numpy's "zero-size array to reduction operation maximum".
+        with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+            verify_identities(7, trials=trials)
+
     def test_uniform_eigenvector_lifts_to_maximally_mixed(self):
         N = 5
         ctx = PhaseSpaceContext(N)

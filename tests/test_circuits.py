@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -378,3 +380,18 @@ class TestSerialization:
             assert obj["d"] == 3 and "op" in obj
         cphases = [o for o in objs if o["op"] == "cphase"]
         assert all({"t1", "t2", "c", "M"} <= set(o) for o in cphases)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda lines: [], "gate list dump is empty: no header line"),
+        (lambda lines: [lines[0].replace('"n": 2, ', "")] + lines[1:],
+         "line 1: missing key 'n'"),
+        (lambda lines: lines[:2] + ["", lines[2].replace('"op": ', '"kind": ')],
+         "line 4: missing key 'op'"),
+        (lambda lines: lines[:2] + ["[1, 2]"], "line 3: expected a JSON object, got '[1, 2]'"),
+        (lambda lines: lines + ["{"], "line 6: Expecting property name enclosed in double quotes"),
+    ], ids=["empty", "header without n", "gate without op", "not an object", "not json"])
+    def test_malformed_dump_names_the_line(self, edit, message):
+        # Were IndexError, KeyError, TypeError and a ValueError naming no line.
+        lines = gate_list_to_jsonl(qft_circuit(3, 2), "q").splitlines()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            gate_list_from_jsonl("\n".join(edit(lines)) + "\n")

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -379,3 +380,11 @@ class TestMomentsCsv:
     def test_bad_map_name(self):
         with pytest.raises(ValueError, match="map"):
             moments_csv(CovMatrix(1.0, 0.0, 1.0), MeanVector(0.0, 0.0), 1, "h")
+
+    def test_overflow_is_reported_once_with_no_numpy_warning(self):
+        # g_matrix's matmul overflows on the way; its warning would only repeat the error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at iteration 1 \\(a, b, c, mean_x, mean_p, "
+                                                 "trace, det not finite\\)"):
+                moments_csv(CovMatrix(1.0, 0.0, 1.0), MeanVector(1e308, 1e308), 3, "f")
