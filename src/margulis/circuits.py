@@ -326,7 +326,8 @@ def gate_list_to_jsonl(gl: GateList, transform: str = "") -> str:
 
 def gate_list_from_jsonl(text: str) -> tuple[GateList, str]:
     """Parse a dump back into (GateList, transform label).  Raises ValueError, naming
-    the line, on an empty dump, a line that is not a JSON object or a missing key."""
+    the line, on an empty dump, a line that is not a JSON object, a missing key or
+    an integer field that holds another type (a bool, a string or a float)."""
     rows = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not rows:
         raise ValueError("gate list dump is empty: no header line")
@@ -336,6 +337,9 @@ def gate_list_from_jsonl(text: str) -> tuple[GateList, str]:
             obj = json.loads(ln)
             if not isinstance(obj, dict):
                 raise ValueError(f"expected a JSON object, got {ln!r}")
+            for key in ("d", "n", "global_phase_num", "global_phase_den", "t1", "t2", "c", "M"):
+                if key in obj and type(obj[key]) is not int:  # bool is an int subclass
+                    raise ValueError(f"field {key!r} is {obj[key]!r}, not an integer")
             if i == rows[0][0]:
                 header = (obj["d"], obj["n"], obj["global_phase_num"],
                           obj["global_phase_den"], obj.get("transform", ""))

@@ -175,12 +175,16 @@ def cmd_verify(args) -> int:
                 raise ValueError(f"{path}: {err}") from None
             devs.append(float(np.max(np.abs(gold - op))))
         golden.append(("golden_operators", float(np.max(devs))))
-    checks = verify_identities(args.N, seed=args.seed, trials=args.trials) + golden
+    # Write the outputs the checks do not change, and open the report's path,
+    # before the checks, so a bad path fails at once.
     if args.dump_operators:
         opdir = Path(args.dump_operators)
         opdir.mkdir(parents=True, exist_ok=True)
         for name, op in ops.items():
             (opdir / f"{name}.json").write_text(operator_to_json(op))
+    if args.out:
+        Path(args.out).open("a").close()
+    checks = verify_identities(args.N, seed=args.seed, trials=args.trials) + golden
     rows = [(name, dev, dev < args.tol) for name, dev in checks]
     passed = all(ok for _, _, ok in rows)
     # Strict JSON has no NaN or inf: a non-finite deviation is written as null.

@@ -225,16 +225,15 @@ def _pullback_index(T: AffineMap) -> np.ndarray:
     return (a * p + b * q + s) % N * N + (c * p + d * q + t) % N
 
 
-def _shear_table(maps) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
-    """The walk maps as paired shears, one (axis, d, reads) per sheared axis.
+def _shear_table(maps) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """The walk maps as unit shears, one (axis, reads) per sheared axis.
 
     ``maps`` are (label, linear, shift) triples over Z^2.  Each linear part
     must add m times the other coordinate x to one axis y, and each shift t
-    must lie along y: then f o T^{-1} reads f(x, y - m x - t).  The two maps
-    with one m sum to g(x, y - m x + c), c = -min(t), for g = f + roll(f, d)
-    along y and d the gap between their t.  ``reads`` holds each (m, c).
+    must lie along y: then f o T^{-1} reads f(x, y - m x + c), c = -t, f's
+    line x rotated to start c - m x.  ``reads`` holds each map's (m, c).
     """
-    axes: dict[int, dict[int, list[int]]] = {}
+    axes: dict[int, list[tuple[int, int]]] = {}
     for label, linear, shift in maps:
         message = f"{label}: {linear} + {shift} is not a unit shear"
         try:
@@ -243,14 +242,8 @@ def _shear_table(maps) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ..
             raise ValueError(message) from None
         if not m or shift[1 - axis]:
             raise ValueError(message)
-        axes.setdefault(axis, {}).setdefault(m, []).append(shift[axis])
-    table = []
-    for axis, pairs in sorted(axes.items()):
-        gaps = {max(ts) - min(ts) if len(ts) == 2 else None for ts in pairs.values()}
-        if len(gaps) != 1 or None in gaps:
-            raise ValueError(f"the shears along axis {axis} do not pair up with one gap")
-        table.append((axis, gaps.pop(), tuple((m, -min(ts)) for m, ts in pairs.items())))
-    return tuple(table)
+        axes.setdefault(axis, []).append((m, -shift[axis]))
+    return tuple((axis, tuple(reads)) for axis, reads in sorted(axes.items()))
 
 
 _SHEARS = _shear_table(generator_data())
@@ -263,29 +256,25 @@ def walk_step(f: GridDist) -> GridDist:
     """One expander step: average of f o T^{-1} over the eight maps.
 
     Each axis of _shear_table is read a strip of lines at a time: a strip
-    holds the pair sum g's lines twice over, so g's line x rotated to start
-    s = (c - m x) mod N is the window of length N at s.  The first axis is
-    read and written transposed.  Scratch is a few strips beside the
-    result, and nothing is kept between calls.  Preserves mass and
-    nonnegativity; a sum that overflows raises ValueError, as GridDist does
-    for any table that is not finite.
+    holds f's lines twice over, so line x rotated to start s = (c - m x) mod N
+    is the window of length N at s, one window per map.  The first axis is
+    read and written transposed.  Scratch is a few strips beside the result,
+    and nothing is kept between calls.  Preserves mass and nonnegativity; a
+    sum that overflows raises ValueError, as GridDist does for any table
+    that is not finite.
     """
     N = f.modulus
     rows = min(N, max(1, _STRIP_CELLS // N))
-    strip = np.empty((rows, 2 * N))
-    windows = sliding_window_view(strip, N, axis=1)  # [i, s]: line i from s
+    strip = np.empty((rows, 2, N))
+    windows = sliding_window_view(strip.reshape(rows, 2 * N), N, axis=1)  # [i, s]: line i from s
     x = np.arange(N)
     out = np.empty((N, N))
-    for k, (axis, d, reads) in enumerate(_SHEARS):
+    for k, (axis, reads) in enumerate(_SHEARS):
         src, dst = (f.values.T, out.T) if axis == 0 else (f.values, out)
         starts = [(c - m * x) % N for m, c in reads]
-        d %= N
         for lo in range(0, N, rows):
             n = min(rows, N - lo)
-            f_lines, g = src[lo:lo + n], strip[:n, :N]  # g = f + roll(f, d)
-            np.add(f_lines[:, d:], f_lines[:, :N - d], out=g[:, d:])
-            np.add(f_lines[:, :d], f_lines[:, N - d:], out=g[:, :d])
-            strip[:n, N:] = g
+            strip[:n] = src[lo:lo + n, None]
             acc = windows[x[:n], starts[0][lo:lo + n]]
             for s in starts[1:]:
                 acc += windows[x[:n], s[lo:lo + n]]

@@ -389,9 +389,19 @@ class TestSerialization:
          "line 4: missing key 'op'"),
         (lambda lines: lines[:2] + ["[1, 2]"], "line 3: expected a JSON object, got '[1, 2]'"),
         (lambda lines: lines + ["{"], "line 6: Expecting property name enclosed in double quotes"),
-    ], ids=["empty", "header without n", "gate without op", "not an object", "not json"])
+        (lambda lines: [lines[0].replace('"d": 3', '"d": "3"')] + lines[1:],
+         "line 1: field 'd' is '3', not an integer"),
+        (lambda lines: lines[:2] + [lines[2].replace('"M": 9', '"M": "9"')],
+         "line 3: field 'M' is '9', not an integer"),
+        (lambda lines: lines[:2] + [lines[2].replace('"c": 1', '"c": 1.5')],
+         "line 3: field 'c' is 1.5, not an integer"),
+        (lambda lines: lines[:1] + [lines[1].replace('"t1": 1', '"t1": true')],
+         "line 2: field 't1' is True, not an integer"),
+    ], ids=["empty", "header without n", "gate without op", "not an object", "not json",
+            "string d", "string M", "float c", "bool t1"])
     def test_malformed_dump_names_the_line(self, edit, message):
-        # Were IndexError, KeyError, TypeError and a ValueError naming no line.
+        # Were IndexError, KeyError, TypeError and a ValueError naming no line or
+        # field ("gate dimension 3 != register dimension 3" for a string d).
         lines = gate_list_to_jsonl(qft_circuit(3, 2), "q").splitlines()
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             gate_list_from_jsonl("\n".join(edit(lines)) + "\n")

@@ -539,6 +539,23 @@ class TestUsage:
         assert calls == []
         assert "fourier.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,make", [
+        ("--out", Path.mkdir), ("--dump-operators", Path.touch),
+    ], ids=["report path is a directory", "operator directory is a file"])
+    def test_unwritable_output_refused_before_the_checks(self, flag, make, tmp_path, capsys,
+                                                         monkeypatch):
+        # The report's path was tried only after the checks, some 20 s at --N 729.
+        def checks(*args, **kwargs):
+            raise AssertionError("the checks ran before the output paths were tried")
+
+        monkeypatch.setattr("margulis.cli.verify_identities", checks)
+        taken = tmp_path / "taken"
+        make(taken)
+        assert main(["verify", "--N", "25", "--json", flag, str(taken)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("margulis: error: [Errno ") and f"'{taken}'" in err
+
     @pytest.mark.parametrize("text,message", [
         ('{"dim": 5}', "fourier.json: operator dump is not an object {dim, re, im} of arrays"),
         ("[1]", "fourier.json: operator dump is not an object {dim, re, im} of arrays"),

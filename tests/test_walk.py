@@ -37,7 +37,7 @@ def _oracle_walk_step(f, maps=None):
 
 
 # Eight maps shearing by 3 with shift gap 2, a table unlike WALK_MAPS in every
-# number the kernel derives: m, c and d.
+# number the kernel derives: m and c.
 _OTHER_SHEARS = (
     ("A", ((1, 3), (0, 1)), (1, 0)), ("B", ((1, 3), (0, 1)), (3, 0)),
     ("Ai", ((1, -3), (0, 1)), (-1, 0)), ("Bi", ((1, -3), (0, 1)), (-3, 0)),
@@ -46,9 +46,25 @@ _OTHER_SHEARS = (
 )
 
 # The walk maps with the shifts of T2 and T2inv dropped: on the first axis the
-# two maps of each pair coincide, and the pair sum is 2 f.
+# two maps of each m coincide.
 _UNSHIFTED = tuple((label, lin, (0, 0) if label in ("T2", "T2inv") else sh)
                    for label, lin, sh in generator_data())
+
+
+def _walk_maps_with(change):
+    """The walk maps with the rows of ``change``, index -> (label, linear, shift)."""
+    maps = list(generator_data())
+    for i, row in change.items():
+        maps[i] = row
+    return tuple(maps)
+
+
+# Tables whose shears do not pair up with one shift gap on each axis.
+_UNPAIRED = {
+    "gap 2 beside gap 1": _walk_maps_with({1: ("T2", ((1, 2), (0, 1)), (2, 0))}),
+    "one map of its m": _walk_maps_with({1: ("T2", ((1, 3), (0, 1)), (1, 0))}),
+    "three maps of one m": _walk_maps_with({2: ("T3", ((1, 0), (-2, 1)), (0, 0))}),
+}
 
 
 # The gather-form fold the row-by-row fold replaced, kept as its reference:
@@ -340,7 +356,8 @@ class TestWalkStep:
             f = _table(N, kind, rng)
             assert np.allclose(walk_step(f).values, _oracle_walk_step(f), rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("maps", [_OTHER_SHEARS, _UNSHIFTED], ids=["by 3, gap 2", "gap 0"])
+    @pytest.mark.parametrize("maps", [_OTHER_SHEARS, _UNSHIFTED, *_UNPAIRED.values()],
+                             ids=["by 3, gap 2", "gap 0", *_UNPAIRED])
     @pytest.mark.parametrize("N", [7, 9, 15])
     def test_kernel_reads_its_numbers_off_the_map_table(self, N, maps, monkeypatch):
         monkeypatch.setattr(margulis.walk, "_SHEARS", _shear_table(maps))
@@ -377,21 +394,14 @@ class TestWalkStep:
         ({0: ("T1", ((1, 2), (2, 5)), (0, 0))}, "T1: .* is not a unit shear"),
         ({0: ("T1", ((2, 0), (0, 5)), (0, 0))}, "T1: .* is not a unit shear"),
         ({1: ("T2", ((1, 2), (0, 1)), (1, 1))}, "T2: .* is not a unit shear"),
-        ({1: ("T2", ((1, 2), (0, 1)), (2, 0))}, "axis 0 do not pair up"),
-        ({1: ("T2", ((1, 3), (0, 1)), (1, 0))}, "axis 0 do not pair up"),
-        ({2: ("T3", ((1, 0), (-2, 1)), (0, 0))}, "axis 1 do not pair up"),
-    ], ids=["rotation", "identity", "two-axis", "dilation", "shift across", "gap 2 beside gap 1",
-            "one map of its m", "three maps of one m"])
-    def test_map_table_that_is_not_paired_shears_raises(self, change, message):
-        maps = list(generator_data())
-        for i, row in change.items():
-            maps[i] = row
+    ], ids=["rotation", "identity", "two-axis", "dilation", "shift across"])
+    def test_map_table_that_is_not_unit_shears_raises(self, change, message):
         with pytest.raises(ValueError, match=message):
-            _shear_table(maps)
+            _shear_table(_walk_maps_with(change))
 
-    def test_overflowing_pair_sum_is_rejected(self):
-        # f + roll(f, u) overflows to inf on a finite table; the step hands its
-        # array to GridDist uncopied, but still checked.
+    def test_overflowing_window_sum_is_rejected(self):
+        # The sum of a line's windows overflows to inf on a finite table; the
+        # step hands its array to GridDist uncopied, but still checked.
         f = GridDist(5, np.full((5, 5), 1e308))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             walk_step(f)
