@@ -30,8 +30,7 @@ from .channel import (KrausChannel, apply_channel, channel_report,
                       expander_lambda, margulis_channel, superoperator,
                       verify_identities)
 from .circuits import (Gate, GateList, affine_circuit, circuit_deviation,
-                       equal_up_to_phase, evaluate, qft_circuit, quadratic_circuit,
-                       weyl_circuit)
+                       equal_up_to_phase, evaluate, quadratic_circuit, weyl_circuit)
 from .continuous import (ContractionReport, CovMatrix, MeanVector,
                          SampledField, TEST_FUNCTIONS, contraction_check,
                          discretize, f_map, g_map, g_matrix, gn_closed_form,

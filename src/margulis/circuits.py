@@ -10,8 +10,6 @@ up to a phase.
 
 Synthesized families:
 
-* ``qft_circuit``: the N-level Fourier transform from n single-qudit
-  Fourier gates, n(n-1)/2 controlled phases, and one reversal.
 * ``quadratic_circuit``: diag(exp(k*2*pi*i*j^2/N)) as its digit
   expansion; pairs (l, l') whose phase exponent is an integer are dropped.
 * ``weyl_circuit``: z(p) is a product of n local phases; x(q) is
@@ -36,19 +34,15 @@ __all__ = [
     "Gate",
     "GateList",
     "GATE_KINDS",
-    "digits",
-    "undigits",
     "apply_gates",
     "evaluate",
     "inverse_gates",
-    "qft_circuit",
     "quadratic_circuit",
     "weyl_circuit",
     "affine_circuit",
     "equal_up_to_phase",
     "circuit_deviation",
     "gate_list_to_jsonl",
-    "gate_list_from_jsonl",
 ]
 
 GATE_KINDS = ("fourier", "fourier_inv", "linear_phase", "quadratic_phase",
@@ -119,18 +113,6 @@ class GateList:
         return np.exp(2j * np.pi * self.phase_num / self.phase_den)
 
 
-def digits(j: int, d: int, n: int) -> tuple[int, ...]:
-    """Digit expansion (j_1, ..., j_n) with j = sum j_l d^{n-l}."""
-    return tuple((j // d ** (n - l)) % d for l in range(1, n + 1))
-
-
-def undigits(js, d: int) -> int:
-    out = 0
-    for jl in js:
-        out = out * d + int(jl)
-    return out
-
-
 def _apply(gate: Gate, n: int, reg: np.ndarray) -> np.ndarray:
     """One gate on a register shaped (d,)*n + (columns,); qudit l is axis l-1."""
     if gate.kind == "reverse":
@@ -178,6 +160,9 @@ def _require_odd_d(d: int) -> None:
 
 
 def _qft_gates(d: int, n: int) -> tuple[Gate, ...]:
+    """The N-level Fourier transform on n qudits: n single-qudit Fourier gates,
+    one controlled phase per qudit pair and, for n > 1, a final digit reversal,
+    at most n^2 + 1 gates in all."""
     gates = []
     for l in range(1, n + 1):
         gates.append(Gate("fourier", d, (l,)))
@@ -186,17 +171,6 @@ def _qft_gates(d: int, n: int) -> tuple[Gate, ...]:
     if n > 1:
         gates.append(Gate("reverse", d))
     return tuple(gates)
-
-
-def qft_circuit(d: int, n: int) -> GateList:
-    """N-level Fourier transform on n qudits.
-
-    Emits n single-qudit Fourier gates, one controlled phase per qudit pair
-    (n(n-1)/2 of them), and a final digit reversal when n > 1; the total
-    count is therefore bounded by n^2 + 1.
-    """
-    _require_odd_d(d)
-    return GateList(d, n, _qft_gates(d, n))
 
 
 def quadratic_circuit(d: int, n: int, k: int) -> GateList:
@@ -323,32 +297,3 @@ def gate_list_to_jsonl(gl: GateList, transform: str = "") -> str:
     lines += [json.dumps(_gate_obj(g)) for g in gl.gates]
     return "\n".join(lines) + "\n"
 
-
-def gate_list_from_jsonl(text: str) -> tuple[GateList, str]:
-    """Parse a dump back into (GateList, transform label).  Raises ValueError, naming
-    the line, on an empty dump, a line that is not a JSON object, a missing key or
-    an integer field that holds another type (a bool, a string or a float)."""
-    rows = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not rows:
-        raise ValueError("gate list dump is empty: no header line")
-    gates = []
-    for i, ln in rows:
-        try:
-            obj = json.loads(ln)
-            if not isinstance(obj, dict):
-                raise ValueError(f"expected a JSON object, got {ln!r}")
-            for key in ("d", "n", "global_phase_num", "global_phase_den", "t1", "t2", "c", "M"):
-                if key in obj and type(obj[key]) is not int:  # bool is an int subclass
-                    raise ValueError(f"field {key!r} is {obj[key]!r}, not an integer")
-            if i == rows[0][0]:
-                header = (obj["d"], obj["n"], obj["global_phase_num"],
-                          obj["global_phase_den"], obj.get("transform", ""))
-            else:
-                targets = tuple(obj[k] for k in ("t1", "t2") if k in obj)
-                gates.append(Gate(obj["op"], obj["d"], targets, obj.get("c", 0), obj.get("M", 1)))
-        except KeyError as err:
-            raise ValueError(f"line {i}: missing key {err}") from None
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"line {i}: {err}") from None
-    d, n, phase_num, phase_den, label = header
-    return GateList(d, n, tuple(gates), phase_num=phase_num, phase_den=phase_den), label

@@ -85,10 +85,12 @@ def _number(kind: type, lo, limit=None, name: str = "", *, strict=False, odd=Fal
 
 
 def _dense_modulus_list(text: str) -> list[int]:
-    modulus = _number(int, 3, DENSE_MAX_MODULUS, "dense", odd=True)
-    moduli = [modulus(t) for t in text.split(",") if t]
-    if not moduli:
+    parts = text.split(",")
+    if not any(parts):
         raise argparse.ArgumentTypeError(f"expected at least one N, got {text!r}")
+    if not all(parts):
+        raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
+    moduli = list(map(_number(int, 3, DENSE_MAX_MODULUS, "dense", odd=True), parts))
     for i, n in enumerate(moduli):
         # Each N keys its rows in spectra.csv and lambdas.csv.
         if n in moduli[:i]:

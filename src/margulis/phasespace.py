@@ -55,16 +55,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhaseSpaceContext:
-    """Odd lattice dimension N with its root of unity and half inverse."""
+    """Odd lattice dimension N and its half inverse."""
 
     N: int
 
     def __post_init__(self):
         _require_odd_modulus(self.N)
-
-    @property
-    def omega(self) -> complex:
-        return np.exp(2j * np.pi / self.N)
 
     @property
     def inv2(self) -> int:

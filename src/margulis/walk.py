@@ -141,10 +141,6 @@ class AffineMap:
                   -(inv[1][0] * t[0] + inv[1][1] * t[1]) % N)
         return AffineMap(inv, ishift, N)
 
-    @staticmethod
-    def identity(N: int) -> "AffineMap":
-        return AffineMap(((1, 0), (0, 1)), (0, 0), N)
-
 
 def margulis_generators(N: int) -> list[AffineMap]:
     """The eight walk maps [T1..T4, T1^-1..T4^-1] reduced mod N.
@@ -209,10 +205,6 @@ class GridDist:
         vals = np.zeros((N, N))
         vals[p % N, q % N] = 1.0
         return GridDist(N, vals)
-
-    @staticmethod
-    def uniform(N: int) -> "GridDist":
-        return GridDist(N, np.full((N, N), 1.0 / N**2))
 
 
 def _pullback_index(T: AffineMap) -> np.ndarray:

@@ -176,7 +176,7 @@ class TestExpanderLambda:
         assert expander_lambda(ch) <= 0.8839
 
     def test_identity_channel_degenerate(self):
-        ch = KrausChannel(PhaseSpaceContext(3), (AffineMap.identity(3),))
+        ch = KrausChannel(PhaseSpaceContext(3), (AffineMap(((1, 0), (0, 1)), (0, 0), 3),))
         assert expander_lambda(ch) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -232,7 +232,7 @@ class TestIntertwining:
     def test_uniform_eigenvector_lifts_to_maximally_mixed(self):
         N = 5
         ctx = PhaseSpaceContext(N)
-        op = inverse_wigner(ctx, GridDist.uniform(N))
+        op = inverse_wigner(ctx, GridDist(N, np.full((N, N), 1 / N**2)))
         assert np.allclose(op, np.eye(N) / N, atol=1e-12)
         ch = margulis_channel(ctx)
         assert np.allclose(apply_channel(ch, op), op, atol=1e-13)
@@ -287,13 +287,13 @@ class TestIntertwining:
 class TestKrausValidation:
     def test_map_of_another_modulus_refused(self):
         with pytest.raises(ValueError, match="map modulus 7 != context N 5"):
-            KrausChannel(PhaseSpaceContext(5), (AffineMap.identity(7),))
+            KrausChannel(PhaseSpaceContext(5), (AffineMap(((1, 0), (0, 1)), (0, 0), 7),))
 
     def test_map_that_is_not_a_unit_shear_refused(self):
         # Refused when the channel is built, not at its first apply.
         J = AffineMap(((0, 1), (4, 0)), (0, 0), 5)
         with pytest.raises(ValueError, match="is not a unit shear"):
-            KrausChannel(PhaseSpaceContext(5), (AffineMap.identity(5), J))
+            KrausChannel(PhaseSpaceContext(5), (AffineMap(((1, 0), (0, 1)), (0, 0), 5), J))
 
     @pytest.mark.parametrize("N", [3, 7])
     def test_pairs_each_walk_map_with_its_unitary(self, N):

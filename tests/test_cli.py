@@ -11,7 +11,7 @@ import pytest
 
 import margulis
 from margulis import cli, phasespace
-from margulis.circuits import GateList, apply_gates, evaluate, gate_list_from_jsonl
+from margulis.circuits import GateList, affine_circuit, apply_gates, gate_list_to_jsonl
 from margulis.cli import MOMENTS_MAX_ITERS, main
 from margulis.channel import verify_identities
 from margulis.phasespace import (PhaseSpaceContext, affine_action, affine_unitary,
@@ -29,6 +29,9 @@ USAGE_ERRORS = {
     "spectrum --N 51": "argument --N: 51 exceeds the dense limit 49",
     "spectrum --N 3,51": "argument --N: 51 exceeds the dense limit 49",
     "spectrum --N ,": "argument --N: expected at least one N, got ','",
+    "spectrum --N 3,,5": "argument --N: empty entry in '3,,5'",
+    "spectrum --N 3,": "argument --N: empty entry in '3,'",
+    "spectrum --N ,3": "argument --N: empty entry in ',3'",
     "spectrum --N 3,3": "argument --N: 3 is repeated",
     "spectrum --N 3,5,3": "argument --N: 3 is repeated",
     "verify --N 731": "argument --N: 731 exceeds the verify limit 729",
@@ -398,16 +401,15 @@ class TestCircuitCommand:
         assert main(["circuit", "--d", "3", "--qudits", "2", "--transform", "T1",
                      "--check", "--out", str(tmp_path)]) == 0
         assert "equal up to phase: true" in capsys.readouterr().out
-        gl, label = gate_list_from_jsonl((tmp_path / "gates-T1.jsonl").read_text())
-        assert label == "T1"
-        dense = affine_unitary(PhaseSpaceContext(9), generator_map(9)["T1"])
-        assert abs(abs(np.trace(evaluate(gl).conj().T @ dense)) - 9) < 1e-8
+        want = gate_list_to_jsonl(affine_circuit(3, 2, generator_map(9)["T1"]), "T1")
+        assert (tmp_path / "gates-T1.jsonl").read_bytes() == want.encode()
 
     def test_all_transforms(self, tmp_path):
         assert main(["circuit", "--transform", "all", "--check",
                      "--out", str(tmp_path)]) == 0
-        for label in ("T1", "T4inv"):
-            assert (tmp_path / f"gates-{label}.jsonl").exists()
+        for label, T in generator_map(9).items():
+            want = gate_list_to_jsonl(affine_circuit(3, 2, T), label)
+            assert (tmp_path / f"gates-{label}.jsonl").read_bytes() == want.encode()
 
     def test_one_large_qudit_is_checked_with_no_d_by_d_gate(self, tmp_path, capsys):
         # Its Fourier gates act by FFT, so the d^qudits cap holds for any d.

@@ -217,7 +217,7 @@ def _reader_corpus():
     yield "\r\n\r\n" + "\r\n\r\n".join([lines[0]] + body) + "\r\n\n"
     yield " \t\n \n  " + "\n".join([lines[0]] + body) + " \t\n \n\t"
     yield from EMPTY_TABLES
-    uniform = grid_to_csv(GridDist.uniform(3)).splitlines()
+    uniform = grid_to_csv(GridDist(3, np.full((3, 3), 1 / 3**2))).splitlines()
     for row in MALFORMED_FIELDS + [cell + uniform[3][3:] for cell, _ in BAD_CELLS]:
         yield "\n".join(uniform[:3] + [row] + uniform[4:]) + "\n"
     yield "\n".join(uniform[:3] + ["2,0"] + uniform[4:-1])  # 8 rows: not square comes first
@@ -305,7 +305,7 @@ class TestApplyAffine:
         assert apply_affine(T3, (1, 0)) == (1, 2)
 
     def test_identity_map(self):
-        I = AffineMap.identity(7)
+        I = AffineMap(((1, 0), (0, 1)), (0, 0), 7)
         for v in [(0, 0), (3, 4), (6, 6)]:
             assert apply_affine(I, v) == v
 
@@ -322,7 +322,7 @@ class TestWalkStep:
                 assert g.values[p, q] == pytest.approx(expected.get((p, q), 0.0), abs=0)
 
     def test_uniform_is_fixed(self):
-        u = GridDist.uniform(9)
+        u = GridDist(9, np.full((9, 9), 1 / 9**2))
         assert np.allclose(walk_step(u).values, u.values, atol=1e-15)
 
     @pytest.mark.parametrize("N", range(3, 50, 2))
@@ -334,7 +334,7 @@ class TestWalkStep:
 
     def test_frames_at_n401_match_oracle(self):
         N = 401
-        u = GridDist.uniform(N)
+        u = GridDist(N, np.full((N, N), 1 / N**2))
         assert np.allclose(walk_step(u).values, u.values, rtol=0, atol=1e-15)
         f = oracle = GridDist.delta(N, 17, 300)
         for _ in range(6):
@@ -678,7 +678,7 @@ class TestSpectralReport:
     def test_iterates_converge_at_rate_lambda(self, N):
         rng = np.random.default_rng(4)
         rep = spectral_report(walk_matrix(N), modulus=N)
-        u = GridDist.uniform(N).values
+        u = GridDist(N, np.full((N, N), 1 / N**2)).values
         for _ in range(5):
             f = random_prob(N, rng)
             d0 = np.linalg.norm(f.values - u)
@@ -702,7 +702,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("bad_cell, reason", BAD_CELLS)
     def test_csv_rejects_malformed_rows(self, bad_cell, reason):
-        lines = grid_to_csv(GridDist.uniform(3)).splitlines()
+        lines = grid_to_csv(GridDist(3, np.full((3, 3), 1 / 3**2))).splitlines()
         assert lines[3].startswith("2,0,")
         bad_row = bad_cell + lines[3][3:]
         lines[3] = bad_row
@@ -792,7 +792,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("row", MALFORMED_FIELDS)
     def test_reader_rejects_malformed_fields(self, row):
-        lines = grid_to_csv(GridDist.uniform(3)).splitlines()
+        lines = grid_to_csv(GridDist(3, np.full((3, 3), 1 / 3**2))).splitlines()
         lines[3] = row
         with pytest.raises(ValueError):
             grid_from_csv("\n".join(lines) + "\n")
@@ -927,7 +927,7 @@ class TestSerialization:
         assert text.splitlines()[3:] == ["255 0 0", "0 0 0", "0 0 0"]
 
     def test_pgm_constant_table(self):
-        text = grid_to_pgm(GridDist.uniform(3))
+        text = grid_to_pgm(GridDist(3, np.full((3, 3), 1 / 3**2)))
         pix = np.array([[int(v) for v in row.split()] for row in text.strip().splitlines()[3:]])
         assert np.all(pix == 0)
 
