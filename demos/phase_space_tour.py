@@ -9,9 +9,9 @@ right matrices, and the Wigner transform inverts cleanly.
 
 import numpy as np
 
-from margulis import (PhaseSpaceContext, affine_unitary, inverse_wigner,
-                      margulis_generators, parity, phase_point,
-                      quadratic_phase, weyl, wigner)
+from margulis import (PhaseSpaceContext, affine_unitary, generator_map,
+                      inverse_wigner, parity, phase_point, quadratic_phase,
+                      weyl, wigner)
 from margulis.walk import apply_affine
 
 N = 5
@@ -35,7 +35,7 @@ print("shear:          worst covariance gap for the quadratic phase =",
       f"{worst:.3e}  (labels move by [[1,2],[0,1]])")
 
 worst = 0.0
-for T in margulis_generators(N):
+for T in generator_map(N).values():
     U = affine_unitary(ctx, T)
     for p in range(N):
         for q in range(N):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from margulis import GridDist, walk_step
-from margulis.walk import grid_to_pgm
+from margulis.frames import grid_to_pgm
 
 N = 7
 outdir = Path(__file__).resolve().parent / "out"

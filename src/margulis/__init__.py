@@ -1,9 +1,12 @@
 """Margulis expander walk on Z_N^2 and its discrete phase-space quantization.
 
-The package has five layers:
+The package has seven layers:
 
-* :mod:`margulis.walk` -- the classical walk: affine generators, the
-  stochastic step, its dense matrix, and spectral-gap reports.
+* :mod:`margulis.walk` -- the classical walk: the eight affine maps, the
+  stochastic step and its dense matrix.
+* :mod:`margulis.spectrum` -- spectral-gap reports: the dense spectrum of a
+  walk matrix, solved in the blocks of the lattice symmetries.
+* :mod:`margulis.frames` -- walk frames as CSV tables and PGM heatmaps.
 * :mod:`margulis.phasespace` -- Weyl-Heisenberg and phase-point operators,
   the Wigner transform, and the unitaries implementing affine lattice maps.
 * :mod:`margulis.channel` -- the degree-8 unitary-mixture channel built
@@ -19,10 +22,9 @@ A command-line frontend lives in :mod:`margulis.cli`.
 
 __version__ = "0.1.0"
 
-from .walk import (AffineMap, GridDist, SpectralReport, GABBER_GALIL_BOUND,
-                   GENERATOR_LABELS, apply_affine, generator_data,
-                   generator_map, margulis_generators, spectral_report,
+from .walk import (AffineMap, GridDist, GABBER_GALIL_BOUND, apply_affine, generator_map,
                    walk_matrix, walk_step)
+from .spectrum import SpectralReport, spectral_report
 from .phasespace import (PhaseSpaceContext, affine_unitary, fourier,
                          inverse_wigner, parity, phase_point, quadratic_phase,
                          weyl, wigner)

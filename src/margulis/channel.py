@@ -17,8 +17,9 @@ import numpy as np
 
 from .circuits import affine_circuit, circuit_deviation
 from .phasespace import PhaseSpaceContext, affine_action, affine_unitary, inverse_wigner, wigner
-from .walk import (DENSE_MAX_MODULUS, AffineMap, GridDist, SpectralReport, _pullback_index,
-                   _unit_shear, margulis_generators, walk_step)
+from .spectrum import SpectralReport
+from .walk import (DENSE_MAX_MODULUS, AffineMap, GridDist, _pullback_index, _unit_shear,
+                   generator_map, walk_step)
 
 __all__ = [
     "KrausChannel",
@@ -60,7 +61,7 @@ class KrausChannel:
 
 def margulis_channel(ctx: PhaseSpaceContext) -> KrausChannel:
     """The degree-8 channel over the eight walk maps."""
-    return KrausChannel(ctx, tuple(margulis_generators(ctx.N)))
+    return KrausChannel(ctx, tuple(generator_map(ctx.N).values()))
 
 
 def _conjugate(ctx: PhaseSpaceContext, T, rho: np.ndarray) -> np.ndarray:

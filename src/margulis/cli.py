@@ -36,9 +36,10 @@ from .continuous import (CovMatrix, MeanVector, TEST_FUNCTIONS,
                          contraction_check, discretize, moments_csv)
 from .phasespace import (PhaseSpaceContext, affine_unitary, fourier, parity, quadratic_phase,
                          operator_from_json, operator_to_json)
-from .walk import (DENSE_MAX_MODULUS, GABBER_GALIL_BOUND, GENERATOR_LABELS, GridDist,
-                   _csv_chunks, generator_map, grid_to_pgm, spectral_report, walk_matrix,
-                   walk_step)
+from .frames import _csv_chunks, grid_to_pgm
+# spectral_report is looked up through walk, as perfbench/selftest.py patches it there.
+from .walk import (DENSE_MAX_MODULUS, GABBER_GALIL_BOUND, WALK_MAPS, GridDist, generator_map,
+                   spectral_report, walk_matrix, walk_step)
 
 #: Largest N verify accepts: 3^6, where verify took 20 s and peaked at 122 MB.
 VERIFY_MAX_MODULUS = 729
@@ -71,7 +72,11 @@ def _number(kind: type, lo, limit=None, name: str = "", *, strict=False, odd=Fal
     fmt = "g" if kind is float else "d"  # f"{1234567:g}" is 1.23457e+06
 
     def number(text: str):
-        x = kind(text)
+        try:
+            x = kind(text)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
         if odd and (x < lo or x % 2 == 0):
             raise argparse.ArgumentTypeError(f"{x} is not an odd integer >= {lo}")
         if not ((kind is int or math.isfinite(x)) and (x > lo if strict else x >= lo)):
@@ -99,10 +104,11 @@ def _dense_modulus_list(text: str) -> list[int]:
 
 
 def _point(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 'p,q', got {text!r}")
-    return int(parts[0]), int(parts[1])
+    try:
+        p, q = map(int, text.split(","))
+    except ValueError:  # not two fields, or one not an integer
+        raise argparse.ArgumentTypeError(f"expected 'p,q', got {text!r}") from None
+    return p, q
 
 
 def _outdir(args) -> Path:
@@ -212,7 +218,7 @@ def cmd_circuit(args) -> int:
         raise ValueError(f"--check on d^qudits = {args.d}^{args.qudits} levels exceeds "
                          f"the circuit check limit {CIRCUIT_CHECK_MAX_DIM}")
     out = _outdir(args)
-    labels = list(GENERATOR_LABELS) if args.transform == "all" else [args.transform]
+    labels = list(WALK_MAPS) if args.transform == "all" else [args.transform]
     gens = generator_map(args.d ** args.qudits)
     ctx = PhaseSpaceContext(args.d ** args.qudits)
     status = 0
@@ -230,7 +236,10 @@ def cmd_circuit(args) -> int:
 
 
 def _finite_floats(text: str, names: str) -> list[float]:
-    parts = [float(t) for t in text.split(",")]
+    try:
+        parts = [float(t) for t in text.split(",")]
+    except ValueError:
+        parts = []  # refused below with the wrong count's message
     if len(parts) != len(names.split(",")):
         raise argparse.ArgumentTypeError(f"expected {names!r}, got {text!r}")
     if not all(map(math.isfinite, parts)):
@@ -309,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("circuit", help="synthesize walk unitaries as gate lists")
     p.add_argument("--d", type=_number(int, 3, odd=True), default=3, help="qudit dimension (odd)")
     p.add_argument("--qudits", "-n", type=_number(int, 1), default=2)
-    p.add_argument("--transform", choices=GENERATOR_LABELS + ("all",), default="all")
+    p.add_argument("--transform", choices=(*WALK_MAPS, "all"), default="all")
     p.add_argument("--check", action="store_true",
                    help="compare with the unitary's action on two random states")
     p.add_argument("--out")

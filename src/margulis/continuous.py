@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .walk import GABBER_GALIL_BOUND, GridDist, generator_data, walk_step
+from .walk import GABBER_GALIL_BOUND, WALK_MAPS, GridDist, walk_step
 
 __all__ = [
     "MeanVector",
@@ -38,7 +38,6 @@ __all__ = [
     "TestFunction",
     "TEST_FUNCTIONS",
     "ContractionReport",
-    "real_generators",
     "mean_update",
     "g_matrix",
     "g_map",
@@ -87,12 +86,6 @@ class CovMatrix:
         return self.a * self.c - self.b * self.b
 
 
-def real_generators() -> list[tuple[np.ndarray, np.ndarray]]:
-    """The eight (linear, shift) pairs as float arrays acting on R^2."""
-    return [(np.array(lin, dtype=float), np.array(sh, dtype=float))
-            for _, lin, sh in generator_data()]
-
-
 def mean_update(m: MeanVector) -> MeanVector:
     """Average of the eight images of m; the identity map on R^2.
 
@@ -101,15 +94,16 @@ def mean_update(m: MeanVector) -> MeanVector:
     """
     v = m.as_array()
     acc = np.zeros(2)
-    for S, t in real_generators():
-        acc += S @ v + t
+    for S, t in WALK_MAPS.values():
+        acc += np.array(S, dtype=float) @ v + t
     acc /= 8.0
     return MeanVector(float(acc[0]), float(acc[1]))
 
 
 def g_matrix(m: MeanVector) -> CovMatrix:
     """Covariance of the eight translated means; positive semidefinite."""
-    images = np.array([S @ m.as_array() + t for S, t in real_generators()])
+    images = np.array([np.array(S, dtype=float) @ m.as_array() + t
+                       for S, t in WALK_MAPS.values()])
     centered = images - images.mean(axis=0)
     return CovMatrix.from_array(centered.T @ centered / 8.0)
 
@@ -315,7 +309,7 @@ def contraction_check(field: SampledField) -> ContractionReport:
 
     The lattice is just large enough that images of the support cannot
     wrap: in the sup norm, v -> L v + t takes radius r to at most
-    r * (largest row sum of |L|) + max |t|, both read off generator_data.
+    r * (largest row sum of |L|) + max |t|, both read off WALK_MAPS.
     """
     if abs(field.mass()) > 1e-9:
         raise ValueError(f"field must have (near) zero mass, got {field.mass():.3e}")
@@ -323,9 +317,9 @@ def contraction_check(field: SampledField) -> ContractionReport:
     if nz.size == 0:
         return ContractionReport(field.delta, field.R, 3, 0.0, 0.0, 0.0)
     radius = int(np.max(np.abs(nz - field.R)))
-    maps = generator_data()
-    stretch = max(abs(a) + abs(b) for _, linear, _ in maps for a, b in linear)
-    reach = max(abs(x) for _, _, shift in maps for x in shift)
+    maps = WALK_MAPS.values()
+    stretch = max(abs(a) + abs(b) for linear, _ in maps for a, b in linear)
+    reach = max(abs(x) for _, shift in maps for x in shift)
     N = 2 * (stretch * radius + reach) + 1
     # Crop to the actual support so the embedding is collision-free even
     # when N is smaller than the padded sampling grid.

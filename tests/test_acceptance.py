@@ -19,8 +19,9 @@ from margulis.continuous import (CovMatrix, MeanVector, contraction_check,
                                  discretize, f_map, g_map, gn_closed_form,
                                  growth_rate)
 from margulis.phasespace import PhaseSpaceContext, affine_unitary
-from margulis.walk import (GridDist, apply_affine, grid_from_csv,
-                           margulis_generators, spectral_report, walk_matrix)
+from margulis.frames import grid_from_csv
+from margulis.spectrum import spectral_report
+from margulis.walk import GridDist, apply_affine, generator_map, walk_matrix
 from oracles import phase_point_basis
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -45,7 +46,7 @@ def test_criterion_2_affine_covariance():
     for N in (3, 5, 7, 9, 15):
         ctx = PhaseSpaceContext(N)
         basis = phase_point_basis(ctx)
-        for T in margulis_generators(N):
+        for T in generator_map(N).values():
             U = affine_unitary(ctx, T)
             for p in range(N):
                 for q in range(N):
@@ -95,7 +96,7 @@ def test_criterion_5_circuit_synthesis():
     for d, n in ((3, 2), (3, 3), (5, 2)):
         N = d ** n
         ctx = PhaseSpaceContext(N)
-        for T in margulis_generators(N):
+        for T in generator_map(N).values():
             t = np.trace(evaluate(affine_circuit(d, n, T)).conj().T
                          @ affine_unitary(ctx, T))
             worst = max(worst, float(abs(abs(t) - N)))
@@ -105,7 +106,7 @@ def test_criterion_5_circuit_synthesis():
     design = np.stack([ns ** 2, np.ones_like(ns)], axis=1).astype(float)
     for index in range(8):
         counts = np.array([len(affine_circuit(3, int(n),
-                                              margulis_generators(3 ** n)[index]).gates)
+                                              list(generator_map(3 ** n).values())[index]).gates)
                            for n in ns], dtype=float)
         coef, *_ = np.linalg.lstsq(design, counts, rcond=None)
         assert coef[0] >= 0

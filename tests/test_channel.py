@@ -8,8 +8,8 @@ from margulis.channel import (KrausChannel, apply_channel, channel_report,
                               random_hermitian, superoperator, verify_identities)
 from margulis.phasespace import (PhaseSpaceContext, affine_unitary, inverse_wigner,
                                  quadratic_phase, wigner)
-from margulis.walk import (AffineMap, GridDist, margulis_generators, spectral_report,
-                           walk_matrix, walk_step)
+from margulis.spectrum import spectral_report
+from margulis.walk import AffineMap, GridDist, generator_map, walk_matrix, walk_step
 from oracles import oracle_unitary, phase_point_basis
 
 
@@ -300,7 +300,7 @@ class TestKrausValidation:
         # The channel keeps the maps; each one's term is conjugation by its unitary.
         ctx = PhaseSpaceContext(N)
         ch = margulis_channel(ctx)
-        assert ch.maps == tuple(margulis_generators(N))
+        assert ch.maps == tuple(generator_map(N).values())
         rho = random_density(N, np.random.default_rng(N))
         for T in ch.maps:
             U = affine_unitary(ctx, T)
@@ -316,5 +316,5 @@ class TestKrausValidation:
         X = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
         X /= np.linalg.norm(X)
         dense = sum(U @ X @ U.conj().T
-                    for U in (oracle_unitary(ctx, T) for T in margulis_generators(N))) / 8
+                    for U in (oracle_unitary(ctx, T) for T in generator_map(N).values())) / 8
         assert np.max(np.abs(apply_channel(margulis_channel(ctx), X) - dense)) <= 1e-12

@@ -8,7 +8,7 @@ from margulis.circuits import (Gate, GateList, _qft_gates, affine_circuit, apply
                                inverse_gates, quadratic_circuit, weyl_circuit)
 from margulis.phasespace import (PhaseSpaceContext, affine_unitary, boost_op,
                                  fourier, quadratic_phase, shift_op, weyl)
-from margulis.walk import AffineMap, apply_affine, generator_map, margulis_generators
+from margulis.walk import AffineMap, apply_affine, generator_map
 from oracles import phase_point_basis
 
 DN = [(3, 2), (3, 3), (5, 2)]
@@ -267,7 +267,7 @@ class TestAffineCircuit:
     def test_all_walk_maps_match_dense(self, d, n):
         N = d ** n
         ctx = ctx_for(d, n)
-        for T in margulis_generators(N):
+        for T in generator_map(N).values():
             approx = evaluate(affine_circuit(d, n, T))
             ok, _ = equal_up_to_phase(approx, affine_unitary(ctx, T))
             assert ok

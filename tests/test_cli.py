@@ -16,8 +16,8 @@ from margulis.cli import MOMENTS_MAX_ITERS, main
 from margulis.channel import verify_identities
 from margulis.phasespace import (PhaseSpaceContext, affine_action, affine_unitary,
                                  inverse_wigner, operator_from_json, wigner)
-from margulis.walk import (AffineMap, GridDist, generator_map, grid_from_csv, grid_to_csv,
-                           grid_to_pgm, walk_step)
+from margulis.frames import grid_from_csv, grid_to_csv, grid_to_pgm
+from margulis.walk import AffineMap, GridDist, generator_map, walk_step
 
 
 #: Each refused argv and its one stderr line after "margulis: error: ".  argparse
@@ -26,6 +26,8 @@ USAGE_ERRORS = {
     "walk --N 1003": "argument --N: 1003 exceeds the walk limit 1001",
     "walk --N 199999 --steps 0": "argument --N: 199999 exceeds the walk limit 1001",
     "walk --steps -1": "argument --steps: expected an integer >= 0, got -1",
+    "walk --N x": "argument --N: expected an integer, got 'x'",
+    "walk --start 1,x": "argument --start: expected 'p,q', got '1,x'",
     "spectrum --N 51": "argument --N: 51 exceeds the dense limit 49",
     "spectrum --N 3,51": "argument --N: 51 exceeds the dense limit 49",
     "spectrum --N ,": "argument --N: expected at least one N, got ','",
@@ -34,6 +36,7 @@ USAGE_ERRORS = {
     "spectrum --N ,3": "argument --N: empty entry in ',3'",
     "spectrum --N 3,3": "argument --N: 3 is repeated",
     "spectrum --N 3,5,3": "argument --N: 3 is repeated",
+    "spectrum --N 3,x": "argument --N: expected an integer, got 'x'",
     "verify --N 731": "argument --N: 731 exceeds the verify limit 729",
     "verify --seed -1": "argument --seed: expected an integer >= 0, got -1",
     "verify --trials -2": "argument --trials: expected an integer >= 1, got -2",
@@ -42,6 +45,7 @@ USAGE_ERRORS = {
     "verify --tol -1": "argument --tol: expected a finite number > 0, got -1",
     "verify --tol 0": "argument --tol: expected a finite number > 0, got 0",
     "verify --tol inf": "argument --tol: expected a finite number > 0, got inf",
+    "verify --tol abc": "argument --tol: expected a number, got 'abc'",
     "circuit --d 4": "argument --d: 4 is not an odd integer >= 3",
     "circuit --qudits 0": "argument --qudits/-n: expected an integer >= 1, got 0",
     "circuit --d 3 --qudits 12 --check --transform T1":
@@ -54,6 +58,8 @@ USAGE_ERRORS = {
     "moments --iters 1025": "argument --iters: 1025 exceeds the moments limit 1024",
     "moments --iters 200000": "argument --iters: 200000 exceeds the moments limit 1024",
     "moments --gamma nan,0,1": "argument --gamma: nan,0,1 is not finite",
+    "moments --gamma 1,x,1": "argument --gamma: expected 'a,b,c', got '1,x,1'",
+    "moments --mean 1,x": "argument --mean: expected 'x,p', got '1,x'",
     "moments --mean inf,0": "argument --mean: inf,0 is not finite",
     "contraction --delta 0": "argument --delta: expected a finite number > 0, got 0",
     "contraction --delta nan": "argument --delta: expected a finite number > 0, got nan",

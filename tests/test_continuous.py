@@ -9,8 +9,11 @@ from margulis.continuous import (TEST_FUNCTIONS, ContractionReport, CovMatrix,
                                  MeanVector, SampledField, TestFunction,
                                  contraction_check, discretize, f_map, g_map,
                                  g_matrix, gn_closed_form, growth_rate,
-                                 mean_update, moments_csv, real_generators)
-from margulis.walk import GridDist, walk_step
+                                 mean_update, moments_csv)
+from margulis.walk import WALK_MAPS, GridDist, walk_step
+
+# The eight walk maps as float (linear, shift) arrays acting on R^2.
+_REAL_MAPS = [(np.array(S, dtype=float), np.array(t, dtype=float)) for S, t in WALK_MAPS.values()]
 
 
 # discretize's samples taken all at once, (2R + 1)^2 cells of 16, kept as its reference.
@@ -47,9 +50,9 @@ class TestMeanUpdate:
         assert (out.x, out.p) == (pytest.approx(1.0), pytest.approx(2.0))
 
     def test_linear_parts_average_to_identity(self):
-        total = sum(S for S, _ in real_generators())
+        total = sum(S for S, _ in _REAL_MAPS)
         assert np.allclose(total, 8 * np.eye(2), atol=0)
-        shifts = sum(t for _, t in real_generators())
+        shifts = sum(t for _, t in _REAL_MAPS)
         assert np.allclose(shifts, 0.0, atol=0)
 
 
@@ -67,7 +70,7 @@ class TestGMatrix:
 
     def test_matches_direct_covariance(self):
         m = MeanVector(1.5, -0.5)
-        images = np.array([S @ m.as_array() + t for S, t in real_generators()])
+        images = np.array([S @ m.as_array() + t for S, t in _REAL_MAPS])
         oracle = np.cov(images.T, bias=True)
         assert np.allclose(g_matrix(m).as_array(), oracle, atol=1e-12)
 
@@ -85,7 +88,7 @@ class TestGMap:
         rng = np.random.default_rng(42)
         for _ in range(20):
             gam = CovMatrix(*rng.standard_normal(3))
-            avg = sum(S @ gam.as_array() @ S.T for S, _ in real_generators()) / 8.0
+            avg = sum(S @ gam.as_array() @ S.T for S, _ in _REAL_MAPS) / 8.0
             assert np.max(np.abs(g_map(gam).as_array() - avg)) < 1e-12
 
     def test_linearity(self):

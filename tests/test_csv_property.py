@@ -7,7 +7,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from margulis.walk import GridDist, grid_from_csv, grid_to_csv  # noqa: E402
+from margulis.frames import grid_from_csv, grid_to_csv  # noqa: E402
+from margulis.walk import GridDist  # noqa: E402
 from test_walk import _oracle_grid_to_csv  # noqa: E402
 
 finite_tables = st.sampled_from([3, 5]).flatmap(lambda N: hnp.arrays(

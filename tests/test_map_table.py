@@ -9,13 +9,13 @@ import pytest
 
 from margulis.circuits import affine_circuit, equal_up_to_phase, evaluate
 from margulis.phasespace import PhaseSpaceContext, affine_unitary
-from margulis.walk import AffineMap, generator_data
+from margulis.walk import WALK_MAPS, AffineMap
 from oracles import LINEAR_WORDS, phase_point_basis, word_unitary
 
 
 def test_words_cover_the_walk_linear_parts():
     assert ({matrix for matrix, _ in LINEAR_WORDS.values()}
-            == {linear for _, linear, _ in generator_data()})
+            == {linear for linear, _ in WALK_MAPS.values()})
 
 
 @pytest.mark.parametrize("symbol", list(LINEAR_WORDS))

@@ -8,8 +8,7 @@ from margulis.phasespace import (PhaseSpaceContext, _antidiagonal_indices, affin
                                  operator_from_json, operator_to_json, parity,
                                  phase_point, quadratic_phase, shift_op,
                                  weyl, wigner)
-from margulis.walk import (AffineMap, GridDist, apply_affine, generator_map,
-                           margulis_generators, walk_step)
+from margulis.walk import AffineMap, GridDist, apply_affine, generator_map, walk_step
 from oracles import LINEAR_WORDS, phase_point_basis, word_unitary
 
 ODD_N = [3, 5, 7, 9]
@@ -353,7 +352,7 @@ class TestAffineUnitary:
     def test_covariance_all_generators(self, N):
         ctx = PhaseSpaceContext(N)
         basis = phase_point_basis(ctx)
-        for T in margulis_generators(N):
+        for T in generator_map(N).values():
             U = affine_unitary(ctx, T)
             assert_unitary(U)
             for p in range(N):
@@ -409,7 +408,7 @@ class TestAffineUnitary:
         g = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
         rho = (g + g.conj().T) / 2
         W = wigner(ctx, rho).values
-        for T in margulis_generators(N):
+        for T in generator_map(N).values():
             U = affine_unitary(ctx, T)
             left = wigner(ctx, U @ rho @ U.conj().T).values
             Ti = T.inverse()
@@ -429,7 +428,7 @@ class TestWignerEvolutionMatchesWalk:
         ctx = PhaseSpaceContext(N)
         rho = parity(ctx)
         out = np.zeros((N, N), dtype=complex)
-        for T in margulis_generators(N):
+        for T in generator_map(N).values():
             U = affine_unitary(ctx, T)
             out += U @ rho @ U.conj().T
         out /= 8.0

@@ -8,15 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import margulis.frames
 import margulis.walk
-from margulis.walk import (GABBER_GALIL_BOUND, GENERATOR_LABELS, AffineMap,
-                           GridDist, _axis_parities, _commutes_with_reflection,
-                           _csv_lines, _decimal_tables, _eigen_blocks,
-                           _parity_folds, _pullback_index, _shear_table, _unit_shear,
-                           apply_affine, generator_data,
-                           generator_map, grid_from_csv, grid_to_csv,
-                           grid_to_pgm, margulis_generators, spectral_report,
-                           walk_matrix, walk_step)
+from margulis.frames import _csv_lines, _decimal_tables, grid_from_csv, grid_to_csv, grid_to_pgm
+from margulis.spectrum import (_axis_parities, _commutes_with_reflection, _eigen_blocks,
+                               _parity_folds, spectral_report)
+from margulis.walk import (GABBER_GALIL_BOUND, WALK_MAPS, AffineMap, GridDist, _pullback_index,
+                           _shear_table, _unit_shear, apply_affine, generator_map, walk_matrix,
+                           walk_step)
 
 ODD_N = [3, 5, 7, 9, 15]
 REFERENCE_LAMBDAS = Path(__file__).parents[1] / "perfbench" / "reference_lambdas.json"
@@ -30,40 +29,31 @@ def random_prob(N, rng):
 # The eight-gather step, kept as the reference for walk_step.
 def _oracle_walk_step(f, maps=None):
     N = f.modulus
-    maps = margulis_generators(N) if maps is None else [AffineMap(lin, sh, N)
-                                                         for _, lin, sh in maps]
+    maps = generator_map(N).values() if maps is None else [AffineMap(lin, sh, N)
+                                                           for lin, sh in maps.values()]
     flat = f.values.reshape(-1)
     return sum(flat[_pullback_index(T)] for T in maps) / 8.0
 
 
 # Eight maps shearing by 3 with shift gap 2, a table unlike WALK_MAPS in every
 # number the kernel derives: m and c.
-_OTHER_SHEARS = (
-    ("A", ((1, 3), (0, 1)), (1, 0)), ("B", ((1, 3), (0, 1)), (3, 0)),
-    ("Ai", ((1, -3), (0, 1)), (-1, 0)), ("Bi", ((1, -3), (0, 1)), (-3, 0)),
-    ("C", ((1, 0), (3, 1)), (0, 0)), ("D", ((1, 0), (3, 1)), (0, -2)),
-    ("Ci", ((1, 0), (-3, 1)), (0, 0)), ("Di", ((1, 0), (-3, 1)), (0, 2)),
-)
+_OTHER_SHEARS = {
+    "A": (((1, 3), (0, 1)), (1, 0)), "B": (((1, 3), (0, 1)), (3, 0)),
+    "Ai": (((1, -3), (0, 1)), (-1, 0)), "Bi": (((1, -3), (0, 1)), (-3, 0)),
+    "C": (((1, 0), (3, 1)), (0, 0)), "D": (((1, 0), (3, 1)), (0, -2)),
+    "Ci": (((1, 0), (-3, 1)), (0, 0)), "Di": (((1, 0), (-3, 1)), (0, 2)),
+}
 
 # The walk maps with the shifts of T2 and T2inv dropped: on the first axis the
 # two maps of each m coincide.
-_UNSHIFTED = tuple((label, lin, (0, 0) if label in ("T2", "T2inv") else sh)
-                   for label, lin, sh in generator_data())
-
-
-def _walk_maps_with(change):
-    """The walk maps with the rows of ``change``, index -> (label, linear, shift)."""
-    maps = list(generator_data())
-    for i, row in change.items():
-        maps[i] = row
-    return tuple(maps)
-
+_UNSHIFTED = {**WALK_MAPS, "T2": (((1, 2), (0, 1)), (0, 0)),
+              "T2inv": (((1, -2), (0, 1)), (0, 0))}
 
 # Tables whose shears do not pair up with one shift gap on each axis.
 _UNPAIRED = {
-    "gap 2 beside gap 1": _walk_maps_with({1: ("T2", ((1, 2), (0, 1)), (2, 0))}),
-    "one map of its m": _walk_maps_with({1: ("T2", ((1, 3), (0, 1)), (1, 0))}),
-    "three maps of one m": _walk_maps_with({2: ("T3", ((1, 0), (-2, 1)), (0, 0))}),
+    "gap 2 beside gap 1": {**WALK_MAPS, "T2": (((1, 2), (0, 1)), (2, 0))},
+    "one map of its m": {**WALK_MAPS, "T2": (((1, 3), (0, 1)), (1, 0))},
+    "three maps of one m": {**WALK_MAPS, "T3": (((1, 0), (-2, 1)), (0, 0))},
 }
 
 
@@ -255,9 +245,9 @@ def _lattice_symmetries(N):
 
 class TestGenerators:
     def test_count_and_labels(self):
-        gens = margulis_generators(7)
+        gens = generator_map(7)
         assert len(gens) == 8
-        assert set(generator_map(7)) == set(GENERATOR_LABELS)
+        assert list(gens) == ["T1", "T2", "T3", "T4", "T1inv", "T2inv", "T3inv", "T4inv"]
 
     def test_t2_moves_origin_right(self):
         T2 = generator_map(7)["T2"]
@@ -278,7 +268,7 @@ class TestGenerators:
     @pytest.mark.parametrize("N", [2, 4, 1, 0, -3])
     def test_bad_modulus_rejected(self, N):
         with pytest.raises(ValueError, match="modulus"):
-            margulis_generators(N)
+            generator_map(N)
 
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError, match="det"):
@@ -287,11 +277,11 @@ class TestGenerators:
     @pytest.mark.parametrize("N", ODD_N)
     def test_each_map_is_a_bijection(self, N):
         points = [(p, q) for p in range(N) for q in range(N)]
-        for T in margulis_generators(N):
+        for T in generator_map(N).values():
             assert len({apply_affine(T, v) for v in points}) == N * N
 
     def test_generator_data_is_exact_over_z(self):
-        for _, ((a, b), (c, d)), _ in generator_data():
+        for ((a, b), (c, d)), _ in WALK_MAPS.values():
             assert a * d - b * c == 1
 
 
@@ -389,15 +379,15 @@ class TestWalkStep:
                 _unit_shear(linear)
 
     @pytest.mark.parametrize("change,message", [
-        ({0: ("T1", ((0, 1), (-1, 0)), (0, 0))}, "T1: .* is not a unit shear"),
-        ({0: ("T1", ((1, 0), (0, 1)), (0, 0))}, "T1: .* is not a unit shear"),
-        ({0: ("T1", ((1, 2), (2, 5)), (0, 0))}, "T1: .* is not a unit shear"),
-        ({0: ("T1", ((2, 0), (0, 5)), (0, 0))}, "T1: .* is not a unit shear"),
-        ({1: ("T2", ((1, 2), (0, 1)), (1, 1))}, "T2: .* is not a unit shear"),
+        ({"T1": (((0, 1), (-1, 0)), (0, 0))}, "T1: .* is not a unit shear"),
+        ({"T1": (((1, 0), (0, 1)), (0, 0))}, "T1: .* is not a unit shear"),
+        ({"T1": (((1, 2), (2, 5)), (0, 0))}, "T1: .* is not a unit shear"),
+        ({"T1": (((2, 0), (0, 5)), (0, 0))}, "T1: .* is not a unit shear"),
+        ({"T2": (((1, 2), (0, 1)), (1, 1))}, "T2: .* is not a unit shear"),
     ], ids=["rotation", "identity", "two-axis", "dilation", "shift across"])
     def test_map_table_that_is_not_unit_shears_raises(self, change, message):
         with pytest.raises(ValueError, match=message):
-            _shear_table(_walk_maps_with(change))
+            _shear_table({**WALK_MAPS, **change})
 
     def test_overflowing_window_sum_is_rejected(self):
         # The sum of a line's windows overflows to inf on a finite table; the
@@ -434,7 +424,7 @@ class TestWalkStep:
         rng = np.random.default_rng(2)
         f = random_prob(N, rng)
         push = np.zeros((N, N))
-        for T in margulis_generators(N):
+        for T in generator_map(N).values():
             for p in range(N):
                 for q in range(N):
                     tp, tq = apply_affine(T, (p, q))
@@ -479,7 +469,7 @@ class TestSpectralReport:
         # Brute-force oracle: build the matrix by direct pair counting and
         # take eigenvalues of the uniform-deflated matrix.
         N = 5
-        gens = margulis_generators(N)
+        gens = generator_map(N).values()
         M = np.zeros((N * N, N * N))
         for p in range(N):
             for q in range(N):
@@ -511,10 +501,10 @@ class TestSpectralReport:
         # v -> D v + o with D = diag(+-1); conjugation D L D negates the
         # off-diagonal of L, and the shift becomes D (L o + s) + o.
         h = (N + 1) // 2
-        maps = {(T.linear, T.shift) for T in margulis_generators(N)}
+        maps = {(T.linear, T.shift) for T in generator_map(N).values()}
         for D, o in (((-1, 1), (h, 0)), ((1, -1), (0, -h))):
             conjugated = set()
-            for T in margulis_generators(N):
+            for T in generator_map(N).values():
                 (a, b), (c, d) = T.linear
                 s = (a * o[0] + b * o[1] + T.shift[0], c * o[0] + d * o[1] + T.shift[1])
                 conjugated.add((((a % N, -b % N), (-c % N, d % N)),
@@ -670,7 +660,7 @@ class TestSpectralReport:
             w, V = eigh(A)
             return w + 1e-6, V
 
-        monkeypatch.setattr("margulis.walk.np.linalg.eigh", shifted)
+        monkeypatch.setattr("margulis.spectrum.np.linalg.eigh", shifted)
         with pytest.raises(RuntimeError, match="residual"):
             spectral_report(M, modulus=modulus)
 
@@ -728,7 +718,7 @@ class TestSerialization:
             # the scale (inf past 1e308) would misround most values it served.
             tables = _decimal_tables(np.float64)
             assert tables.tie > 0.5
-            monkeypatch.setattr("margulis.walk._decimal_tables", lambda: tables)
+            monkeypatch.setattr("margulis.frames._decimal_tables", lambda: tables)
         values = _csv_edge_values(name)
         N = math.isqrt(values.size - 1) + 1
         N += 1 - N % 2
@@ -810,7 +800,7 @@ class TestSerialization:
 
         corpus = list(_reader_corpus())
         whole = [read(text) for text in corpus]
-        monkeypatch.setattr(margulis.walk, setting, size)
+        monkeypatch.setattr(margulis.frames, setting, size)
         assert [read(text) for text in corpus] == whole
         for text, got in zip(corpus, whole):
             try:
@@ -843,7 +833,7 @@ class TestSerialization:
         # row: its row number counts from the top, not from the batch.
         lines = grid_to_csv(_table(101, "random", np.random.default_rng(3))).splitlines()
         lines[row] = bad
-        assert row > margulis.walk._CSV_ROWS
+        assert row > margulis.frames._CSV_ROWS
         with pytest.raises(ValueError) as whole:
             np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=1,
                        dtype=[("p", np.int64), ("q", np.int64), ("value", np.float64)])
@@ -860,7 +850,7 @@ class TestSerialization:
         # Line 4096 (the header is line 0) ends the first batch and line
         # 4097 starts the second; a "dup" line repeats the cell (0, 0).
         lines = grid_to_csv(_table(101, "random", np.random.default_rng(3))).splitlines()
-        assert margulis.walk._CSV_ROWS == 4096 and lines[1].startswith("0,0,")
+        assert margulis.frames._CSV_ROWS == 4096 and lines[1].startswith("0,0,")
         for row, cell in (first, second):
             lines[row] = f"{'0,0' if cell == 'dup' else cell},0.5"
         text = "\n".join(lines) + "\n"
@@ -881,7 +871,7 @@ class TestSerialization:
         def diagnose(text):
             raise AssertionError("a valid table was diagnosed")
 
-        monkeypatch.setattr(margulis.walk, "_diagnose", diagnose)
+        monkeypatch.setattr(margulis.frames, "_diagnose", diagnose)
         assert grid_from_csv(text).values.tobytes() == f.values.tobytes()
 
     @pytest.mark.parametrize("piece", [1, 2, 5, 1 << 16])
@@ -893,7 +883,7 @@ class TestSerialization:
         texts = ["", " ", "\n", "a", " a ", "\n\n a\r\n\r\nb \n\n", "x\n\ry\r\r\nz",
                  " \t" * 9 + "\nx\n" + "\t \n" * 9, "\u3000 a \u3000"]
         texts += ["".join(rng.choice(alphabet, size=rng.integers(0, 40))) for _ in range(300)]
-        monkeypatch.setattr("margulis.walk._CSV_PIECE", piece)
+        monkeypatch.setattr("margulis.frames._CSV_PIECE", piece)
         for text in texts:
             assert list(_csv_lines(text)) == [ln for ln in text.strip().splitlines() if ln]
 
