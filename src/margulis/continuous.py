@@ -129,6 +129,8 @@ def gn_closed_form(gamma: CovMatrix, n: int) -> CovMatrix:
     With alpha = (a+c)/2 and beta = (a-c)/2 the diagonal after n steps is
     3^n alpha +- (-1)^n beta; the off-diagonal never moves.
     """
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n > 500:

@@ -1,9 +1,9 @@
 """Discrete Weyl-Heisenberg and phase-point operators for odd dimension N.
 
-Provides the shift/boost pair, symmetrized Weyl operators, the parity
-operator and its translates (the phase-point basis), the Wigner transform
-and its inverse, the discrete Fourier transform, quadratic-phase unitaries,
-and the closed-form action of the unitaries of affine phase-space maps.
+Provides symmetrized Weyl operators, the parity operator and its
+translates (the phase-point basis), the Wigner transform and its inverse,
+the discrete Fourier transform, quadratic-phase unitaries, and the
+closed-form action of the unitaries of affine phase-space maps.
 
 Conventions, all pinned by tests:
 
@@ -37,8 +37,6 @@ from .walk import AffineMap, GridDist, _require_odd_modulus, _unit_shear
 
 __all__ = [
     "PhaseSpaceContext",
-    "shift_op",
-    "boost_op",
     "weyl",
     "parity",
     "phase_point",
@@ -73,41 +71,35 @@ def _phases(ctx: PhaseSpaceContext, exponents: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * (np.asarray(exponents) % ctx.N) / ctx.N)
 
 
-def shift_op(ctx: PhaseSpaceContext, q: int) -> np.ndarray:
-    """x(q): |k> -> |k+q mod N>."""
-    N = ctx.N
-    m = np.zeros((N, N), dtype=complex)
-    m[(np.arange(N) + q) % N, np.arange(N)] = 1.0
+def _monomial(ctx: PhaseSpaceContext, rows: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """N x N matrix with omega^{exponents[k]} at (rows[k] mod N, k), zero elsewhere."""
+    m = np.zeros((ctx.N, ctx.N), dtype=complex)
+    m[rows % ctx.N, np.arange(ctx.N)] = _phases(ctx, exponents)
     return m
 
 
-def boost_op(ctx: PhaseSpaceContext, p: int) -> np.ndarray:
-    """z(p): |k> -> omega^{pk} |k>."""
-    return np.diag(_phases(ctx, p * np.arange(ctx.N)))
-
-
 def weyl(ctx: PhaseSpaceContext, p: int, q: int) -> np.ndarray:
-    """Symmetrized displacement w(p,q) = omega^{-inv2*p*q} z(p) x(q).
+    """Symmetrized displacement w(p,q) = omega^{-inv2*p*q} z(p) x(q), with the
+    boost z(p)|k> = omega^{pk}|k> and the shift x(q)|k> = |k+q>; so
+    w(p,q)|k> = omega^{p(k+q) - inv2*p*q} |k+q>, labels taken mod N.
 
     Unitary; w(0,0) is the identity, and w(a) w(b) picks up the symplectic
     phase omega^{inv2*(p q' - p' q)} relative to w(a+b).
     """
-    phase = _phases(ctx, np.array(-ctx.inv2 * p * q))
-    return phase * (boost_op(ctx, p) @ shift_op(ctx, q))
+    p, q, k = p % ctx.N, q % ctx.N, np.arange(ctx.N)
+    return _monomial(ctx, k + q, p * (k + q) - ctx.inv2 * p * q)
 
 
 def parity(ctx: PhaseSpaceContext) -> np.ndarray:
     """A(0,0): |k> -> |-k mod N>; hermitian involution with unit trace."""
-    N = ctx.N
-    m = np.zeros((N, N), dtype=complex)
-    m[(-np.arange(N)) % N, np.arange(N)] = 1.0
-    return m
+    return phase_point(ctx, 0, 0)
 
 
 def phase_point(ctx: PhaseSpaceContext, p: int, q: int) -> np.ndarray:
-    """Translated parity A(p,q) = w(p,q) A(0,0) w(p,q)^dag."""
-    w = weyl(ctx, p, q)
-    return w @ parity(ctx) @ w.conj().T
+    """Translated parity A(p,q) = w(p,q) A(0,0) w(p,q)^dag, which sends |m> to
+    omega^{2p(q-m)} |2q-m>, labels taken mod N."""
+    p, q, m = p % ctx.N, q % ctx.N, np.arange(ctx.N)
+    return _monomial(ctx, 2 * q - m, 2 * p * (q - m))
 
 
 @lru_cache(maxsize=4)

@@ -182,15 +182,15 @@ def spectral_report(M: np.ndarray, *, modulus: int = 0) -> SpectralReport:
     Raises
     ------
     ValueError
-        If M is not symmetric row-stochastic, or its top eigenvalue is not 1.
+        If M is not a symmetric row-stochastic matrix of at least two states,
+        or its top eigenvalue is not 1.
     RuntimeError
         If the eigendecomposition residual exceeds tolerance.
     """
     tol = 1e-10
     M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    if M.shape != (n, n):
-        raise ValueError("matrix must be square and symmetric")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or len(M) < 2:
+        raise ValueError(f"expected a square matrix of at least two states, got shape {M.shape}")
     blocks = _eigen_blocks(M, modulus)
     if not all(np.allclose(B, B.T, atol=tol) for B, _ in blocks):
         raise ValueError("matrix must be square and symmetric")

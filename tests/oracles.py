@@ -1,5 +1,6 @@
-"""Dense oracles the library does not ship: the phase-point stack, and the
-metaplectic words of the four walk linear parts with the unitaries they give.
+"""Dense oracles the library does not ship: Weyl and phase-point operators as
+dense products, the phase-point stack, and the metaplectic words of the four
+walk linear parts with the unitaries they give.
 
 The words are written out here, independently of the chirp that
 ``affine_unitary`` derives from each matrix, and built from the public
@@ -10,7 +11,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from margulis.phasespace import PhaseSpaceContext, fourier, phase_point, quadratic_phase, weyl
+from margulis.phasespace import PhaseSpaceContext, fourier, quadratic_phase
 from margulis.walk import AffineMap
 
 #: Walk linear part -> (SL(2, Z) matrix, word in matrix order over Q+/Q-
@@ -30,6 +31,28 @@ _PRIMITIVES = {
 }
 
 
+def _omega(N: int, exponents) -> np.ndarray:
+    return np.exp(2j * np.pi * (np.asarray(exponents) % N) / N)
+
+
+def dense_weyl(ctx: PhaseSpaceContext, p: int, q: int) -> np.ndarray:
+    """omega^{-inv2*p*q} z(p) x(q) as a dense product: the boost
+    z(p) = diag(omega^{pk}) times the shift x(q) = the permutation |k> -> |k+q>."""
+    N, k = ctx.N, np.arange(ctx.N)
+    shift = np.zeros((N, N), dtype=complex)
+    shift[(k + q) % N, k] = 1.0
+    return _omega(N, -ctx.inv2 * p * q) * (np.diag(_omega(N, p * k)) @ shift)
+
+
+def dense_phase_point(ctx: PhaseSpaceContext, p: int, q: int) -> np.ndarray:
+    """w(p,q) P w(p,q)^dag as a dense product, P the parity permutation |k> -> |-k>."""
+    N, k = ctx.N, np.arange(ctx.N)
+    parity = np.zeros((N, N), dtype=complex)
+    parity[-k % N, k] = 1.0
+    w = dense_weyl(ctx, p, q)
+    return w @ parity @ w.conj().T
+
+
 def word_unitary(ctx: PhaseSpaceContext, symbols) -> np.ndarray:
     """Product of the words of the symbols of LINEAR_WORDS, left to right."""
     return reduce(np.matmul, (_PRIMITIVES[p](ctx) for s in symbols
@@ -40,7 +63,7 @@ def oracle_unitary(ctx: PhaseSpaceContext, T: AffineMap) -> np.ndarray:
     """Dense U_T of a walk map T: w(shift) times the word of its linear part."""
     symbol, = (s for s, (matrix, _) in LINEAR_WORDS.items()
                if AffineMap(matrix, (0, 0), ctx.N).linear == T.linear)
-    return weyl(ctx, *T.shift) @ word_unitary(ctx, [symbol])
+    return dense_weyl(ctx, *T.shift) @ word_unitary(ctx, [symbol])
 
 
 @lru_cache(maxsize=16)
@@ -49,13 +72,13 @@ def _phase_point_stack(N: int) -> np.ndarray:
     stack = np.empty((N * N, N, N), dtype=complex)
     for p in range(N):
         for q in range(N):
-            stack[p * N + q] = phase_point(ctx, p, q)
+            stack[p * N + q] = dense_phase_point(ctx, p, q)
     stack.setflags(write=False)
     return stack
 
 
 def phase_point_basis(ctx: PhaseSpaceContext) -> np.ndarray:
-    """All N^2 phase-point operators stacked as [p*N+q, :, :] (read-only).
+    """All N^2 dense_phase_point operators stacked as [p*N+q, :, :] (read-only).
 
     Dense and cached: O(N^4) time and memory on first use per N.  The
     oracle that the closed-form ``wigner`` and ``inverse_wigner`` and the

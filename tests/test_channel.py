@@ -7,9 +7,10 @@ from margulis.channel import (KrausChannel, apply_channel, channel_report,
                               expander_lambda, margulis_channel,
                               random_hermitian, superoperator, verify_identities)
 from margulis.phasespace import (PhaseSpaceContext, affine_unitary, inverse_wigner,
-                                 quadratic_phase, wigner)
+                                 quadratic_phase, weyl, wigner)
 from margulis.spectrum import spectral_report
-from margulis.walk import AffineMap, GridDist, generator_map, walk_matrix, walk_step
+from margulis.walk import (WALK_MAPS, AffineMap, GridDist, generator_map, walk_matrix,
+                           walk_step)
 from oracles import oracle_unitary, phase_point_basis
 
 
@@ -80,6 +81,46 @@ class TestActionOnPhasePoints:
             out = apply_channel(ch, basis[v])
             expected = np.einsum("u,uij->ij", M[:, v], basis)
             assert np.max(np.abs(out - expected)) < 1e-12
+
+
+class TestActionOnWeylOperators:
+    @pytest.mark.parametrize("N", [7, 15, 25, 243])
+    def test_four_weyl_components_with_their_phases(self, N):
+        # U_T w(v) U_T^dag = omega^{[t, Lv]} w(Lv) for T = (L, t), with
+        # [a, b] = a_p b_q - a_q b_p; so the channel takes w(v) to the
+        # (1/8)-weighted sum of those over the eight maps, and the two maps of
+        # one linear part L give w(Lv) the modulus |cos(pi [t_L, Lv] / N)| / 4,
+        # t_L the difference of their shifts.
+        ctx = PhaseSpaceContext(N)
+        ch = margulis_channel(ctx)
+        shifts = {}
+        for L, t in WALK_MAPS.values():
+            shifts.setdefault(L, []).append(t)
+
+        def image(L, v):
+            return tuple(int(L[i][0] * v[0] + L[i][1] * v[1]) % N for i in range(2))
+
+        def form(a, b):
+            return a[0] * b[1] - a[1] * b[0]
+
+        rng = np.random.default_rng(N)
+        checked = 0
+        while checked < 3:
+            v = tuple(int(x) for x in rng.integers(0, N, 2))
+            if len({image(L, v) for L in shifts}) < len(shifts):
+                continue
+            out = apply_channel(ch, weyl(ctx, *v))
+            expected = sum(np.exp(2j * np.pi * (form(t, image(L, v)) % N) / N)
+                           * weyl(ctx, *image(L, v))
+                           for L, t in WALK_MAPS.values()) / 8
+            assert np.max(np.abs(out - expected)) <= 1e-13
+            for L, (t1, t2) in shifts.items():
+                Lv = image(L, v)
+                coefficient = np.trace(weyl(ctx, *Lv).conj().T @ out) / N
+                t_L = (t2[0] - t1[0], t2[1] - t1[1])
+                assert abs(coefficient) == pytest.approx(
+                    abs(np.cos(np.pi * form(t_L, Lv) / N)) / 4, abs=1e-13)
+            checked += 1
 
 
 class TestSuperoperator:

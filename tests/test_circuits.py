@@ -6,8 +6,8 @@ import pytest
 from margulis.circuits import (Gate, GateList, _qft_gates, affine_circuit, apply_gates,
                                equal_up_to_phase, evaluate, gate_list_to_jsonl,
                                inverse_gates, quadratic_circuit, weyl_circuit)
-from margulis.phasespace import (PhaseSpaceContext, affine_unitary, boost_op,
-                                 fourier, quadratic_phase, shift_op, weyl)
+from margulis.phasespace import (PhaseSpaceContext, affine_unitary, fourier,
+                                 quadratic_phase, weyl)
 from margulis.walk import AffineMap, apply_affine, generator_map
 from oracles import phase_point_basis
 
@@ -245,10 +245,10 @@ class TestWeylCircuit:
         gl = weyl_circuit(3, 2, 1, 0)
         assert len(gl.gates) == 2
         assert all(g.kind == "linear_phase" for g in gl.gates)
-        assert np.allclose(evaluate(gl), boost_op(ctx_for(3, 2), 1), atol=1e-13)
+        assert np.allclose(evaluate(gl), weyl(ctx_for(3, 2), 1, 0), atol=1e-13)
 
     def test_shift_matches_dense(self):
-        assert_equal_up_to_phase(evaluate(weyl_circuit(3, 2, 0, 1)), shift_op(ctx_for(3, 2), 1))
+        assert_equal_up_to_phase(evaluate(weyl_circuit(3, 2, 0, 1)), weyl(ctx_for(3, 2), 0, 1))
 
     @pytest.mark.parametrize("d,n", DN)
     def test_general_displacement_exact_with_annotation(self, d, n):
@@ -346,7 +346,7 @@ class TestEqualUpToPhase:
 
     def test_distinct_operators(self):
         ctx = PhaseSpaceContext(3)
-        ok, _ = equal_up_to_phase(fourier(ctx), shift_op(ctx, 1))
+        ok, _ = equal_up_to_phase(fourier(ctx), weyl(ctx, 0, 1))
         assert not ok
 
     def test_shape_mismatch(self):

@@ -401,6 +401,15 @@ class TestVerifyCommand:
         assert main(["verify", "--N", "5", "--compare-operators", str(gold),
                      "--json"]) == 0
 
+    def test_operators_match_the_checked_in_golden_files(self, capsys):
+        # tests/golden/operators-7 holds the reference operators of an earlier
+        # version and is only read: a drift in any convention fails here.
+        gold = Path(__file__).parent / "golden" / "operators-7"
+        assert len(list(gold.glob("*.json"))) == 12
+        assert main(["verify", "--N", "7", "--compare-operators", str(gold), "--json"]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["passed"] for c in checks if c["check"] == "golden_operators"] == [True]
+
 
 class TestCircuitCommand:
     def test_check_and_files(self, tmp_path, capsys):

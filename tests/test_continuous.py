@@ -162,6 +162,19 @@ class TestClosedForm:
         with pytest.raises(ValueError, match=">= 0"):
             gn_closed_form(CovMatrix(1.0, 0.0, 1.0), -1)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, np.float64(3.0)])
+    def test_non_integer_n_rejected(self, n):
+        # 3**2.5 and a parity flip of 2.5 % 2 describe no number of steps.
+        with pytest.raises(ValueError, match="n must be an integer"):
+            gn_closed_form(CovMatrix(1.0, 0.0, 1.0), n)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            growth_rate(CovMatrix(1.0, 0.0, 1.0), n)
+
+    def test_numpy_integer_n_accepted(self):
+        out = gn_closed_form(CovMatrix(1.0, 0.0, 1.0), np.int64(4))
+        assert (out.a, out.b, out.c) == (81.0, 0.0, 81.0)
+        assert np.allclose(np.diag(growth_rate(CovMatrix(1.0, 0.0, 1.0), np.int32(10))), 1.0)
+
 
 class TestGrowthRate:
     def test_identity_input_exact(self):

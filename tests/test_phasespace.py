@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from margulis.phasespace import (PhaseSpaceContext, _antidiagonal_indices, affine_action,
-                                 affine_unitary, boost_op, fourier, inverse_wigner,
+                                 affine_unitary, fourier, inverse_wigner,
                                  operator_from_json, operator_to_json, parity,
-                                 phase_point, quadratic_phase, shift_op,
-                                 weyl, wigner)
+                                 phase_point, quadratic_phase, weyl, wigner)
 from margulis.walk import AffineMap, GridDist, apply_affine, generator_map, walk_step
-from oracles import LINEAR_WORDS, phase_point_basis, word_unitary
+from oracles import (LINEAR_WORDS, dense_phase_point, dense_weyl, phase_point_basis,
+                     word_unitary)
 
 ODD_N = [3, 5, 7, 9]
 
@@ -35,14 +35,15 @@ class TestContext:
 
 
 class TestShiftBoost:
+    # The shift x(q) is weyl(ctx, 0, q) and the boost z(p) is weyl(ctx, p, 0).
     def test_zero_arguments_give_identity(self):
         ctx = PhaseSpaceContext(5)
-        x0, z0 = shift_op(ctx, 0), boost_op(ctx, 0)
-        assert np.allclose(x0, np.eye(5)) and np.allclose(z0, np.eye(5))
+        for p, q in [(0, 0), (0, 5), (5, 0)]:
+            assert np.allclose(weyl(ctx, p, q), np.eye(5))
 
     def test_shift_permutation_n3(self):
         ctx = PhaseSpaceContext(3)
-        x1 = shift_op(ctx, 1)
+        x1 = weyl(ctx, 0, 1)
         expected = np.zeros((3, 3))
         for k in range(3):
             expected[(k + 1) % 3, k] = 1
@@ -51,13 +52,13 @@ class TestShiftBoost:
     def test_boost_diagonal_n3(self):
         ctx = PhaseSpaceContext(3)
         w = np.exp(2j * np.pi / 3)
-        assert np.allclose(boost_op(ctx, 1), np.diag([1, w, w**2]))
+        assert np.allclose(weyl(ctx, 1, 0), np.diag([1, w, w**2]))
 
     @pytest.mark.parametrize("N", ODD_N)
     def test_unitarity(self, N):
         ctx = PhaseSpaceContext(N)
-        assert_unitary(shift_op(ctx, 2))
-        assert_unitary(boost_op(ctx, 3))
+        assert_unitary(weyl(ctx, 0, 2))
+        assert_unitary(weyl(ctx, 3, 0))
 
 
 class TestWeyl:
@@ -87,6 +88,24 @@ class TestWeyl:
             lhs = weyl(ctx, p, q) @ weyl(ctx, pp, qq)
             rhs = phase * weyl(ctx, (p + pp) % N, (q + qq) % N)
             assert np.allclose(lhs, rhs, atol=1e-12)
+
+    @pytest.mark.parametrize("N", [3, 5, 7, 15, 25])
+    def test_closed_forms_match_the_dense_products(self, N):
+        # Every label pair in [-N, 2N)^2, so both sides reduce labels mod N:
+        # weyl against omega^{-inv2 p q} z(p) x(q) and phase_point against
+        # w(p,q) P w(p,q)^dag, multiplied out densely in tests/oracles.py.
+        ctx = PhaseSpaceContext(N)
+        assert np.array_equal(parity(ctx), dense_phase_point(ctx, 0, 0))
+        worst = max(max(np.max(np.abs(weyl(ctx, p, q) - dense_weyl(ctx, p, q))),
+                        np.max(np.abs(phase_point(ctx, p, q) - dense_phase_point(ctx, p, q))))
+                    for p in range(-N, 2 * N) for q in range(-N, 2 * N))
+        assert worst <= 1e-14
+
+    def test_labels_reduced_before_they_multiply(self):
+        # 10**20 is 0 mod 5; left unreduced it overflows numpy's int64.
+        ctx = PhaseSpaceContext(5)
+        assert np.array_equal(phase_point(ctx, 10**20, 3), phase_point(ctx, 0, 3))
+        assert np.array_equal(weyl(ctx, 3, 10**20), weyl(ctx, 3, 0))
 
 
 class TestPhasePoint:
@@ -250,10 +269,10 @@ class TestFourier:
         for N in (3, 5, 9):
             ctx = PhaseSpaceContext(N)
             F = fourier(ctx)
-            assert np.allclose(F @ boost_op(ctx, 1) @ F.conj().T,
-                               shift_op(ctx, N - 1), atol=1e-12)
-            assert np.allclose(F.conj().T @ boost_op(ctx, 1) @ F,
-                               shift_op(ctx, 1), atol=1e-12)
+            assert np.allclose(F @ weyl(ctx, 1, 0) @ F.conj().T,
+                               weyl(ctx, 0, N - 1), atol=1e-12)
+            assert np.allclose(F.conj().T @ weyl(ctx, 1, 0) @ F,
+                               weyl(ctx, 0, 1), atol=1e-12)
 
     @pytest.mark.parametrize("N", ODD_N)
     def test_fourth_power_is_identity(self, N):

@@ -495,6 +495,13 @@ class TestSpectralReport:
         with pytest.raises(ValueError, match="stochastic"):
             spectral_report(0.5 * np.eye(4))
 
+    @pytest.mark.parametrize("M", [np.ones((1, 1)), np.zeros((0, 0)), np.float64(1.0),
+                                   np.ones((2, 3)), np.ones((2, 2, 2))],
+                             ids=["one-state", "empty", "scalar", "not-square", "3d"])
+    def test_rejects_fewer_than_two_states_or_not_square(self, M):
+        with pytest.raises(ValueError, match="square matrix of at least two states"):
+            spectral_report(M)
+
     @pytest.mark.parametrize("N", range(3, 50, 2))
     def test_reflections_permute_the_walk_maps(self, N):
         # a(p, q) = (h - p, q) and b(p, q) = (p, -h - q), h = 1/2 mod N, are
