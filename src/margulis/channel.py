@@ -17,9 +17,9 @@ import numpy as np
 
 from .circuits import affine_circuit, circuit_deviation
 from .phasespace import PhaseSpaceContext, affine_action, affine_unitary, inverse_wigner, wigner
-from .spectrum import SpectralReport
-from .walk import (DENSE_MAX_MODULUS, AffineMap, GridDist, _pullback_index, _unit_shear,
-                   generator_map, walk_step)
+from .spectrum import SpectralReport, _sorted_report
+from .walk import (DENSE_MAX_MODULUS, AffineMap, GridDist, _pullback_index, _require_integer,
+                   _unit_shear, generator_map, walk_step)
 
 __all__ = [
     "KrausChannel",
@@ -98,16 +98,16 @@ def channel_report(ch: KrausChannel) -> SpectralReport:
     """Spectrum of the channel's superoperator and its mixing rate.
 
     M is hermitian for an inverse-closed unitary mixture, and eigvalsh reads
-    only its lower triangle, so M is checked first.  ``spectrum`` is sorted as
-    in spectral_report, by descending absolute value from eigvalsh's ascending
-    order; the identity direction holds the largest, 1, so ``lam`` is
-    ``abs(spectrum[1])``.  Only eigenvalues are solved: the one block is all
-    of M and ``residual`` is left at 0.
+    only its lower triangle, so M is checked first.  ``spectrum`` is sorted and
+    checked as in spectral_report, from eigvalsh's ascending order; the identity
+    direction holds the largest, 1, so ``lam`` is ``abs(spectrum[1])``.  Only
+    eigenvalues are solved: the one block is all of M and ``residual`` is 0.
 
     Raises
     ------
     ValueError
-        If N exceeds DENSE_MAX_MODULUS or the superoperator is not hermitian.
+        If N exceeds DENSE_MAX_MODULUS, the superoperator is not hermitian
+        or its top eigenvalue is not 1.
     """
     N = ch.dim
     M = superoperator(ch)
@@ -116,9 +116,7 @@ def channel_report(ch: KrausChannel) -> SpectralReport:
                for i in range(0, N * N, N)):
         raise ValueError("superoperator is not hermitian; the channel must be "
                          "an inverse-closed unitary mixture")
-    spectrum = tuple(sorted(np.linalg.eigvalsh(M).tolist(), key=abs, reverse=True))
-    return SpectralReport(modulus=N, lam=abs(spectrum[1]), spectrum=spectrum,
-                          blocks=(N * N,))
+    return _sorted_report(np.linalg.eigvalsh(M), N, (N * N,))
 
 
 def expander_lambda(ch: KrausChannel) -> float:
@@ -157,8 +155,7 @@ def verify_identities(N: int, *, seed: int = 42, trials: int = 20) -> list[tuple
     N = d^n (smallest d) against its unitary.  No matrix of size N^2 is formed.
     A row is the np.max of its deviations, so one NaN makes the row NaN.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _require_integer("trials", trials, lo=1)
     ctx = PhaseSpaceContext(N)
     ch = margulis_channel(ctx)
     rng = np.random.default_rng(seed)

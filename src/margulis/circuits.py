@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phasespace import PhaseSpaceContext, _shear_chirp, affine_action
-from .walk import AffineMap
+from .walk import AffineMap, _require_integer, _require_odd_modulus
 
 __all__ = [
     "Gate",
@@ -69,8 +69,8 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.M < 1:
-            raise ValueError(f"M must be positive, got {self.M}")
+        _require_integer("c", self.c)
+        _require_integer("M", self.M, lo=1)
         ntargets = {"fourier": 1, "fourier_inv": 1, "linear_phase": 1,
                     "quadratic_phase": 1, "cphase": 2, "reverse": 0}[self.kind]
         if len(self.targets) != ntargets:
@@ -94,10 +94,9 @@ class GateList:
     phase_den: int = 1
 
     def __post_init__(self):
-        if self.d < 2 or self.n < 1:
-            raise ValueError(f"need d >= 2 and n >= 1, got d={self.d}, n={self.n}")
-        if self.phase_den < 1:
-            raise ValueError("phase_den must be positive")
+        _require_integer("d", self.d, lo=2)
+        _require_integer("n", self.n, lo=1)
+        _require_integer("phase_den", self.phase_den, lo=1)
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if g.d != self.d:
@@ -154,11 +153,6 @@ def inverse_gates(gates) -> tuple[Gate, ...]:
                  for g in reversed(tuple(gates)))
 
 
-def _require_odd_d(d: int) -> None:
-    if d < 3 or d % 2 == 0:
-        raise ValueError(f"qudit dimension must be odd and >= 3, got {d}")
-
-
 def _qft_gates(d: int, n: int) -> tuple[Gate, ...]:
     """The N-level Fourier transform on n qudits: n single-qudit Fourier gates,
     one controlled phase per qudit pair and, for n > 1, a final digit reversal,
@@ -183,9 +177,8 @@ def quadratic_circuit(d: int, n: int, k: int) -> GateList:
     dropped, among them every pair with l + l' <= n and, for k = 0 mod d^n,
     all of them.
     """
-    _require_odd_d(d)
-    if not isinstance(k, (int, np.integer)):
-        raise ValueError(f"k must be an integer, got {k!r}")
+    _require_odd_modulus(d, "qudit dimension")
+    _require_integer("k", k)
     gates = []
     for l in range(1, n + 1):
         for lp in range(max(l, n + 1 - l), n + 1):
@@ -213,7 +206,7 @@ def weyl_circuit(d: int, n: int, p: int, q: int) -> GateList:
     x(q) is synthesized as F^dag z(q) F; the scalar prefactor is returned as
     the global-phase annotation.
     """
-    _require_odd_d(d)
+    _require_odd_modulus(d, "qudit dimension")
     N = d ** n
     p, q = p % N, q % N
     gates: list[Gate] = []
@@ -234,7 +227,7 @@ def affine_circuit(d: int, n: int, T: AffineMap) -> GateList:
     shears it supports.  The chirp's coefficient is centred into
     (-N/2, N/2]; on axis 1 it runs between F^dag and F, so F acts last.
     """
-    _require_odd_d(d)
+    _require_odd_modulus(d, "qudit dimension")
     N = d ** n
     if T.modulus != N:
         raise ValueError(f"map modulus {T.modulus} != d^n = {N}")

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .walk import GABBER_GALIL_BOUND, WALK_MAPS, GridDist, walk_step
+from .walk import GABBER_GALIL_BOUND, WALK_MAPS, GridDist, _require_integer, walk_step
 
 __all__ = [
     "MeanVector",
@@ -129,10 +129,7 @@ def gn_closed_form(gamma: CovMatrix, n: int) -> CovMatrix:
     With alpha = (a+c)/2 and beta = (a-c)/2 the diagonal after n steps is
     3^n alpha +- (-1)^n beta; the off-diagonal never moves.
     """
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _require_integer("n", n, lo=0)
     if n > 500:
         raise ValueError(f"n={n} exceeds the overflow guard (3^n leaves float range)")
     alpha = (gamma.a + gamma.c) / 2.0
@@ -148,8 +145,7 @@ def growth_rate(gamma: CovMatrix, n: int) -> np.ndarray:
     Returns diag((1/n) log_3 of the two diagonal entries); converges to the
     identity for any gamma with alpha = (a+c)/2 > 0.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _require_integer("n", n, lo=1)
     alpha = (gamma.a + gamma.c) / 2.0
     if alpha <= 0:
         raise ValueError(f"non-generic covariance: alpha = (a+c)/2 = {alpha} <= 0")
@@ -219,6 +215,7 @@ class SampledField:
 
     def __post_init__(self):
         _require_delta(self.delta)
+        _require_integer("R", self.R, lo=0)
         side = 2 * self.R + 1
         vals = np.array(self.values, dtype=float)
         if vals.shape != (side, side):
@@ -268,6 +265,7 @@ def discretize(test_fn, delta: float, R: int) -> SampledField:
                 f"unknown test function {test_fn!r}; "
                 f"available: {sorted(TEST_FUNCTIONS)}") from None
     _require_delta(delta)
+    _require_integer("R", R, lo=0)
     if test_fn.support_radius > R * delta:
         raise ValueError(
             f"support radius {test_fn.support_radius} exceeds grid extent "

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .walk import AffineMap, GridDist, _require_odd_modulus, _unit_shear
+from .walk import AffineMap, GridDist, _require_integer, _require_odd_modulus, _unit_shear
 
 __all__ = [
     "PhaseSpaceContext",
@@ -86,6 +86,7 @@ def weyl(ctx: PhaseSpaceContext, p: int, q: int) -> np.ndarray:
     Unitary; w(0,0) is the identity, and w(a) w(b) picks up the symplectic
     phase omega^{inv2*(p q' - p' q)} relative to w(a+b).
     """
+    _require_integer("label", p, q)
     p, q, k = p % ctx.N, q % ctx.N, np.arange(ctx.N)
     return _monomial(ctx, k + q, p * (k + q) - ctx.inv2 * p * q)
 
@@ -98,6 +99,7 @@ def parity(ctx: PhaseSpaceContext) -> np.ndarray:
 def phase_point(ctx: PhaseSpaceContext, p: int, q: int) -> np.ndarray:
     """Translated parity A(p,q) = w(p,q) A(0,0) w(p,q)^dag, which sends |m> to
     omega^{2p(q-m)} |2q-m>, labels taken mod N."""
+    _require_integer("label", p, q)
     p, q, m = p % ctx.N, q % ctx.N, np.arange(ctx.N)
     return _monomial(ctx, 2 * q - m, 2 * p * (q - m))
 

@@ -164,6 +164,15 @@ def _eigen_blocks(M: np.ndarray, N: int) -> list[tuple[np.ndarray, int]]:
     return [(B, count) for B, count in blocks if B.size]
 
 
+def _sorted_report(eigvals, modulus: int, blocks: tuple, residual: float = 0.0) -> SpectralReport:
+    """The report of eigvals sorted by descending |x|, ascending first so ties
+    keep the order one eigh of M gives; the largest must be 1 within 1e-10."""
+    spectrum = tuple(sorted(np.sort(eigvals).tolist(), key=abs, reverse=True))
+    if abs(spectrum[0] - 1.0) > 1e-10:
+        raise ValueError(f"largest eigenvalue {spectrum[0]!r} is not 1 within 1e-10")
+    return SpectralReport(modulus, abs(spectrum[1]), spectrum, blocks, residual)
+
+
 def spectral_report(M: np.ndarray, *, modulus: int = 0) -> SpectralReport:
     """Eigenvalues of a symmetric stochastic matrix and its mixing rate.
 
@@ -204,10 +213,5 @@ def spectral_report(M: np.ndarray, *, modulus: int = 0) -> SpectralReport:
     residual = math.sqrt(squared_residual)
     if residual > 1e-8 * max(1.0, np.linalg.norm(M, ord="fro")):
         raise RuntimeError(f"eigendecomposition residual too large: {residual:.3e}")
-    # Ascending first, so ties in |x| keep the order one eigh of M gives.
-    spectrum = tuple(sorted(np.sort(np.concatenate(eigvals)).tolist(), key=abs, reverse=True))
-    if abs(spectrum[0] - 1.0) > tol:
-        raise ValueError(f"largest eigenvalue {spectrum[0]!r} is not 1 within {tol}")
-    lam = abs(spectrum[1])
-    return SpectralReport(modulus=modulus, lam=lam, spectrum=spectrum,
-                          blocks=tuple(B.shape[0] for B, _ in blocks), residual=residual)
+    return _sorted_report(np.concatenate(eigvals), modulus,
+                          tuple(B.shape[0] for B, _ in blocks), residual)

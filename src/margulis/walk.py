@@ -64,11 +64,20 @@ def _unit_shear(linear) -> tuple[int, int]:
     return (1, c) if c else (0, b)
 
 
-def _require_odd_modulus(N: int) -> None:
-    if not isinstance(N, (int, np.integer)):
-        raise ValueError(f"modulus must be an integer, got {N!r}")
+def _require_integer(name: str, *values, lo: int | None = None) -> None:
+    """Refuse, naming ``name``, any value that is not an int or numpy integer
+    or, when ``lo`` is given, is below it."""
+    for x in values:
+        if not isinstance(x, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {x!r}")
+        if lo is not None and x < lo:
+            raise ValueError(f"{name} must be >= {lo}, got {x}")
+
+
+def _require_odd_modulus(N: int, name: str = "modulus") -> None:
+    _require_integer(name, N)
     if N < 3 or N % 2 == 0:
-        raise ValueError(f"modulus must be an odd integer >= 3, got {N}")
+        raise ValueError(f"{name} must be an odd integer >= 3, got {N}")
 
 
 @dataclass(frozen=True)
@@ -87,6 +96,8 @@ class AffineMap:
         _require_odd_modulus(self.modulus)
         N = self.modulus
         (a, b), (c, d) = self.linear
+        _require_integer("linear", a, b, c, d)
+        _require_integer("shift", *self.shift)
         sh = (self.shift[0] % N, self.shift[1] % N)
         if (a * d - b * c) % N != 1:
             raise ValueError(f"linear part {self.linear} has det != 1 mod {N}")
@@ -153,6 +164,7 @@ class GridDist:
 
     @staticmethod
     def delta(N: int, p: int = 0, q: int = 0) -> "GridDist":
+        _require_integer("label", p, q)
         vals = np.zeros((N, N))
         vals[p % N, q % N] = 1.0
         return GridDist(N, vals)

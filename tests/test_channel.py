@@ -192,6 +192,12 @@ class TestChannelReport:
         with pytest.raises(ValueError, match="not hermitian"):
             channel_report(margulis_channel(PhaseSpaceContext(5)))
 
+    def test_top_eigenvalue_other_than_one_is_refused(self, monkeypatch):
+        # Hermitian, so only the top-eigenvalue check can refuse it.
+        monkeypatch.setattr("margulis.channel.superoperator", lambda ch: 0.5 * np.eye(9))
+        with pytest.raises(ValueError, match="largest eigenvalue 0.5 is not 1 within 1e-10"):
+            channel_report(margulis_channel(PhaseSpaceContext(3)))
+
     def test_hermitian_check_makes_no_matrix_sized_temporary(self):
         # Building M holds M and one np.kron term, each n^2 complex entries;
         # a whole-matrix np.allclose(M, M^dag) would add several more.
@@ -267,8 +273,16 @@ class TestIntertwining:
     @pytest.mark.parametrize("trials", [0, -1])
     def test_no_trials_refused(self, trials):
         # Was numpy's "zero-size array to reduction operation maximum".
-        with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+        with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
             verify_identities(7, trials=trials)
+
+    def test_non_integer_trials_refused(self):
+        with pytest.raises(ValueError, match="trials must be an integer, got 1.5"):
+            verify_identities(5, trials=1.5)
+
+    def test_numpy_integer_trials_accepted(self):
+        rows = verify_identities(5, trials=np.int64(1))
+        assert max(dev for _, dev in rows) < 1e-10
 
     def test_uniform_eigenvector_lifts_to_maximally_mixed(self):
         N = 5

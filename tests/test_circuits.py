@@ -46,6 +46,24 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="targets"):
             GateList(3, 2, (g,))
 
+    @pytest.mark.parametrize("args,kwargs,message", [
+        ((1, 1, ()), {}, "d must be >= 2, got 1"),
+        ((3, 0, ()), {}, "n must be >= 1, got 0"),
+        ((3, 1, ()), {"phase_den": 0}, "phase_den must be >= 1, got 0"),
+        ((3.0, 1, ()), {}, "d must be an integer, got 3.0"),
+    ], ids=["d", "n", "phase_den", "float-d"])
+    def test_gate_list_register_check(self, args, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            GateList(*args, **kwargs)
+
+    def test_non_integer_phase_coefficient_refused(self):
+        with pytest.raises(ValueError, match="c must be an integer, got 1.5"):
+            Gate("linear_phase", 3, (1,), 1.5, 3)
+
+    def test_numpy_integer_parameters_accepted(self):
+        g = Gate("linear_phase", 3, (1,), np.int64(2), np.int64(9))
+        assert GateList(np.int64(3), np.int64(2), (g,), np.int64(1), np.int64(3)).dim == 9
+
     def test_gate_list_dimension_check(self):
         g = Gate("fourier", 5, (1,))
         with pytest.raises(ValueError, match="dimension"):
@@ -227,6 +245,10 @@ class TestQuadraticCircuit:
         with pytest.raises(ValueError, match="integer"):
             quadratic_circuit(3, 2, 0.5)
 
+    def test_non_integer_qudit_dimension_refused(self):
+        with pytest.raises(ValueError, match="qudit dimension must be an integer, got 3.0"):
+            quadratic_circuit(3.0, 2, 1)
+
     @pytest.mark.parametrize("d,n", DN)
     @pytest.mark.parametrize("k", [2, -4, 7])
     def test_any_coefficient_matches_dense(self, d, n, k):
@@ -246,6 +268,10 @@ class TestWeylCircuit:
         assert len(gl.gates) == 2
         assert all(g.kind == "linear_phase" for g in gl.gates)
         assert np.allclose(evaluate(gl), weyl(ctx_for(3, 2), 1, 0), atol=1e-13)
+
+    def test_non_integer_label_refused(self):
+        with pytest.raises(ValueError, match="c must be an integer, got 1.5"):
+            weyl_circuit(3, 2, 1.5, 1)
 
     def test_shift_matches_dense(self):
         assert_equal_up_to_phase(evaluate(weyl_circuit(3, 2, 0, 1)), weyl(ctx_for(3, 2), 0, 1))

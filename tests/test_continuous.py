@@ -33,6 +33,13 @@ def random_psd(rng):
     return CovMatrix(m[0, 0], m[0, 1], m[1, 1])
 
 
+class TestCovMatrix:
+    @pytest.mark.parametrize("m", [[[1, 2], [0, 1]], np.eye(3)], ids=["asymmetric", "3x3"])
+    def test_from_array_refuses_all_but_symmetric_2x2(self, m):
+        with pytest.raises(ValueError, match="expected a symmetric 2x2 matrix"):
+            CovMatrix.from_array(m)
+
+
 class TestMeanUpdate:
     def test_origin_fixed(self):
         assert mean_update(MeanVector(0.0, 0.0)) == MeanVector(0.0, 0.0)
@@ -190,6 +197,15 @@ class TestGrowthRate:
         with pytest.raises(ValueError, match="non-generic"):
             growth_rate(CovMatrix(1.0, 0.0, -1.0), 10)
 
+    @pytest.mark.parametrize("gamma,n,message", [
+        (CovMatrix(1.0, 0.0, 1.0), 0, "n must be >= 1, got 0"),
+        # alpha = 0.05 > 0, but one step gives a = 1 - 1.8 < 0.
+        (CovMatrix(1.0, 0.0, -0.9), 1, "diagonal not positive"),
+    ], ids=["no-steps", "negative-diagonal"])
+    def test_no_steps_or_a_negative_diagonal_refused(self, gamma, n, message):
+        with pytest.raises(ValueError, match=message):
+            growth_rate(gamma, n)
+
     def test_divergence_ratio_stabilizes(self):
         gam0 = CovMatrix(1.0, 0.5, 2.0)
         m = MeanVector(0.3, 0.4)
@@ -280,6 +296,18 @@ class TestDiscretize:
     def test_field_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):
             SampledField(0.25, 3, np.zeros((5, 5)))
+
+    @pytest.mark.parametrize("make", [lambda: discretize("box_dipole", 0.25, 8.5),
+                                      lambda: SampledField(0.25, 2.0, np.zeros((5, 5)))],
+                             ids=["discretize", "SampledField"])
+    def test_non_integer_r_rejected(self, make):
+        with pytest.raises(ValueError, match="R must be an integer, got"):
+            make()
+
+    def test_numpy_integer_r_accepted(self):
+        field = discretize("box_dipole", 0.25, np.int64(8))
+        assert field.values.shape == (17, 17)
+        assert SampledField(0.25, np.int32(8), field.values).R == 8
 
     @pytest.mark.parametrize("delta", [0.0, -0.25, float("nan"), float("inf"), 1e300])
     def test_field_rejects_bad_delta(self, delta):

@@ -28,6 +28,10 @@ class TestContext:
         with pytest.raises(ValueError, match="odd"):
             PhaseSpaceContext(4)
 
+    def test_non_integer_dimension_rejected(self):
+        with pytest.raises(ValueError, match="modulus must be an integer, got 5.0"):
+            PhaseSpaceContext(5.0)
+
     @pytest.mark.parametrize("N", ODD_N)
     def test_half_inverse(self, N):
         ctx = PhaseSpaceContext(N)
@@ -106,6 +110,17 @@ class TestWeyl:
         ctx = PhaseSpaceContext(5)
         assert np.array_equal(phase_point(ctx, 10**20, 3), phase_point(ctx, 0, 3))
         assert np.array_equal(weyl(ctx, 3, 10**20), weyl(ctx, 3, 0))
+
+    @pytest.mark.parametrize("build,p,q", [(weyl, 1.5, 0), (phase_point, 0.5, 0), (weyl, 0, 1.5)],
+                             ids=["weyl-p", "phase_point-p", "weyl-q"])
+    def test_non_integer_labels_rejected(self, build, p, q):
+        with pytest.raises(ValueError, match=f"label must be an integer, got {p or q}"):
+            build(PhaseSpaceContext(5), p, q)
+
+    def test_numpy_integer_labels_accepted(self):
+        ctx = PhaseSpaceContext(5)
+        assert np.array_equal(weyl(ctx, np.int64(1), 0), weyl(ctx, 1, 0))
+        assert np.array_equal(phase_point(ctx, np.int32(2), np.int64(8)), phase_point(ctx, 2, 3))
 
 
 class TestPhasePoint:
@@ -192,6 +207,10 @@ class TestWigner:
         bad = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex)
         with pytest.raises(ValueError, match="hermitian"):
             wigner(ctx, bad)
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"expected a 5x5 operator, got shape \(4, 4\)"):
+            wigner(PhaseSpaceContext(5), np.eye(4))
 
     @pytest.mark.parametrize("kind,accepted", [
         ("exact", True), ("rounding", True), ("relative", True),

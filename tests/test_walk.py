@@ -274,6 +274,19 @@ class TestGenerators:
         with pytest.raises(ValueError, match="det"):
             AffineMap(((2, 0), (0, 1)), (0, 0), 5)
 
+    @pytest.mark.parametrize("linear,shift,message", [
+        (((1, 2), (0, 1)), (0.5, 0), "shift must be an integer, got 0.5"),
+        (((1, 2.0), (0, 1)), (0, 0), "linear must be an integer, got 2.0"),
+    ])
+    def test_non_integer_entry_rejected(self, linear, shift, message):
+        with pytest.raises(ValueError, match=message):
+            AffineMap(linear, shift, 5)
+
+    def test_numpy_integer_entries_accepted(self):
+        one, two = np.int64(1), np.int64(2)
+        T = AffineMap(((one, two), (0, one)), (one, np.int32(0)), np.int64(5))
+        assert T == generator_map(5)["T2"]
+
     @pytest.mark.parametrize("N", ODD_N)
     def test_each_map_is_a_bijection(self, N):
         points = [(p, q) for p in range(N) for q in range(N)]
@@ -298,6 +311,20 @@ class TestApplyAffine:
         I = AffineMap(((1, 0), (0, 1)), (0, 0), 7)
         for v in [(0, 0), (3, 4), (6, 6)]:
             assert apply_affine(I, v) == v
+
+
+class TestGridDist:
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"values must have shape \(5, 5\), got \(4, 4\)"):
+            GridDist(5, np.zeros((4, 4)))
+
+    def test_delta_refuses_a_non_integer_label(self):
+        with pytest.raises(ValueError, match="label must be an integer, got 1.5"):
+            GridDist.delta(5, 1.5, 0)
+
+    def test_delta_takes_numpy_integers_and_reduces_them(self):
+        f = GridDist.delta(5, np.int64(6), -1)
+        assert f.values[1, 4] == 1.0 and f.values.sum() == 1.0
 
 
 class TestWalkStep:
@@ -494,6 +521,11 @@ class TestSpectralReport:
     def test_rejects_nonstochastic(self):
         with pytest.raises(ValueError, match="stochastic"):
             spectral_report(0.5 * np.eye(4))
+
+    def test_rejects_a_top_eigenvalue_other_than_one(self):
+        # Symmetric and row-stochastic, but with eigenvalues 1 and 3.
+        with pytest.raises(ValueError, match="largest eigenvalue .* is not 1 within 1e-10"):
+            spectral_report(np.array([[2.0, -1.0], [-1.0, 2.0]]))
 
     @pytest.mark.parametrize("M", [np.ones((1, 1)), np.zeros((0, 0)), np.float64(1.0),
                                    np.ones((2, 3)), np.ones((2, 2, 2))],
