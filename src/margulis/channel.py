@@ -3,9 +3,9 @@
 The channel applies one of the unitaries implementing the walk maps, chosen
 uniformly at random.  On Wigner tables it acts exactly as the classical walk
 acts on distributions, so its superoperator spectrum coincides with the walk
-matrix spectrum; this module builds the channel, its dense superoperator and
-spectrum and the mixing rate, and ``verify_identities`` checks that identity
-and the phase-space identities under it on random inputs, at any odd N.
+matrix spectrum; this module builds the channel, its dense superoperator, its
+spectrum (in the Weyl basis) and mixing rate, and ``verify_identities`` checks
+that identity and the phase-space identities under it on random inputs, at any odd N.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import affine_circuit, circuit_deviation
-from .phasespace import PhaseSpaceContext, affine_action, affine_unitary, inverse_wigner, wigner
+from .phasespace import (PhaseSpaceContext, _phases, affine_action, affine_unitary,
+                         inverse_wigner, wigner)
 from .spectrum import SpectralReport, _sorted_report
 from .walk import (DENSE_MAX_MODULUS, AffineMap, GridDist, _pullback_index, _require_integer,
                    _unit_shear, generator_map, walk_step)
@@ -94,23 +95,34 @@ def superoperator(ch: KrausChannel) -> np.ndarray:
     return M / ch.degree
 
 
+def _weyl_matrix(ch: KrausChannel) -> np.ndarray:
+    """Dense N^2 x N^2 matrix of the channel in the orthonormal Weyl basis w(u)/sqrt(N).
+    U_T w(v) U_T^dag = omega^{[t, Lv]} w(Lv) for T = (L, t), [a, b] = a_p b_q - a_q b_p,
+    so row u = p*N + q reads column L^{-1}u with weight omega^{[t, u]} / D, as in walk_matrix."""
+    N = ch.dim
+    if N > DENSE_MAX_MODULUS:
+        raise ValueError(f"N={N} exceeds the dense cap {DENSE_MAX_MODULUS}")
+    p, q = np.arange(N)[:, None], np.arange(N)
+    M = np.zeros((N, N, N * N), dtype=complex)  # M[p, q] is row u = p*N + q
+    for T in ch.maps:
+        columns = _pullback_index(AffineMap(T.linear, (0, 0), N))
+        M[p, q, columns] += _phases(ch.ctx, T.shift[0] * q - T.shift[1] * p) / ch.degree
+    return M.reshape(N * N, N * N)
+
+
 def channel_report(ch: KrausChannel) -> SpectralReport:
-    """Spectrum of the channel's superoperator and its mixing rate.
+    """Spectrum of the channel's superoperator and its mixing rate, solved on
+    _weyl_matrix(ch), the superoperator in the Weyl basis (N <= DENSE_MAX_MODULUS).
 
     M is hermitian for an inverse-closed unitary mixture, and eigvalsh reads
-    only its lower triangle, so M is checked first.  ``spectrum`` is sorted and
-    checked as in spectral_report, from eigvalsh's ascending order; the identity
-    direction holds the largest, 1, so ``lam`` is ``abs(spectrum[1])``.  Only
-    eigenvalues are solved: the one block is all of M and ``residual`` is 0.
-
-    Raises
-    ------
-    ValueError
-        If N exceeds DENSE_MAX_MODULUS, the superoperator is not hermitian
-        or its top eigenvalue is not 1.
+    only its lower triangle, so M is checked first; ValueError refuses it
+    otherwise, as it does a top eigenvalue other than 1.  ``spectrum`` is sorted
+    as in spectral_report, from eigvalsh's ascending order; the identity
+    direction holds 1, so ``lam`` is ``abs(spectrum[1])``.  Only eigenvalues
+    are solved: the one block is all of M and ``residual`` is 0.
     """
     N = ch.dim
-    M = superoperator(ch)
+    M = _weyl_matrix(ch)
     # np.allclose(M, M^dag) N rows at a time, so no temporary the size of M is made.
     if not all(np.allclose(M[i:i + N], M[:, i:i + N].conj().T, atol=1e-10)
                for i in range(0, N * N, N)):
@@ -120,8 +132,7 @@ def channel_report(ch: KrausChannel) -> SpectralReport:
 
 
 def expander_lambda(ch: KrausChannel) -> float:
-    """Largest absolute eigenvalue of the channel off the identity direction:
-    channel_report(ch).lam."""
+    """channel_report(ch).lam: the largest |eigenvalue| off the identity direction."""
     return channel_report(ch).lam
 
 

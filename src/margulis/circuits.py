@@ -178,6 +178,7 @@ def quadratic_circuit(d: int, n: int, k: int) -> GateList:
     all of them.
     """
     _require_odd_modulus(d, "qudit dimension")
+    _require_integer("n", n, lo=1)
     _require_integer("k", k)
     gates = []
     for l in range(1, n + 1):
@@ -207,6 +208,7 @@ def weyl_circuit(d: int, n: int, p: int, q: int) -> GateList:
     the global-phase annotation.
     """
     _require_odd_modulus(d, "qudit dimension")
+    _require_integer("n", n, lo=1)
     N = d ** n
     p, q = p % N, q % N
     gates: list[Gate] = []

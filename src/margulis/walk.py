@@ -32,8 +32,8 @@ __all__ = [
 #: Upper bound sqrt(2)*5/8 on the subdominant eigenvalue, independent of N.
 GABBER_GALIL_BOUND = math.sqrt(2.0) * 5.0 / 8.0
 
-#: Largest N for which walk_matrix and channel.superoperator build their dense
-#: N^2 x N^2 matrices.
+#: Largest N for which walk_matrix and the channel's superoperator and Weyl-basis
+#: matrix build their dense N^2 x N^2 matrices.
 DENSE_MAX_MODULUS = 49
 
 #: The eight walk maps, label -> (linear part, shift), both over Z^2: reduced
@@ -123,6 +123,7 @@ def generator_map(N: int) -> dict[str, AffineMap]:
 
 def apply_affine(T: AffineMap, v: tuple[int, int]) -> tuple[int, int]:
     """Image of lattice point v under T, all arithmetic mod T.modulus."""
+    _require_integer("point", *v)
     N = T.modulus
     p, q = int(v[0]) % N, int(v[1]) % N
     (a, b), (c, d) = T.linear
@@ -164,6 +165,7 @@ class GridDist:
 
     @staticmethod
     def delta(N: int, p: int = 0, q: int = 0) -> "GridDist":
+        _require_odd_modulus(N)
         _require_integer("label", p, q)
         vals = np.zeros((N, N))
         vals[p % N, q % N] = 1.0

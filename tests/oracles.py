@@ -1,6 +1,7 @@
 """Dense oracles the library does not ship: Weyl and phase-point operators as
-dense products, the phase-point stack, and the metaplectic words of the four
-walk linear parts with the unitaries they give.
+dense products, the phase-point stack, the metaplectic words of the four
+walk linear parts with the unitaries they give, and the walk matrix in the
+Fourier frame.
 
 The words are written out here, independently of the chirp that
 ``affine_unitary`` derives from each matrix, and built from the public
@@ -12,7 +13,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from margulis.phasespace import PhaseSpaceContext, fourier, quadratic_phase
-from margulis.walk import AffineMap
+from margulis.walk import AffineMap, walk_matrix
 
 #: Walk linear part -> (SL(2, Z) matrix, word in matrix order over Q+/Q-
 #: (quadratic phase of sign +-1), F and Finv (the DFT and its adjoint)).
@@ -85,3 +86,12 @@ def phase_point_basis(ctx: PhaseSpaceContext) -> np.ndarray:
     covariance of ``affine_unitary`` are tested against.
     """
     return _phase_point_stack(ctx.N)
+
+
+def fourier_frame_walk(N: int) -> np.ndarray:
+    """The walk matrix in the Fourier frame, F M F^{-1} with F[k, v] = omega^{-k.v}
+    over Z_N^2, both labels flat-indexed as p*N + q; F^{-1} = conj(F) / N^2."""
+    k = np.arange(N)
+    f = _omega(N, -np.outer(k, k))
+    F = np.kron(f, f)
+    return F @ walk_matrix(N) @ F.conj() / N ** 2

@@ -3,15 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from margulis.channel import (KrausChannel, apply_channel, channel_report,
+from margulis.channel import (KrausChannel, _weyl_matrix, apply_channel, channel_report,
                               expander_lambda, margulis_channel,
                               random_hermitian, superoperator, verify_identities)
 from margulis.phasespace import (PhaseSpaceContext, affine_unitary, inverse_wigner,
                                  quadratic_phase, weyl, wigner)
 from margulis.spectrum import spectral_report
-from margulis.walk import (WALK_MAPS, AffineMap, GridDist, generator_map, walk_matrix,
-                           walk_step)
-from oracles import oracle_unitary, phase_point_basis
+from margulis.walk import (GABBER_GALIL_BOUND, WALK_MAPS, AffineMap, GridDist, generator_map,
+                           walk_matrix, walk_step)
+from oracles import fourier_frame_walk, oracle_unitary, phase_point_basis
 
 
 def random_density(N, rng):
@@ -123,6 +123,70 @@ class TestActionOnWeylOperators:
             checked += 1
 
 
+#: Channels beyond the walk's eight maps, name -> (linear part, shift) pairs.
+OTHER_TABLES = {
+    "unit translations": [(((1, 0), (0, 1)), t) for t in ((1, 0), (-1, 0), (0, 1), (0, -1))],
+    # ROADMAP item 1's near-miss control: shear 1 in place of 2.
+    "shear 1": [(((a, b // 2), (c // 2, d)), t) for ((a, b), (c, d)), t in WALK_MAPS.values()],
+    "T4 and T4inv": [WALK_MAPS["T4"], WALK_MAPS["T4inv"]],
+    "T1": [WALK_MAPS["T1"]],
+    "T2": [WALK_MAPS["T2"]],
+}
+
+
+def _channel(N, table):
+    return KrausChannel(PhaseSpaceContext(N), tuple(AffineMap(L, t, N) for L, t in table))
+
+
+def _assert_same_eigenvalues(a, b, tol):
+    # Match each of a to its nearest unmatched eigenvalue of b.
+    b = list(b)
+    for x in a:
+        j = int(np.argmin(np.abs(np.array(b) - x)))
+        assert abs(b.pop(j) - x) <= tol
+
+
+class TestWeylMatrix:
+    @staticmethod
+    def _minus_J(N, sign=1):
+        # Flat index of sign * (-J u) = sign * (-q, p) for u = (p, q).
+        p, q = np.divmod(np.arange(N * N), N)
+        return (-sign * q) % N * N + (sign * p) % N
+
+    @pytest.mark.parametrize("N", [5, 7, 9, 15])
+    def test_is_the_fourier_frame_walk_relabeled_by_minus_J(self, N):
+        # W[u, u'] = M^[-Ju, -Ju'], J = [[0, 1], [-1, 0]]; k = Ju is off by ~0.24.
+        W = _weyl_matrix(margulis_channel(PhaseSpaceContext(N)))
+        frame = fourier_frame_walk(N)
+        k = self._minus_J(N)
+        assert np.max(np.abs(W - frame[np.ix_(k, k)])) <= 1e-14
+        k = self._minus_J(N, sign=-1)
+        assert np.max(np.abs(W - frame[np.ix_(k, k)])) > 0.2
+
+    @pytest.mark.parametrize("N", [5, 15])
+    def test_a_wrong_shift_sign_breaks_the_fourier_frame_identity(self, N):
+        table = dict(WALK_MAPS, T2=(WALK_MAPS["T2"][0], (-1, 0)))
+        k = self._minus_J(N)
+        W = _weyl_matrix(_channel(N, table.values()))
+        assert np.max(np.abs(W - fourier_frame_walk(N)[np.ix_(k, k)])) > 0.2
+
+    @pytest.mark.parametrize("N", [5, 15])
+    @pytest.mark.parametrize("name", OTHER_TABLES)
+    def test_eigenvalues_match_the_superoperator(self, N, name):
+        ch = _channel(N, OTHER_TABLES[name])
+        _assert_same_eigenvalues(np.linalg.eigvals(_weyl_matrix(ch)),
+                                 np.linalg.eigvals(superoperator(ch)), 1e-13)
+
+    def test_t2_alone_is_refused(self):
+        # As T1 alone is in TestChannelReport.
+        with pytest.raises(ValueError, match="not hermitian"):
+            channel_report(_channel(5, OTHER_TABLES["T2"]))
+
+    def test_shear_one_misses_the_bound(self):
+        lam = channel_report(_channel(15, OTHER_TABLES["shear 1"])).lam
+        assert lam == pytest.approx(0.8858, abs=1e-4) and lam > GABBER_GALIL_BOUND
+
+
 class TestSuperoperator:
     @pytest.mark.parametrize("N", [3, 5, 7])
     def test_hermitian_and_fixes_identity(self, N):
@@ -169,13 +233,25 @@ class TestChannelReport:
     def test_spectrum_in_spectra_csv_order(self):
         ch = margulis_channel(PhaseSpaceContext(5))
         rep = channel_report(ch)
-        ascending = np.linalg.eigvalsh(superoperator(ch)).tolist()
+        ascending = np.linalg.eigvalsh(_weyl_matrix(ch)).tolist()
         assert rep.spectrum == tuple(sorted(ascending, key=abs, reverse=True))
         assert rep.lam == abs(rep.spectrum[1]) == expander_lambda(ch)
+        oracle = np.linalg.eigvalsh(superoperator(ch))
+        assert np.max(np.abs(np.sort(rep.spectrum) - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("N", [3, 5, 7, 9, 15, 25])
+    def test_matches_the_superoperator_spectrum(self, N):
+        ch = margulis_channel(PhaseSpaceContext(N))
+        oracle = np.linalg.eigvalsh(superoperator(ch))
+        assert np.max(np.abs(np.sort(channel_report(ch).spectrum) - oracle)) <= 1e-12
+
+    def test_cap_guard(self):
+        with pytest.raises(ValueError, match="N=51 exceeds the dense cap 49"):
+            channel_report(margulis_channel(PhaseSpaceContext(51)))
 
     def test_one_unitary_channel_is_not_hermitian(self):
-        # conj(U) kron U of a non-real chirp U is not hermitian: eigvalsh
-        # would read half of it.  T1 alone has the unitary Q+.
+        # T1 alone takes w(v) to w(S1 v), a permutation that is not symmetric:
+        # eigvalsh would read half of it.  T1 alone has the unitary Q+.
         ctx = PhaseSpaceContext(5)
         ch = KrausChannel(ctx, (AffineMap(((1, 2), (0, 1)), (0, 0), 5),))
         assert np.allclose(affine_unitary(ctx, ch.maps[0]), quadratic_phase(ctx, +1), atol=1e-12)
@@ -186,21 +262,21 @@ class TestChannelReport:
     @pytest.mark.parametrize("entry", [(0, 1), (1, 0), (24, 0), (0, 24), (23, 21), (13, 7)])
     def test_one_asymmetric_entry_is_refused(self, entry, monkeypatch):
         # Every block of N rows is compared: (23, 21) lies only in the last.
-        M = superoperator(margulis_channel(PhaseSpaceContext(5)))
+        M = _weyl_matrix(margulis_channel(PhaseSpaceContext(5)))
         M[entry] += 1e-3
-        monkeypatch.setattr("margulis.channel.superoperator", lambda ch: M)
+        monkeypatch.setattr("margulis.channel._weyl_matrix", lambda ch: M)
         with pytest.raises(ValueError, match="not hermitian"):
             channel_report(margulis_channel(PhaseSpaceContext(5)))
 
     def test_top_eigenvalue_other_than_one_is_refused(self, monkeypatch):
         # Hermitian, so only the top-eigenvalue check can refuse it.
-        monkeypatch.setattr("margulis.channel.superoperator", lambda ch: 0.5 * np.eye(9))
+        monkeypatch.setattr("margulis.channel._weyl_matrix", lambda ch: 0.5 * np.eye(9))
         with pytest.raises(ValueError, match="largest eigenvalue 0.5 is not 1 within 1e-10"):
             channel_report(margulis_channel(PhaseSpaceContext(3)))
 
     def test_hermitian_check_makes_no_matrix_sized_temporary(self):
-        # Building M holds M and one np.kron term, each n^2 complex entries;
-        # a whole-matrix np.allclose(M, M^dag) would add several more.
+        # M is n^2 complex entries, and its build adds only rows of n phases;
+        # a whole-matrix np.allclose(M, M^dag) would add several matrices more.
         ch = margulis_channel(PhaseSpaceContext(25))
         size = 625 * 625 * 16
         tracemalloc.start()
@@ -209,7 +285,7 @@ class TestChannelReport:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.2 * size
+        assert peak < 1.3 * size
 
 
 class TestExpanderLambda:

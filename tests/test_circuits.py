@@ -249,6 +249,10 @@ class TestQuadraticCircuit:
         with pytest.raises(ValueError, match="qudit dimension must be an integer, got 3.0"):
             quadratic_circuit(3.0, 2, 1)
 
+    def test_non_integer_qudit_count_refused(self):
+        with pytest.raises(ValueError, match="n must be an integer, got 2.0"):
+            quadratic_circuit(3, 2.0, 1)
+
     @pytest.mark.parametrize("d,n", DN)
     @pytest.mark.parametrize("k", [2, -4, 7])
     def test_any_coefficient_matches_dense(self, d, n, k):
@@ -272,6 +276,10 @@ class TestWeylCircuit:
     def test_non_integer_label_refused(self):
         with pytest.raises(ValueError, match="c must be an integer, got 1.5"):
             weyl_circuit(3, 2, 1.5, 1)
+
+    def test_non_integer_qudit_count_refused(self):
+        with pytest.raises(ValueError, match="n must be an integer, got 2.0"):
+            weyl_circuit(3, 2.0, 1, 0)
 
     def test_shift_matches_dense(self):
         assert_equal_up_to_phase(evaluate(weyl_circuit(3, 2, 0, 1)), weyl(ctx_for(3, 2), 0, 1))

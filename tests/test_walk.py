@@ -312,6 +312,13 @@ class TestApplyAffine:
         for v in [(0, 0), (3, 4), (6, 6)]:
             assert apply_affine(I, v) == v
 
+    def test_non_integer_point_refused(self):
+        with pytest.raises(ValueError, match="point must be an integer, got 1.5"):
+            apply_affine(generator_map(5)["T1"], (1.5, 0))
+
+    def test_numpy_integer_point_accepted(self):
+        assert apply_affine(generator_map(5)["T1"], (np.int64(1), np.int64(2))) == (0, 2)
+
 
 class TestGridDist:
     def test_wrong_shape_rejected(self):
@@ -321,6 +328,10 @@ class TestGridDist:
     def test_delta_refuses_a_non_integer_label(self):
         with pytest.raises(ValueError, match="label must be an integer, got 1.5"):
             GridDist.delta(5, 1.5, 0)
+
+    def test_delta_refuses_a_non_integer_size(self):
+        with pytest.raises(ValueError, match="modulus must be an integer, got 5.0"):
+            GridDist.delta(5.0)
 
     def test_delta_takes_numpy_integers_and_reduces_them(self):
         f = GridDist.delta(5, np.int64(6), -1)
