@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Walk-matrix and channel-superoperator spectra side by side.
+"""Walk-matrix and channel spectra side by side.
 
 The channel is a uniform mixture of the eight unitaries implementing the
-walk maps; expanding operators in the phase-point basis turns it into the
-classical walk matrix, so the two spectra coincide eigenvalue by eigenvalue.
+walk maps; channel_report solves its matrix in the orthonormal Weyl basis,
+where each map reads the walk's index table with one phase per entry, so
+the two spectra coincide eigenvalue by eigenvalue.
 It then lists the walk's lambda(N) for every odd N up to the dense limit,
 each solved as the five blocks of the walk's lattice symmetry group
 <a, b, sigma> (two reflections and an axis swap, dihedral of order 8).  The

@@ -20,7 +20,7 @@ from .phasespace import (PhaseSpaceContext, _phases, affine_action, affine_unita
                          inverse_wigner, wigner)
 from .spectrum import SpectralReport, _sorted_report
 from .walk import (DENSE_MAX_MODULUS, AffineMap, GridDist, _pullback_index, _require_integer,
-                   _unit_shear, generator_map, walk_step)
+                   _table_matrix, _unit_shear, generator_map, walk_step)
 
 __all__ = [
     "KrausChannel",
@@ -44,6 +44,8 @@ class KrausChannel:
     maps: tuple
 
     def __post_init__(self):
+        if not isinstance(self.ctx, PhaseSpaceContext):
+            raise ValueError(f"ctx must be a PhaseSpaceContext, got {self.ctx!r}")
         if not self.maps:
             raise ValueError("channel needs at least one map")
         for T in self.maps:
@@ -99,15 +101,10 @@ def _weyl_matrix(ch: KrausChannel) -> np.ndarray:
     """Dense N^2 x N^2 matrix of the channel in the orthonormal Weyl basis w(u)/sqrt(N).
     U_T w(v) U_T^dag = omega^{[t, Lv]} w(Lv) for T = (L, t), [a, b] = a_p b_q - a_q b_p,
     so row u = p*N + q reads column L^{-1}u with weight omega^{[t, u]} / D, as in walk_matrix."""
-    N = ch.dim
-    if N > DENSE_MAX_MODULUS:
-        raise ValueError(f"N={N} exceeds the dense cap {DENSE_MAX_MODULUS}")
-    p, q = np.arange(N)[:, None], np.arange(N)
-    M = np.zeros((N, N, N * N), dtype=complex)  # M[p, q] is row u = p*N + q
-    for T in ch.maps:
-        columns = _pullback_index(AffineMap(T.linear, (0, 0), N))
-        M[p, q, columns] += _phases(ch.ctx, T.shift[0] * q - T.shift[1] * p) / ch.degree
-    return M.reshape(N * N, N * N)
+    p, q = np.arange(ch.dim)[:, None], np.arange(ch.dim)
+    reads = ((_pullback_index(AffineMap(T.linear, (0, 0), T.modulus)),
+              _phases(ch.ctx, T.shift[0] * q - T.shift[1] * p) / ch.degree) for T in ch.maps)
+    return _table_matrix(ch.dim, reads, dtype=complex)
 
 
 def channel_report(ch: KrausChannel) -> SpectralReport:

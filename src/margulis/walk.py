@@ -123,6 +123,8 @@ def generator_map(N: int) -> dict[str, AffineMap]:
 
 def apply_affine(T: AffineMap, v: tuple[int, int]) -> tuple[int, int]:
     """Image of lattice point v under T, all arithmetic mod T.modulus."""
+    if np.shape(v) != (2,):
+        raise ValueError(f"point must have two coordinates, got {v!r}")
     _require_integer("point", *v)
     N = T.modulus
     p, q = int(v[0]) % N, int(v[1]) % N
@@ -243,6 +245,18 @@ def walk_step(f: GridDist) -> GridDist:
     return GridDist._adopt(out)
 
 
+def _table_matrix(N: int, reads, dtype=float) -> np.ndarray:
+    """N^2 x N^2 matrix whose row u = p*N + q gains weights[p, q] in column columns[p, q]
+    for each (columns, weights) of ``reads``; N is capped at DENSE_MAX_MODULUS."""
+    if N > DENSE_MAX_MODULUS:
+        raise ValueError(f"N={N} exceeds the dense cap {DENSE_MAX_MODULUS}")
+    p, q = np.arange(N)[:, None], np.arange(N)
+    M = np.zeros((N, N, N * N), dtype=dtype)  # M[p, q] is row u = p*N + q
+    for columns, weights in reads:  # a bijection's read repeats no (row, column) pair
+        M[p, q, columns] += weights
+    return M.reshape(N * N, N * N)
+
+
 def walk_matrix(N: int) -> np.ndarray:
     """Dense N^2 x N^2 matrix of walk_step in the point-mass basis.
 
@@ -251,14 +265,7 @@ def walk_matrix(N: int) -> np.ndarray:
     at DENSE_MAX_MODULUS.
     """
     _require_odd_modulus(N)
-    if N > DENSE_MAX_MODULUS:
-        raise ValueError(f"N={N} exceeds the dense cap {DENSE_MAX_MODULUS}")
-    M = np.zeros((N * N, N * N))
-    rows = np.arange(N * N)
-    for T in generator_map(N).values():
-        # Each map is a bijection, so no (row, column) pair repeats here.
-        M[rows, _pullback_index(T).ravel()] += 0.125
-    return M
+    return _table_matrix(N, ((_pullback_index(T), 0.125) for T in generator_map(N).values()))
 
 
 # The dense solver and the frame codecs live in spectrum and frames.  Their

@@ -1,7 +1,7 @@
 """Dense oracles the library does not ship: Weyl and phase-point operators as
 dense products, the phase-point stack, the metaplectic words of the four
-walk linear parts with the unitaries they give, and the walk matrix in the
-Fourier frame.
+walk linear parts with the unitaries they give, and the walk in the Fourier
+frame, as a matrix and as one read per map.
 
 The words are written out here, independently of the chirp that
 ``affine_unitary`` derives from each matrix, and built from the public
@@ -13,7 +13,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from margulis.phasespace import PhaseSpaceContext, fourier, quadratic_phase
-from margulis.walk import AffineMap, walk_matrix
+from margulis.walk import AffineMap, generator_map, walk_matrix
 
 #: Walk linear part -> (SL(2, Z) matrix, word in matrix order over Q+/Q-
 #: (quadratic phase of sign +-1), F and Finv (the DFT and its adjoint)).
@@ -95,3 +95,14 @@ def fourier_frame_walk(N: int) -> np.ndarray:
     f = _omega(N, -np.outer(k, k))
     F = np.kron(f, f)
     return F @ walk_matrix(N) @ F.conj() / N ** 2
+
+
+def fourier_frame_reads(N: int):
+    """The reads of fourier_frame_walk, one (columns, weights) pair of (N, N) arrays
+    per map T = (L, t) of generator_map(N), made one at a time: row k = (k_p, k_q)
+    reads column L^T k (flat-indexed) with weight omega^{-k.t} / 8."""
+    kp, kq = np.arange(N)[:, None], np.arange(N)
+    for T in generator_map(N).values():
+        (a, b), (c, d) = T.linear
+        yield ((a * kp + c * kq) % N * N + (b * kp + d * kq) % N,
+               _omega(N, -(T.shift[0] * kp + T.shift[1] * kq)) / 8)

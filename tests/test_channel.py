@@ -11,7 +11,7 @@ from margulis.phasespace import (PhaseSpaceContext, affine_unitary, inverse_wign
 from margulis.spectrum import spectral_report
 from margulis.walk import (GABBER_GALIL_BOUND, WALK_MAPS, AffineMap, GridDist, generator_map,
                            walk_matrix, walk_step)
-from oracles import fourier_frame_walk, oracle_unitary, phase_point_basis
+from oracles import fourier_frame_reads, fourier_frame_walk, oracle_unitary, phase_point_basis
 
 
 def random_density(N, rng):
@@ -55,7 +55,7 @@ class TestChannelConstruction:
 
     def test_empty_channel_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            KrausChannel(3, ())
+            KrausChannel(PhaseSpaceContext(3), ())
 
 
 class TestActionOnPhasePoints:
@@ -169,6 +169,23 @@ class TestWeylMatrix:
         k = self._minus_J(N)
         W = _weyl_matrix(_channel(N, table.values()))
         assert np.max(np.abs(W - fourier_frame_walk(N)[np.ix_(k, k)])) > 0.2
+
+    @pytest.mark.parametrize("N", [101, 1001])
+    def test_reads_are_the_fourier_frame_reads_far_past_the_dense_cap(self, N, monkeypatch):
+        # The -J identity map by map, with no dense matrix: row u of each map's
+        # read is row k = -Ju of the walk's Fourier-frame read, relabeled.
+        monkeypatch.setattr("margulis.channel._table_matrix", lambda N, reads, dtype: reads)
+        k = self._minus_J(N)
+        table = dict(WALK_MAPS, T2=(WALK_MAPS["T2"][0], (-1, 0)))
+        miss = 0.0
+        for (columns, weights), (_, wrong), (f_columns, f_weights) in zip(
+                _weyl_matrix(margulis_channel(PhaseSpaceContext(N))),
+                _weyl_matrix(_channel(N, table.values())), fourier_frame_reads(N), strict=True):
+            u_weights = f_weights.reshape(-1)[k].reshape(N, N)
+            assert np.array_equal(k[columns], f_columns.reshape(-1)[k].reshape(N, N))
+            assert np.max(np.abs(weights - u_weights)) <= 1e-15
+            miss = max(miss, np.max(np.abs(wrong - u_weights)))
+        assert miss > 0.2  # the T2 shift (-1, 0) misses
 
     @pytest.mark.parametrize("N", [5, 15])
     @pytest.mark.parametrize("name", OTHER_TABLES)
@@ -425,6 +442,10 @@ class TestKrausValidation:
         J = AffineMap(((0, 1), (4, 0)), (0, 0), 5)
         with pytest.raises(ValueError, match="is not a unit shear"):
             KrausChannel(PhaseSpaceContext(5), (AffineMap(((1, 0), (0, 1)), (0, 0), 5), J))
+
+    def test_context_that_is_not_a_phase_space_context_refused(self):
+        with pytest.raises(ValueError, match="ctx must be a PhaseSpaceContext, got 5"):
+            KrausChannel(5, (generator_map(5)["T1"],))
 
     @pytest.mark.parametrize("N", [3, 7])
     def test_pairs_each_walk_map_with_its_unitary(self, N):

@@ -319,6 +319,14 @@ class TestApplyAffine:
     def test_numpy_integer_point_accepted(self):
         assert apply_affine(generator_map(5)["T1"], (np.int64(1), np.int64(2))) == (0, 2)
 
+    @pytest.mark.parametrize("point", [(1, 2, 3), (1,)])
+    def test_point_without_two_coordinates_refused(self, point):
+        with pytest.raises(ValueError, match="point must have two coordinates"):
+            apply_affine(generator_map(5)["T1"], point)
+
+    def test_numpy_array_point_accepted(self):
+        assert apply_affine(generator_map(5)["T1"], np.array([1, 2])) == (0, 2)
+
 
 class TestGridDist:
     def test_wrong_shape_rejected(self):
