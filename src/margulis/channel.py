@@ -18,8 +18,8 @@ import numpy as np
 from .circuits import affine_circuit, circuit_deviation
 from .phasespace import (PhaseSpaceContext, _phases, affine_action, affine_unitary,
                          inverse_wigner, wigner)
-from .spectrum import SpectralReport, _sorted_report
-from .walk import (DENSE_MAX_MODULUS, AffineMap, GridDist, _pullback_index, _require_integer,
+from .spectrum import SpectralReport, _require_hermitian, _sorted_report
+from .walk import (AffineMap, GridDist, _pullback_index, _require_dense, _require_integer,
                    _table_matrix, _unit_shear, generator_map, walk_step)
 
 __all__ = [
@@ -88,8 +88,7 @@ def superoperator(ch: KrausChannel) -> np.ndarray:
     hermitian and fixes vec(identity).  N is capped at DENSE_MAX_MODULUS,
     as for walk_matrix.
     """
-    if ch.dim > DENSE_MAX_MODULUS:
-        raise ValueError(f"N={ch.dim} exceeds the dense cap {DENSE_MAX_MODULUS}")
+    _require_dense(ch.dim)
     n2 = ch.dim * ch.dim
     M = np.zeros((n2, n2), dtype=complex)
     for U in (affine_unitary(ch.ctx, T) for T in ch.maps):
@@ -103,7 +102,7 @@ def _weyl_matrix(ch: KrausChannel) -> np.ndarray:
     so row u = p*N + q reads column L^{-1}u with weight omega^{[t, u]} / D, as in walk_matrix."""
     p, q = np.arange(ch.dim)[:, None], np.arange(ch.dim)
     reads = ((_pullback_index(AffineMap(T.linear, (0, 0), T.modulus)),
-              _phases(ch.ctx, T.shift[0] * q - T.shift[1] * p) / ch.degree) for T in ch.maps)
+              _phases(T.shift[0] * q - T.shift[1] * p, ch.dim) / ch.degree) for T in ch.maps)
     return _table_matrix(ch.dim, reads, dtype=complex)
 
 
@@ -120,11 +119,8 @@ def channel_report(ch: KrausChannel) -> SpectralReport:
     """
     N = ch.dim
     M = _weyl_matrix(ch)
-    # np.allclose(M, M^dag) N rows at a time, so no temporary the size of M is made.
-    if not all(np.allclose(M[i:i + N], M[:, i:i + N].conj().T, atol=1e-10)
-               for i in range(0, N * N, N)):
-        raise ValueError("superoperator is not hermitian; the channel must be "
-                         "an inverse-closed unitary mixture")
+    _require_hermitian(M, "superoperator is not hermitian; the channel must be "
+                          "an inverse-closed unitary mixture", rows=N)
     return _sorted_report(np.linalg.eigvalsh(M), N, (N * N,))
 
 

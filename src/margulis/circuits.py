@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phasespace import PhaseSpaceContext, _shear_chirp, affine_action
+from .phasespace import PhaseSpaceContext, _phases, _shear_chirp, affine_action
 from .walk import AffineMap, _require_integer, _require_odd_modulus
 
 __all__ = [
@@ -69,6 +69,8 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        _require_integer("d", self.d, lo=2)
+        _require_integer("targets", *self.targets)
         _require_integer("c", self.c)
         _require_integer("M", self.M, lo=1)
         ntargets = {"fourier": 1, "fourier_inv": 1, "linear_phase": 1,
@@ -96,6 +98,7 @@ class GateList:
     def __post_init__(self):
         _require_integer("d", self.d, lo=2)
         _require_integer("n", self.n, lo=1)
+        _require_integer("phase_num", self.phase_num)
         _require_integer("phase_den", self.phase_den, lo=1)
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
@@ -109,7 +112,7 @@ class GateList:
         return self.d ** self.n
 
     def global_phase(self) -> complex:
-        return np.exp(2j * np.pi * self.phase_num / self.phase_den)
+        return _phases(self.phase_num, self.phase_den)
 
 
 def _apply(gate: Gate, n: int, reg: np.ndarray) -> np.ndarray:
@@ -123,11 +126,11 @@ def _apply(gate: Gate, n: int, reg: np.ndarray) -> np.ndarray:
         return fft(reg, axis=gate.targets[0] - 1, norm="ortho")
     d = gate.d
     j = np.arange(d)
-    # Digit j_t shaped to broadcast along register axis t-1; the exponent is
-    # the product of the target digits, squared for a single quadratic_phase.
+    # Digit j_t shaped to broadcast along register axis t-1.  The exponent e is the product
+    # of the target digits (a square for quadratic_phase); c and e are reduced mod M first.
     x = [j.reshape((d,) + (1,) * (n + 1 - t)) for t in gate.targets]
     e = x[0] ** 2 if gate.kind == "quadratic_phase" else math.prod(x)
-    return reg * np.exp(2j * np.pi * gate.c * (e % gate.M) / gate.M)
+    return reg * _phases(gate.c % gate.M * (e % gate.M), gate.M)
 
 
 def apply_gates(gl: GateList, X) -> np.ndarray:

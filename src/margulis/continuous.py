@@ -29,7 +29,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .walk import GABBER_GALIL_BOUND, WALK_MAPS, GridDist, _require_integer, walk_step
+from .walk import (GABBER_GALIL_BOUND, WALK_MAPS, GridDist, _frozen_table, _require_integer,
+                   walk_step)
 
 __all__ = [
     "MeanVector",
@@ -220,15 +221,13 @@ class SampledField:
         vals = np.array(self.values, dtype=float)
         if vals.shape != (side, side):
             raise ValueError(f"values must have shape ({side}, {side}), got {vals.shape}")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen_table(vals))
 
     @classmethod
     def _adopt(cls, delta: float, R: int, vals: np.ndarray) -> "SampledField":
         """Take over vals, a fresh (2R+1, 2R+1) float array, for a delta already checked."""
-        vals.setflags(write=False)
         f = object.__new__(cls)
-        f.__dict__.update(delta=delta, R=R, values=vals)  # frozen: no setattr
+        f.__dict__.update(delta=delta, R=R, values=_frozen_table(vals))  # frozen: no setattr
         return f
 
     def norm2(self) -> float:
@@ -309,9 +308,11 @@ def contraction_check(field: SampledField) -> ContractionReport:
 
     The lattice is just large enough that images of the support cannot
     wrap: in the sup norm, v -> L v + t takes radius r to at most
-    r * (largest row sum of |L|) + max |t|, both read off WALK_MAPS.
+    r * (largest row sum of |L|) + max |t|, both read off WALK_MAPS.  Zero mass
+    means |sum v| <= 1e-9 sum |v|, which, like the ratio, no scaling of the
+    values or the cell changes.
     """
-    if abs(field.mass()) > 1e-9:
+    if abs(field.values.sum()) > 1e-9 * np.abs(field.values).sum():
         raise ValueError(f"field must have (near) zero mass, got {field.mass():.3e}")
     nz = np.argwhere(field.values != 0.0)
     if nz.size == 0:
@@ -343,6 +344,7 @@ def moments_csv(gamma: CovMatrix, mean: MeanVector, iters: int,
     leaves float range: the diagonal grows as 3^n, and det overflows first.
     That error is the only report: numpy's overflow warnings are silenced.
     """
+    _require_integer("iters", iters, lo=0)
     if which not in ("g", "f"):
         raise ValueError(f"map must be 'g' or 'f', got {which!r}")
     lines = ["n,a,b,c,mean_x,mean_p,trace,det"]

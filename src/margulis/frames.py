@@ -319,12 +319,16 @@ _PGM_LEVELS = np.array([f"{k}".encode().ljust(3, b"\0") + b" " for k in range(25
 def grid_to_pgm(f: GridDist, lo: float | None = None, hi: float | None = None) -> str:
     """ASCII (P2) grayscale heatmap; min maps to 0 and max to 255.
 
-    ``lo``/``hi`` override the per-frame range for cross-frame comparability.
+    ``lo``/``hi`` override the per-frame range for cross-frame comparability;
+    a bound that is not finite raises ValueError naming it.
     Row r of the image is lattice coordinate p=r, column is q.
     """
     vals = f.values
     lo = float(vals.min()) if lo is None else float(lo)
     hi = float(vals.max()) if hi is None else float(hi)
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(bound):
+            raise ValueError(f"{name} must be finite, got {bound}")
     if hi > lo:
         # Clip before the cast: a value far above hi overflows int.
         pix = np.clip(np.rint((vals - lo) / (hi - lo) * 255.0), 0, 255).astype(np.uint8)

@@ -33,7 +33,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .walk import AffineMap, GridDist, _require_integer, _require_odd_modulus, _unit_shear
+from .spectrum import _require_hermitian
+from .walk import (AffineMap, GridDist, _frozen_table, _require_integer, _require_odd_modulus,
+                   _unit_shear)
 
 __all__ = [
     "PhaseSpaceContext",
@@ -66,15 +68,15 @@ class PhaseSpaceContext:
         return (self.N + 1) // 2
 
 
-def _phases(ctx: PhaseSpaceContext, exponents: np.ndarray) -> np.ndarray:
-    """exp(2*pi*i*e/N) for integer exponents, reduced mod N for accuracy."""
-    return np.exp(2j * np.pi * (np.asarray(exponents) % ctx.N) / ctx.N)
+def _phases(exponents, modulus: int) -> np.ndarray:
+    """exp(2*pi*i * (e mod M) / M) for integer exponents e, reduced before scaling for accuracy."""
+    return np.exp(2j * np.pi * (np.asarray(exponents) % modulus) / modulus)
 
 
 def _monomial(ctx: PhaseSpaceContext, rows: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """N x N matrix with omega^{exponents[k]} at (rows[k] mod N, k), zero elsewhere."""
     m = np.zeros((ctx.N, ctx.N), dtype=complex)
-    m[rows % ctx.N, np.arange(ctx.N)] = _phases(ctx, exponents)
+    m[rows % ctx.N, np.arange(ctx.N)] = _phases(exponents, ctx.N)
     return m
 
 
@@ -107,12 +109,8 @@ def phase_point(ctx: PhaseSpaceContext, p: int, q: int) -> np.ndarray:
 @lru_cache(maxsize=4)
 def _antidiagonal_indices(N: int) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (q-y, q+y) mod N, both indexed [q, y]; read-only, built once per N."""
-    q = np.arange(N)[:, None]
-    y = np.arange(N)[None, :]
-    pair = (q - y) % N, (q + y) % N
-    for k in pair:
-        k.setflags(write=False)
-    return pair
+    q, y = np.arange(N)[:, None], np.arange(N)
+    return _frozen_table((q - y) % N), _frozen_table((q + y) % N)
 
 
 def wigner(ctx: PhaseSpaceContext, rho: np.ndarray) -> GridDist:
@@ -125,12 +123,7 @@ def wigner(ctx: PhaseSpaceContext, rho: np.ndarray) -> GridDist:
     N = ctx.N
     if rho.shape != (N, N):
         raise ValueError(f"expected a {N}x{N} operator, got shape {rho.shape}")
-    adjoint = rho.conj().T
-    # max|rho - rho^dag| <= atol settles nearly every call at a third of
-    # allclose's cost; allclose decides the rest, so the same inputs pass.
-    if not (float(np.max(np.abs(rho - adjoint))) <= 1e-10
-            or np.allclose(rho, adjoint, atol=1e-10)):
-        raise ValueError("wigner requires a hermitian operator")
+    _require_hermitian(rho, "wigner requires a hermitian operator")
     minus, plus = _antidiagonal_indices(N)
     table = np.fft.ifft(rho[minus, plus], axis=1)[:, 2 * np.arange(N) % N]
     return GridDist(N, table.real.T)
@@ -152,7 +145,7 @@ def inverse_wigner(ctx: PhaseSpaceContext, table: GridDist) -> np.ndarray:
 def fourier(ctx: PhaseSpaceContext) -> np.ndarray:
     """Discrete Fourier transform, F[k,j] = omega^{jk}/sqrt(N)."""
     j = np.arange(ctx.N)
-    return _phases(ctx, np.outer(j, j)) / np.sqrt(ctx.N)
+    return _phases(np.outer(j, j), ctx.N) / np.sqrt(ctx.N)
 
 
 def quadratic_phase(ctx: PhaseSpaceContext, sign: int) -> np.ndarray:
@@ -170,7 +163,7 @@ def _quadratic_diagonal(ctx: PhaseSpaceContext, c: int) -> np.ndarray:
     """exp(2*pi*i * c * j^2 / N) for j < N; c and j^2 are reduced mod N
     before they multiply, so the product stays below N^2."""
     j = np.arange(ctx.N)
-    return _phases(ctx, c % ctx.N * (j * j % ctx.N))
+    return _phases(c % ctx.N * (j * j % ctx.N), ctx.N)
 
 
 def _shear_chirp(T: AffineMap) -> tuple[int, int]:
@@ -197,7 +190,7 @@ def affine_action(ctx: PhaseSpaceContext, T: AffineMap, X) -> np.ndarray:
         raise ValueError(f"expected {ctx.N} rows, got shape {np.shape(X)}")
     axis, c = _shear_chirp(T)
     (p, q), k = T.shift, np.arange(ctx.N)
-    chirp, phase = _quadratic_diagonal(ctx, c), _phases(ctx, p * k - ctx.inv2 * p * q)
+    chirp, phase = _quadratic_diagonal(ctx, c), _phases(p * k - ctx.inv2 * p * q, ctx.N)
     src, column = (k - q) % ctx.N, (slice(None),) + (None,) * (np.ndim(X) - 1)  # column: down axis 0
     if axis:
         return phase[column] * np.fft.ifft(chirp[column] * np.fft.fft(X, axis=0), axis=0)[src]

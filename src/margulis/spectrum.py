@@ -164,6 +164,16 @@ def _eigen_blocks(M: np.ndarray, N: int) -> list[tuple[np.ndarray, int]]:
     return [(B, count) for B, count in blocks if B.size]
 
 
+def _require_hermitian(M: np.ndarray, message: str, rows: int | None = None) -> None:
+    """ValueError(message) unless each strip A of ``rows`` rows (all of M for None) has
+    max|A - B| <= 1e-10 or else np.allclose(A, B, atol=1e-10), B = M[:, strip]^H; NaN fails."""
+    step = rows or len(M)
+    for i in range(0, len(M), step):
+        A, B = M[i:i + step], M[:, i:i + step].conj().T
+        if not (float(np.max(np.abs(A - B))) <= 1e-10 or np.allclose(A, B, atol=1e-10)):
+            raise ValueError(message)
+
+
 def _sorted_report(eigvals, modulus: int, blocks: tuple, residual: float = 0.0) -> SpectralReport:
     """The report of eigvals sorted by descending |x|, ascending first so ties
     keep the order one eigh of M gives; the largest must be 1 within 1e-10."""
@@ -196,14 +206,13 @@ def spectral_report(M: np.ndarray, *, modulus: int = 0) -> SpectralReport:
     RuntimeError
         If the eigendecomposition residual exceeds tolerance.
     """
-    tol = 1e-10
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or len(M) < 2:
         raise ValueError(f"expected a square matrix of at least two states, got shape {M.shape}")
     blocks = _eigen_blocks(M, modulus)
-    if not all(np.allclose(B, B.T, atol=tol) for B, _ in blocks):
-        raise ValueError("matrix must be square and symmetric")
-    if not np.allclose(M.sum(axis=1), 1.0, atol=tol):
+    for B, _ in blocks:
+        _require_hermitian(B, "matrix must be square and symmetric")
+    if not np.allclose(M.sum(axis=1), 1.0, atol=1e-10):
         raise ValueError("matrix must be row-stochastic")
     eigvals, squared_residual = [], 0.0
     for B, count in blocks:

@@ -133,6 +133,14 @@ def apply_affine(T: AffineMap, v: tuple[int, int]) -> tuple[int, int]:
     return ((a * p + b * q + s) % N, (c * p + d * q + t) % N)
 
 
+def _frozen_table(vals: np.ndarray) -> np.ndarray:
+    """vals made read-only, and refused unless finite: the one rule for every stored table."""
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("values must be finite")
+    vals.setflags(write=False)
+    return vals
+
+
 @dataclass(frozen=True, eq=False)
 class GridDist:
     """Real-valued function on Z_N^2, stored as values[p, q]."""
@@ -146,13 +154,7 @@ class GridDist:
         if vals.shape != (self.modulus, self.modulus):
             raise ValueError(
                 f"values must have shape ({self.modulus}, {self.modulus}), got {vals.shape}")
-        self._freeze(vals)
-
-    def _freeze(self, vals: np.ndarray) -> None:
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen_table(vals))
 
     @classmethod
     def _adopt(cls, vals: np.ndarray) -> "GridDist":
@@ -161,8 +163,7 @@ class GridDist:
         Checked for finiteness like any table, but taken over, not copied.
         """
         f = object.__new__(cls)
-        object.__setattr__(f, "modulus", vals.shape[0])
-        f._freeze(vals)
+        f.__dict__.update(modulus=vals.shape[0], values=_frozen_table(vals))  # frozen: no setattr
         return f
 
     @staticmethod
@@ -245,11 +246,16 @@ def walk_step(f: GridDist) -> GridDist:
     return GridDist._adopt(out)
 
 
+def _require_dense(N: int) -> None:
+    """Refuse N past DENSE_MAX_MODULUS, for any dense N^2 x N^2 lattice matrix."""
+    if N > DENSE_MAX_MODULUS:
+        raise ValueError(f"N={N} exceeds the dense cap {DENSE_MAX_MODULUS}")
+
+
 def _table_matrix(N: int, reads, dtype=float) -> np.ndarray:
     """N^2 x N^2 matrix whose row u = p*N + q gains weights[p, q] in column columns[p, q]
     for each (columns, weights) of ``reads``; N is capped at DENSE_MAX_MODULUS."""
-    if N > DENSE_MAX_MODULUS:
-        raise ValueError(f"N={N} exceeds the dense cap {DENSE_MAX_MODULUS}")
+    _require_dense(N)
     p, q = np.arange(N)[:, None], np.arange(N)
     M = np.zeros((N, N, N * N), dtype=dtype)  # M[p, q] is row u = p*N + q
     for columns, weights in reads:  # a bijection's read repeats no (row, column) pair

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from margulis.circuits import (Gate, GateList, _qft_gates, affine_circuit, apply_gates,
-                               equal_up_to_phase, evaluate, gate_list_to_jsonl,
+                               circuit_deviation, equal_up_to_phase, evaluate, gate_list_to_jsonl,
                                inverse_gates, quadratic_circuit, weyl_circuit)
 from margulis.phasespace import (PhaseSpaceContext, affine_unitary, fourier,
                                  quadratic_phase, weyl)
@@ -51,10 +51,20 @@ class TestGateValidation:
         ((3, 0, ()), {}, "n must be >= 1, got 0"),
         ((3, 1, ()), {"phase_den": 0}, "phase_den must be >= 1, got 0"),
         ((3.0, 1, ()), {}, "d must be an integer, got 3.0"),
-    ], ids=["d", "n", "phase_den", "float-d"])
+        ((3, 1, ()), {"phase_num": 0.5}, "phase_num must be an integer, got 0.5"),
+    ], ids=["d", "n", "phase_den", "float-d", "float-phase_num"])
     def test_gate_list_register_check(self, args, kwargs, message):
         with pytest.raises(ValueError, match=message):
             GateList(*args, **kwargs)
+
+    @pytest.mark.parametrize("args,message", [
+        ((3, (1.5,)), "targets must be an integer, got 1.5"),
+        ((3.0, (1,)), "d must be an integer, got 3.0"),
+        ((1, (1,)), "d must be >= 2, got 1"),
+    ], ids=["float-target", "float-d", "d"])
+    def test_gate_field_check(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            Gate("fourier", *args)
 
     def test_non_integer_phase_coefficient_refused(self):
         with pytest.raises(ValueError, match="c must be an integer, got 1.5"):
@@ -305,6 +315,15 @@ class TestAffineCircuit:
             approx = evaluate(affine_circuit(d, n, T))
             ok, _ = equal_up_to_phase(approx, affine_unitary(ctx, T))
             assert ok
+
+    @pytest.mark.parametrize("d", [3 ** 10, 3 ** 11])
+    def test_every_map_exact_on_one_large_qudit(self, d):
+        # The chirp gate's exponent c * j^2 is reduced mod M = d before it is
+        # scaled; with only j^2 reduced, the angle reaches about pi * d and
+        # the deviation read 2.9e-11 (3^10) and 6.4e-11 (3^11).
+        ctx = PhaseSpaceContext(d)
+        for T in generator_map(d).values():
+            assert circuit_deviation(ctx, T, affine_circuit(d, 1, T), 7) <= 1e-13
 
     def test_t1_is_plain_quadratic_circuit(self):
         T1 = generator_map(9)["T1"]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import margulis.continuous
+from margulis.cli import CONTRACTION_MAX_DELTA, CONTRACTION_MAX_R
 from margulis.continuous import (TEST_FUNCTIONS, ContractionReport, CovMatrix,
                                  MeanVector, SampledField, TestFunction,
                                  contraction_check, discretize, f_map, g_map,
@@ -285,6 +286,14 @@ class TestDiscretize:
         assert not field.values.flags.writeable
         assert peak < 1.75 * field.values.nbytes
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_refused(self, bad):
+        fn = TestFunction("bad", lambda x, y: np.where(x > 0, bad, 0.0) + 0.0 * y, 0.5)
+        with pytest.raises(ValueError, match="values must be finite"):
+            discretize(fn, 0.25, 2)
+        with pytest.raises(ValueError, match="values must be finite"):
+            SampledField(0.25, 1, np.full((3, 3), bad))
+
     def test_support_exceeding_grid_rejected(self):
         with pytest.raises(ValueError, match="support"):
             discretize("box_dipole", 0.25, 4)
@@ -328,6 +337,17 @@ class TestContractionCheck:
         assert report.ratio <= 0.884 + 0.01
         assert report.passed()
         assert report.N_embed % 2 == 1
+
+    @pytest.mark.parametrize("name", sorted(TEST_FUNCTIONS))
+    @pytest.mark.parametrize("delta,R", [(CONTRACTION_MAX_DELTA, 2),
+                                         (CONTRACTION_MAX_DELTA, CONTRACTION_MAX_R),
+                                         (None, CONTRACTION_MAX_R)],
+                             ids=["coarsest", "coarsest-widest", "finest"])
+    def test_passes_the_zero_mass_gate_at_the_cli_extremes(self, name, delta, R):
+        # None is the finest delta whose support still fits the grid.
+        if delta is None:
+            delta = TEST_FUNCTIONS[name].support_radius / R
+        assert contraction_check(discretize(name, delta, R)).passed()
 
     def test_zero_field_ratio_zero(self):
         field = SampledField(0.25, 4, np.zeros((9, 9)))
@@ -389,6 +409,13 @@ class TestContractionCheck:
         with pytest.raises(ValueError, match="mass"):
             contraction_check(field)
 
+    @pytest.mark.parametrize("delta,amplitude", [(1e-5, 1.0), (0.25, 1e-10)],
+                             ids=["fine-cells", "faint-values"])
+    def test_one_sign_field_rejected_at_any_scale(self, delta, amplitude):
+        # Its mass, 9e-10 and 5.6e-11 here, is below 1e-9, but its values all have one sign.
+        with pytest.raises(ValueError, match="mass"):
+            contraction_check(SampledField(delta, 1, np.full((3, 3), amplitude)))
+
     def test_report_json_fields(self):
         import json
         report = contraction_check(discretize("box_dipole", 0.25, 8))
@@ -420,6 +447,13 @@ class TestMomentsCsv:
             moments_csv(gamma, mean, 700, which)
         last = moments_csv(gamma, mean, first - 1, which).strip().splitlines()[-1]
         assert last.startswith(f"{first - 1},") and "inf" not in last
+
+    @pytest.mark.parametrize("iters,message", [(-1, "iters must be >= 0, got -1"),
+                                               (2.5, "iters must be an integer, got 2.5")],
+                             ids=["negative", "float"])
+    def test_bad_iteration_count_refused(self, iters, message):
+        with pytest.raises(ValueError, match=message):
+            moments_csv(CovMatrix(1.0, 0.0, 1.0), MeanVector(0.0, 0.0), iters)
 
     def test_bad_map_name(self):
         with pytest.raises(ValueError, match="map"):

@@ -12,7 +12,7 @@ import margulis.frames
 import margulis.walk
 from margulis.frames import _csv_lines, _decimal_tables, grid_from_csv, grid_to_csv, grid_to_pgm
 from margulis.spectrum import (_axis_parities, _commutes_with_reflection, _eigen_blocks,
-                               _parity_folds, spectral_report)
+                               _parity_folds, _require_hermitian, spectral_report)
 from margulis.walk import (GABBER_GALIL_BOUND, WALK_MAPS, AffineMap, GridDist, _pullback_index,
                            _shear_table, _unit_shear, apply_affine, generator_map, walk_matrix,
                            walk_step)
@@ -503,6 +503,43 @@ class TestWalkMatrix:
             walk_matrix(51)
 
 
+class TestRequireHermitian:
+    @staticmethod
+    def hermitian(scale=1.0):
+        g = np.random.default_rng(31).standard_normal((6, 6, 2)) @ (1, 1j)
+        return scale * (g + g.conj().T) / 2
+
+    @pytest.mark.parametrize("rows", [None, 1, 2, 4])
+    @pytest.mark.parametrize("entry", [(1, 2), (2, 1), (3, 4), (5, 0)])
+    def test_one_asymmetric_entry_refused_in_any_strip(self, rows, entry):
+        # With 2 rows a strip, (1, 2) and (2, 1) lie either side of a boundary;
+        # with 4, (5, 0) lies in the short last strip.
+        M = self.hermitian()
+        _require_hermitian(M, "not hermitian", rows)
+        M[entry] += 1e-3
+        with pytest.raises(ValueError, match="^not hermitian$"):
+            _require_hermitian(M, "not hermitian", rows)
+
+    @pytest.mark.parametrize("rows", [None, 4])
+    @pytest.mark.parametrize("entry", [(0, 0), (5, 1)])
+    def test_nan_entry_refused(self, rows, entry):
+        M = self.hermitian()
+        M[entry] = np.nan
+        with pytest.raises(ValueError, match="not hermitian"):
+            _require_hermitian(M, "not hermitian", rows)
+
+    @pytest.mark.parametrize("rows", [None, 4])
+    def test_offset_within_rtol_but_past_atol_accepted(self, rows):
+        # Only np.allclose's rtol passes this: the max|A - B| <= 1e-10 test does not.
+        M = self.hermitian(1e6)
+        M[5, 1] += 1e-6
+        assert np.max(np.abs(M - M.conj().T)) > 1e-10
+        _require_hermitian(M, "not hermitian", rows)
+        M[5, 1] += 1e3
+        with pytest.raises(ValueError, match="not hermitian"):
+            _require_hermitian(M, "not hermitian", rows)
+
+
 class TestSpectralReport:
     @pytest.mark.parametrize("N", ODD_N + [11, 13])
     def test_lambda_below_bound(self, N):
@@ -973,6 +1010,14 @@ class TestSerialization:
         # (1 - 0) / 1e-300 * 255 is beyond any machine integer.
         text = grid_to_pgm(GridDist.delta(3), lo=0.0, hi=1e-300)
         assert text.splitlines()[3:] == ["255 0 0", "0 0 0", "0 0 0"]
+
+    @pytest.mark.parametrize("bounds,name", [((np.nan, 1.0), "lo"), ((0.0, np.inf), "hi"),
+                                             ((-np.inf, None), "lo")])
+    def test_pgm_refuses_a_bound_that_is_not_finite(self, bounds, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                grid_to_pgm(GridDist.delta(3), *bounds)
 
     def test_pgm_constant_table(self):
         text = grid_to_pgm(GridDist(3, np.full((3, 3), 1 / 3**2)))
