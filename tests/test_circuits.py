@@ -318,9 +318,8 @@ class TestAffineCircuit:
 
     @pytest.mark.parametrize("d", [3 ** 10, 3 ** 11])
     def test_every_map_exact_on_one_large_qudit(self, d):
-        # The chirp gate's exponent c * j^2 is reduced mod M = d before it is
-        # scaled; with only j^2 reduced, the angle reaches about pi * d and
-        # the deviation read 2.9e-11 (3^10) and 6.4e-11 (3^11).
+        # The chirp gate's c * j^2 reaches about d^3 / 2 here: only the product
+        # reduced mod M = d before it is scaled keeps every phase to about 1e-15.
         ctx = PhaseSpaceContext(d)
         for T in generator_map(d).values():
             assert circuit_deviation(ctx, T, affine_circuit(d, 1, T), 7) <= 1e-13
