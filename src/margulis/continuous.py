@@ -29,8 +29,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .walk import (GABBER_GALIL_BOUND, WALK_MAPS, GridDist, _frozen_table, _require_integer,
-                   walk_step)
+from .walk import (GABBER_GALIL_BOUND, WALK_MAPS, GridDist, _adopt, _require_integer,
+                   _store_table, walk_step)
 
 __all__ = [
     "MeanVector",
@@ -87,24 +87,23 @@ class CovMatrix:
         return self.a * self.c - self.b * self.b
 
 
+def _images(m: MeanVector) -> np.ndarray:
+    """The eight images S m + t of m under the walk maps, one row each."""
+    return np.array([np.array(S, dtype=float) @ m.as_array() + t for S, t in WALK_MAPS.values()])
+
+
 def mean_update(m: MeanVector) -> MeanVector:
     """Average of the eight images of m; the identity map on R^2.
 
     The linear parts sum to eight times the identity and the translations
     cancel in inverse pairs, so means are preserved exactly.
     """
-    v = m.as_array()
-    acc = np.zeros(2)
-    for S, t in WALK_MAPS.values():
-        acc += np.array(S, dtype=float) @ v + t
-    acc /= 8.0
-    return MeanVector(float(acc[0]), float(acc[1]))
+    return MeanVector(*map(float, sum(_images(m)) / 8.0))  # 0 + each image in turn, then / 8
 
 
 def g_matrix(m: MeanVector) -> CovMatrix:
     """Covariance of the eight translated means; positive semidefinite."""
-    images = np.array([np.array(S, dtype=float) @ m.as_array() + t
-                       for S, t in WALK_MAPS.values()])
+    images = _images(m)
     centered = images - images.mean(axis=0)
     return CovMatrix.from_array(centered.T @ centered / 8.0)
 
@@ -217,18 +216,7 @@ class SampledField:
     def __post_init__(self):
         _require_delta(self.delta)
         _require_integer("R", self.R, lo=0)
-        side = 2 * self.R + 1
-        vals = np.array(self.values, dtype=float)
-        if vals.shape != (side, side):
-            raise ValueError(f"values must have shape ({side}, {side}), got {vals.shape}")
-        object.__setattr__(self, "values", _frozen_table(vals))
-
-    @classmethod
-    def _adopt(cls, delta: float, R: int, vals: np.ndarray) -> "SampledField":
-        """Take over vals, a fresh (2R+1, 2R+1) float array, for a delta already checked."""
-        f = object.__new__(cls)
-        f.__dict__.update(delta=delta, R=R, values=_frozen_table(vals))  # frozen: no setattr
-        return f
+        _store_table(self, 2 * self.R + 1)
 
     def norm2(self) -> float:
         """Cell-volume-weighted 2-norm (delta^2 * sum of squares)^(1/2)."""
@@ -281,7 +269,7 @@ def discretize(test_fn, delta: float, R: int) -> SampledField:
         full_shape = np.broadcast_shapes(strip.shape, ys.shape)
         samples = np.broadcast_to(np.asarray(test_fn(strip, ys), dtype=float), full_shape)
         vals[lo:lo + rows] = np.einsum("xyab,ab->xy", samples, w2)
-    return SampledField._adopt(delta, R, vals)
+    return _adopt(SampledField, vals, delta=delta, R=R)
 
 
 @dataclass(frozen=True)
@@ -310,8 +298,12 @@ def contraction_check(field: SampledField) -> ContractionReport:
     wrap: in the sup norm, v -> L v + t takes radius r to at most
     r * (largest row sum of |L|) + max |t|, both read off WALK_MAPS.  Zero mass
     means |sum v| <= 1e-9 sum |v|, which, like the ratio, no scaling of the
-    values or the cell changes.
+    values or the cell changes.  A field whose norm2 overflows is refused first.
     """
+    with np.errstate(over="ignore"):  # the overflow is reported below, not warned of
+        norm_in = field.norm2()
+    if not math.isfinite(norm_in):
+        raise ValueError(f"field must have a finite norm, got {norm_in}")
     if abs(field.values.sum()) > 1e-9 * np.abs(field.values).sum():
         raise ValueError(f"field must have (near) zero mass, got {field.mass():.3e}")
     nz = np.argwhere(field.values != 0.0)
@@ -329,8 +321,7 @@ def contraction_check(field: SampledField) -> ContractionReport:
     grid = np.zeros((N, N))
     idx = (np.arange(-radius, radius + 1)) % N
     grid[np.ix_(idx, idx)] = sub
-    stepped = walk_step(GridDist._adopt(grid))
-    norm_in = field.norm2()
+    stepped = walk_step(_adopt(GridDist, grid, modulus=N))
     norm_out = float(field.delta * np.linalg.norm(stepped.values))
     return ContractionReport(field.delta, field.R, N, norm_in, norm_out,
                              norm_out / norm_in)

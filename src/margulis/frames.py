@@ -12,7 +12,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .walk import GridDist, _require_odd_modulus
+from .walk import GridDist, _adopt, _require_odd_modulus
 
 __all__ = ["grid_to_csv", "grid_from_csv", "grid_to_pgm"]
 
@@ -308,7 +308,7 @@ def grid_from_csv(text: str) -> GridDist:
     if not seen.all():
         _diagnose(text)
     _require_odd_modulus(N)
-    return GridDist._adopt(vals)
+    return _adopt(GridDist, vals, modulus=N)
 
 
 #: Gray level k as the bytes of "k", NUL-padded, and a space: (256, 4).

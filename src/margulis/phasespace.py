@@ -69,8 +69,10 @@ class PhaseSpaceContext:
 
 
 def _phases(exponents, modulus: int) -> np.ndarray:
-    """exp(2*pi*i * (e mod M) / M) for integer exponents e, reduced before scaling for accuracy."""
-    return np.exp(2j * np.pi * (np.asarray(exponents) % modulus) / modulus)
+    """exp(2*pi*i * (e mod M) / M) for integer exponents e, reduced before scaling for accuracy;
+    an object array of Python integers, for exponents past int64, is reduced exactly."""
+    angles = 2j * np.pi * (np.asarray(exponents) % modulus) / modulus
+    return np.exp(np.asarray(angles, dtype=complex))
 
 
 def _monomial(ctx: PhaseSpaceContext, rows: np.ndarray, exponents: np.ndarray) -> np.ndarray:

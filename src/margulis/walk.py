@@ -141,6 +141,22 @@ def _frozen_table(vals: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _store_table(obj, side: int) -> None:
+    """Set on the frozen obj a float copy of obj.values, refused unless (side, side) and finite."""
+    vals = np.array(obj.values, dtype=float)
+    if vals.shape != (side, side):
+        raise ValueError(f"values must have shape ({side}, {side}), got {vals.shape}")
+    object.__setattr__(obj, "values", _frozen_table(vals))
+
+
+def _adopt(cls, vals: np.ndarray, **fields):
+    """A cls over vals, a fresh float table no caller holds, and its other fields, already
+    checked: the table is checked for finiteness like any, but taken over, not copied."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields, values=_frozen_table(vals))  # frozen: no setattr
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class GridDist:
     """Real-valued function on Z_N^2, stored as values[p, q]."""
@@ -150,21 +166,7 @@ class GridDist:
 
     def __post_init__(self):
         _require_odd_modulus(self.modulus)
-        vals = np.array(self.values, dtype=float)
-        if vals.shape != (self.modulus, self.modulus):
-            raise ValueError(
-                f"values must have shape ({self.modulus}, {self.modulus}), got {vals.shape}")
-        object.__setattr__(self, "values", _frozen_table(vals))
-
-    @classmethod
-    def _adopt(cls, vals: np.ndarray) -> "GridDist":
-        """A GridDist over vals, a fresh float (N, N) array no caller holds.
-
-        Checked for finiteness like any table, but taken over, not copied.
-        """
-        f = object.__new__(cls)
-        f.__dict__.update(modulus=vals.shape[0], values=_frozen_table(vals))  # frozen: no setattr
-        return f
+        _store_table(self, self.modulus)
 
     @staticmethod
     def delta(N: int, p: int = 0, q: int = 0) -> "GridDist":
@@ -172,7 +174,7 @@ class GridDist:
         _require_integer("label", p, q)
         vals = np.zeros((N, N))
         vals[p % N, q % N] = 1.0
-        return GridDist(N, vals)
+        return _adopt(GridDist, vals, modulus=N)
 
 
 def _pullback_index(T: AffineMap) -> np.ndarray:
@@ -243,7 +245,7 @@ def walk_step(f: GridDist) -> GridDist:
                 acc += dst[lo:lo + n]
             dst[lo:lo + n] = acc
     out *= 0.125  # rounds the exact x / 8 once, as / 8 does
-    return GridDist._adopt(out)
+    return _adopt(GridDist, out, modulus=len(out))  # a Python int for any integer f.modulus
 
 
 def _require_dense(N: int) -> None:

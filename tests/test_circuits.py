@@ -1,3 +1,4 @@
+import cmath
 import json
 
 import numpy as np
@@ -179,6 +180,19 @@ class TestEvaluate:
         for g in quadratic_circuit(3, 3, -1).gates:
             m = evaluate(GateList(3, 3, (g,)))
             assert np.allclose(m @ m.conj().T, np.eye(27), atol=1e-12)
+
+    @pytest.mark.parametrize("n,g", [
+        (1, Gate("quadratic_phase", 177147, (1,), 10**10 - 1, 10**10)),
+        (2, Gate("cphase", 243, (1, 2), 10**15 - 1, 10**15)),
+    ], ids=["quadratic_phase", "cphase"])
+    def test_phase_products_past_int64_are_exact(self, n, g):
+        # M is past isqrt(2**63 - 1), so c * e overflows int64 for the largest digits:
+        # int64 put -0.998+0.057i on the last state of the first gate, not 0.647-0.763i.
+        labels = range(g.d ** n)
+        e = [j * j for j in labels] if n == 1 else [(j // g.d) * (j % g.d) for j in labels]
+        exact = [cmath.exp(2j * cmath.pi * (g.c * x % g.M) / g.M) for x in e]
+        out = apply_gates(GateList(g.d, n, (g,)), np.ones(g.d ** n))
+        assert np.allclose(out, exact, rtol=0, atol=1e-12)
 
     def test_global_phase_annotation_applied(self):
         gl = GateList(3, 1, (), phase_num=1, phase_den=3)

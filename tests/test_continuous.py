@@ -1,5 +1,7 @@
+import json
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,9 @@ from margulis.continuous import (TEST_FUNCTIONS, ContractionReport, CovMatrix,
                                  g_matrix, gn_closed_form, growth_rate,
                                  mean_update, moments_csv)
 from margulis.walk import WALK_MAPS, GridDist, walk_step
+
+#: moments_csv(gamma, mean, iters, "f") texts, one case each.
+GOLDEN_MOMENTS = Path(__file__).parent / "golden" / "moments_f.json"
 
 # The eight walk maps as float (linear, shift) arrays acting on R^2.
 _REAL_MAPS = [(np.array(S, dtype=float), np.array(t, dtype=float)) for S, t in WALK_MAPS.values()]
@@ -52,6 +57,18 @@ class TestMeanUpdate:
             out = mean_update(MeanVector(x, p))
             assert out.x == pytest.approx(x, abs=1e-12)
             assert out.p == pytest.approx(p, abs=1e-12)
+
+    def test_equals_the_explicit_image_loop_exactly(self):
+        # 0 + (S m + t) for each map in WALK_MAPS order, then / 8: the means that
+        # moments_csv's f trace carries, so one reordered sum would move its digits.
+        rng = np.random.default_rng(41)
+        for scale in 10.0 ** np.arange(-6, 13, 3):
+            v = rng.standard_normal(2) * scale
+            acc = np.zeros(2)
+            for S, t in WALK_MAPS.values():
+                acc += np.array(S, dtype=float) @ v + t
+            acc /= 8.0
+            assert mean_update(MeanVector(*v)) == MeanVector(acc[0], acc[1])
 
     def test_specific_point(self):
         out = mean_update(MeanVector(1.0, 2.0))
@@ -306,6 +323,10 @@ class TestDiscretize:
         with pytest.raises(ValueError, match="shape"):
             SampledField(0.25, 3, np.zeros((5, 5)))
 
+    def test_wrong_shape_message_is_the_grid_dist_one(self):
+        with pytest.raises(ValueError, match=r"values must have shape \(5, 5\), got \(4, 4\)"):
+            SampledField(0.25, 2, np.zeros((4, 4)))
+
     @pytest.mark.parametrize("make", [lambda: discretize("box_dipole", 0.25, 8.5),
                                       lambda: SampledField(0.25, 2.0, np.zeros((5, 5)))],
                              ids=["discretize", "SampledField"])
@@ -416,6 +437,17 @@ class TestContractionCheck:
         with pytest.raises(ValueError, match="mass"):
             contraction_check(SampledField(delta, 1, np.full((3, 3), amplitude)))
 
+    def test_overflowing_norm_refused_with_no_numpy_warning(self):
+        # Its mass is zero, but the sum of squares, and |v| summed at the zero-mass
+        # gate, overflow: walk_step's own refusal would not name the field.
+        values = np.zeros((5, 5))
+        values[0, 0] = values[1, 1] = 1e308
+        values[0, 1] = values[1, 0] = -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="field must have a finite norm, got inf"):
+                contraction_check(SampledField(0.5, 2, values))
+
     def test_report_json_fields(self):
         import json
         report = contraction_check(discretize("box_dipole", 0.25, 8))
@@ -431,6 +463,13 @@ class TestMomentsCsv:
         assert lines[0] == "n,a,b,c,mean_x,mean_p,trace,det"
         last = lines[-1].split(",")
         assert last[0] == "4" and float(last[1]) == 81.0 and float(last[3]) == 81.0
+
+    @pytest.mark.parametrize("case", json.loads(GOLDEN_MOMENTS.read_text()),
+                             ids=lambda case: f"iters={case['iters']}")
+    def test_f_trace_matches_its_golden_text(self, case):
+        # The text moments --map f writes; the second mean drifts in its last digits.
+        text = moments_csv(CovMatrix(*case["gamma"]), MeanVector(*case["mean"]), case["iters"], "f")
+        assert text == case["text"]
 
     def test_f_map_exceeds_g_map(self):
         gtext = moments_csv(CovMatrix(1.0, 0.0, 1.0), MeanVector(1.0, 0.0), 5, "g")
