@@ -70,9 +70,11 @@ class PhaseSpaceContext:
 
 def _phases(exponents, modulus: int) -> np.ndarray:
     """exp(2*pi*i * (e mod M) / M) for integer exponents e, reduced before scaling for accuracy;
-    an object array of Python integers, for exponents past int64, is reduced exactly."""
-    angles = 2j * np.pi * (np.asarray(exponents) % modulus) / modulus
-    return np.exp(np.asarray(angles, dtype=complex))
+    an object array of Python integers is reduced and divided by M exactly, for any M."""
+    e = np.asarray(exponents)
+    if e.dtype == object:
+        return np.exp(2j * np.pi * np.asarray(e % modulus / modulus, dtype=float))
+    return np.exp(2j * np.pi * (e % modulus) / modulus)
 
 
 def _monomial(ctx: PhaseSpaceContext, rows: np.ndarray, exponents: np.ndarray) -> np.ndarray:

@@ -184,13 +184,14 @@ class TestEvaluate:
     @pytest.mark.parametrize("n,g", [
         (1, Gate("quadratic_phase", 177147, (1,), 10**10 - 1, 10**10)),
         (2, Gate("cphase", 243, (1, 2), 10**15 - 1, 10**15)),
-    ], ids=["quadratic_phase", "cphase"])
+        (1, Gate("linear_phase", 3, (1,), 10**399, 10**400)),
+    ], ids=["quadratic_phase", "cphase", "linear_phase-past-float-range"])
     def test_phase_products_past_int64_are_exact(self, n, g):
-        # M is past isqrt(2**63 - 1), so c * e overflows int64 for the largest digits:
-        # int64 put -0.998+0.057i on the last state of the first gate, not 0.647-0.763i.
-        labels = range(g.d ** n)
-        e = [j * j for j in labels] if n == 1 else [(j // g.d) * (j % g.d) for j in labels]
-        exact = [cmath.exp(2j * cmath.pi * (g.c * x % g.M) / g.M) for x in e]
+        # M is past isqrt(2**63 - 1), so c * e leaves int64 for the largest digits;
+        # the first gate's last state takes 0.647-0.763i, the third's turn by tenths.
+        e = {"quadratic_phase": lambda j: j * j, "linear_phase": lambda j: j,
+             "cphase": lambda j: (j // g.d) * (j % g.d)}[g.kind]
+        exact = [cmath.exp(2j * cmath.pi * (g.c * e(j) % g.M / g.M)) for j in range(g.d ** n)]
         out = apply_gates(GateList(g.d, n, (g,)), np.ones(g.d ** n))
         assert np.allclose(out, exact, rtol=0, atol=1e-12)
 

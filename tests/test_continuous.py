@@ -320,12 +320,8 @@ class TestDiscretize:
             discretize("squiggle", 0.25, 8)
 
     def test_field_shape_validation(self):
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValueError, match=r"values must have shape \(7, 7\), got \(5, 5\)"):
             SampledField(0.25, 3, np.zeros((5, 5)))
-
-    def test_wrong_shape_message_is_the_grid_dist_one(self):
-        with pytest.raises(ValueError, match=r"values must have shape \(5, 5\), got \(4, 4\)"):
-            SampledField(0.25, 2, np.zeros((4, 4)))
 
     @pytest.mark.parametrize("make", [lambda: discretize("box_dipole", 0.25, 8.5),
                                       lambda: SampledField(0.25, 2.0, np.zeros((5, 5)))],
