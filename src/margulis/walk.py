@@ -150,8 +150,8 @@ def _store_table(obj, side: int) -> None:
 
 
 def _adopt(cls, vals: np.ndarray, **fields):
-    """A cls over vals, a fresh float table no caller holds, and its other fields, already
-    checked: the table is checked for finiteness like any, but taken over, not copied."""
+    """An instance of cls over vals, a fresh float table no caller holds, with the other
+    fields as given and already checked; vals is checked finite and frozen, not copied."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields, values=_frozen_table(vals))  # frozen: no setattr
     return obj
