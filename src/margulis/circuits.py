@@ -50,10 +50,6 @@ GATE_KINDS = ("fourier", "fourier_inv", "linear_phase", "quadratic_phase",
 
 _DIAGONAL_KINDS = ("linear_phase", "quadratic_phase", "cphase")
 
-#: Largest M whose phase products c * e, both reduced below M, stay inside int64.
-_INT64_ROOT = math.isqrt(2**63 - 1)
-
-
 @dataclass(frozen=True)
 class Gate:
     """One qudit gate with exact integer phase parameters.
@@ -130,12 +126,10 @@ def _apply(gate: Gate, n: int, reg: np.ndarray) -> np.ndarray:
     d = gate.d
     j = np.arange(d)
     # Digit j_t shaped to broadcast along register axis t-1.  The exponent e is the product
-    # of the target digits (a square for quadratic_phase); c and e are reduced mod M first.
+    # of the target digits (a square for quadratic_phase).
     x = [j.reshape((d,) + (1,) * (n + 1 - t)) for t in gate.targets]
     e = x[0] ** 2 if gate.kind == "quadratic_phase" else math.prod(x)
-    if gate.M > _INT64_ROOT:  # c * e, both below M, may pass int64: form it in Python integers
-        e = e.astype(object)
-    return reg * _phases(gate.c % gate.M * (e % gate.M), gate.M)
+    return reg * _phases(e, gate.M, gate.c)
 
 
 def apply_gates(gl: GateList, X) -> np.ndarray:

@@ -168,7 +168,7 @@ class TestFunction:
 
     name: str
     fn: object = field(repr=False)  # vectorized (x, y) -> values
-    support_radius: float = 0.0
+    support_radius: float
 
     def __call__(self, x, y):
         return self.fn(x, y)
@@ -183,15 +183,15 @@ def _box_dipole(x, y):
     return pos.astype(float) - neg.astype(float)
 
 
-def _gaussian_dipole(x, y, sigma: float = 0.35, cut: float = 1.05, x0: float = 0.8):
+def _gaussian_dipole(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
 
     def lobe(u, v):
         r2 = u * u + v * v
-        return np.where(r2 <= cut * cut, np.exp(-r2 / (2.0 * sigma * sigma)), 0.0)
+        return np.where(r2 <= 1.05 * 1.05, np.exp(-r2 / (2.0 * 0.35 * 0.35)), 0.0)
 
-    return lobe(x - x0, y) - lobe(x + x0, y)
+    return lobe(x - 0.8, y) - lobe(x + 0.8, y)
 
 
 #: Built-in zero-mean, compactly supported test functions.

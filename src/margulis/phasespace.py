@@ -28,6 +28,7 @@ Conventions, all pinned by tests:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,13 +69,21 @@ class PhaseSpaceContext:
         return (self.N + 1) // 2
 
 
-def _phases(exponents, modulus: int) -> np.ndarray:
-    """exp(2*pi*i * (e mod M) / M) for integer exponents e, reduced before scaling for accuracy;
-    an object array of Python integers is reduced and divided by M exactly, for any M."""
+#: Largest M whose phase products c * e, both reduced below M, stay inside int64.
+_INT64_ROOT = math.isqrt(2**63 - 1)
+
+
+def _phases(exponents, modulus: int, c: int = 1) -> np.ndarray:
+    """exp(2*pi*i * (c * e mod M) / M) for integer exponents e; c and e are reduced mod M
+    before they multiply.  For an object array of exponents, or M past _INT64_ROOT, c, M
+    and the residue are Python integers, and the residue is divided by M exactly."""
     e = np.asarray(exponents)
+    if e.dtype == object or modulus > _INT64_ROOT:
+        c, modulus, e = int(c), int(modulus), e.astype(object)
+    r = e % modulus if c == 1 else c % modulus * (e % modulus) % modulus  # c = 1: one pass
     if e.dtype == object:
-        return np.exp(2j * np.pi * np.asarray(e % modulus / modulus, dtype=float))
-    return np.exp(2j * np.pi * (e % modulus) / modulus)
+        return np.exp(2j * np.pi * np.asarray(r / modulus, dtype=float))
+    return np.exp(2j * np.pi * r / modulus)
 
 
 def _monomial(ctx: PhaseSpaceContext, rows: np.ndarray, exponents: np.ndarray) -> np.ndarray:
@@ -160,14 +169,7 @@ def quadratic_phase(ctx: PhaseSpaceContext, sign: int) -> np.ndarray:
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return np.diag(_quadratic_diagonal(ctx, sign))
-
-
-def _quadratic_diagonal(ctx: PhaseSpaceContext, c: int) -> np.ndarray:
-    """exp(2*pi*i * c * j^2 / N) for j < N; c and j^2 are reduced mod N
-    before they multiply, so the product stays below N^2."""
-    j = np.arange(ctx.N)
-    return _phases(c % ctx.N * (j * j % ctx.N), ctx.N)
+    return np.diag(_phases(np.arange(ctx.N) ** 2, ctx.N, sign))
 
 
 def _shear_chirp(T: AffineMap) -> tuple[int, int]:
@@ -194,7 +196,7 @@ def affine_action(ctx: PhaseSpaceContext, T: AffineMap, X) -> np.ndarray:
         raise ValueError(f"expected {ctx.N} rows, got shape {np.shape(X)}")
     axis, c = _shear_chirp(T)
     (p, q), k = T.shift, np.arange(ctx.N)
-    chirp, phase = _quadratic_diagonal(ctx, c), _phases(p * k - ctx.inv2 * p * q, ctx.N)
+    chirp, phase = _phases(k * k, ctx.N, c), _phases(p * k - ctx.inv2 * p * q, ctx.N)
     src, column = (k - q) % ctx.N, (slice(None),) + (None,) * (np.ndim(X) - 1)  # column: down axis 0
     if axis:
         return phase[column] * np.fft.ifft(chirp[column] * np.fft.fft(X, axis=0), axis=0)[src]

@@ -47,11 +47,6 @@ WALK_MAPS = {
 }
 
 
-def _mod(matrix, N: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    (a, b), (c, d) = matrix
-    return ((a % N, b % N), (c % N, d % N))
-
-
 def _unit_shear(linear) -> tuple[int, int]:
     """(axis, m) of a unit shear, which adds m times the other coordinate to one.
 
@@ -101,7 +96,7 @@ class AffineMap:
         sh = (self.shift[0] % N, self.shift[1] % N)
         if (a * d - b * c) % N != 1:
             raise ValueError(f"linear part {self.linear} has det != 1 mod {N}")
-        object.__setattr__(self, "linear", _mod(self.linear, N))
+        object.__setattr__(self, "linear", ((a % N, b % N), (c % N, d % N)))
         object.__setattr__(self, "shift", sh)
 
     def inverse(self) -> "AffineMap":

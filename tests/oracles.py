@@ -1,7 +1,7 @@
 """Dense oracles the library does not ship: Weyl and phase-point operators as
 dense products, the phase-point stack, the metaplectic words of the four
-walk linear parts with the unitaries they give, and the walk in the Fourier
-frame, as a matrix and as one read per map.
+walk linear parts with the unitaries they give, the walk in the Fourier
+frame, as a matrix and as one read per map, and fixed points of map words.
 
 The words are written out here, independently of the chirp that
 ``affine_unitary`` derives from each matrix, and built from the public
@@ -106,3 +106,15 @@ def fourier_frame_reads(N: int):
         (a, b), (c, d) = T.linear
         yield ((a * kp + c * kq) % N * N + (b * kp + d * kq) % N,
                _omega(N, -(T.shift[0] * kp + T.shift[1] * kq)) / 8)
+
+
+def fixed_points(word) -> int:
+    """#Fix of the composite of a word of AffineMaps on one modulus N (first letter applied
+    first), counted over all N^2 lattice points."""
+    N = word[0].modulus
+    p0, q0 = np.divmod(np.arange(N * N), N)
+    p, q = p0, q0
+    for T in word:
+        (a, b), (c, d) = T.linear
+        p, q = (a * p + b * q + T.shift[0]) % N, (c * p + d * q + T.shift[1]) % N
+    return int(np.count_nonzero((p == p0) & (q == q0)))

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -6,12 +7,13 @@ import pytest
 from margulis.channel import (KrausChannel, _weyl_matrix, apply_channel, channel_report,
                               expander_lambda, margulis_channel,
                               random_hermitian, superoperator, verify_identities)
-from margulis.phasespace import (PhaseSpaceContext, affine_unitary, inverse_wigner,
-                                 quadratic_phase, weyl, wigner)
+from margulis.phasespace import (PhaseSpaceContext, affine_action, affine_unitary,
+                                 inverse_wigner, quadratic_phase, weyl, wigner)
 from margulis.spectrum import spectral_report
 from margulis.walk import (GABBER_GALIL_BOUND, WALK_MAPS, AffineMap, GridDist, generator_map,
                            walk_matrix, walk_step)
-from oracles import fourier_frame_reads, fourier_frame_walk, oracle_unitary, phase_point_basis
+from oracles import (fixed_points, fourier_frame_reads, fourier_frame_walk, oracle_unitary,
+                     phase_point_basis)
 
 
 def random_density(N, rng):
@@ -430,6 +432,69 @@ class TestIntertwining:
     def test_report_beyond_the_dense_walk_cap(self, N):
         rows = verify_identities(N, seed=42, trials=20)
         assert max(dev for _, dev in rows) < 1e-10
+
+
+def _random_words(N, count, length):
+    rng = np.random.default_rng(N)
+    return [tuple(rng.choice(list(WALK_MAPS), size=length)) for _ in range(count)]
+
+
+#: Words in the walk labels per N: every word of length <= 3 at N=3, seeded random ones above.
+CHARACTER_WORDS = {
+    3: [w for k in (1, 2, 3) for w in itertools.product(WALK_MAPS, repeat=k)],
+    15: _random_words(15, 200, 5),
+    45: _random_words(45, 60, 5),
+    243: _random_words(243, 8, 4),
+}
+
+#: Shear-1 linear part -> the shear-2 part of the same sign.
+_SHEAR_TWO = {((1, 2), (0, 1)): ((1, 0), (2, 1)), ((1, -2), (0, 1)): ((1, 0), (-2, 1))}
+
+
+def _character_gap(N, quantum):
+    """Worst | |tr U_w|^2 - #Fix(w) | over CHARACTER_WORDS[N], where U_w applies the
+    unitaries of the maps quantum[label] letter by letter to the identity, and w
+    composes the walk maps generator_map(N)[label]."""
+    ctx, maps = PhaseSpaceContext(N), generator_map(N)
+    worst = 0.0
+    for word in CHARACTER_WORDS[N]:
+        U = np.eye(N, dtype=complex)
+        for label in word:
+            U = affine_action(ctx, quantum[label], U)
+        fix = fixed_points([maps[label] for label in word])
+        worst = max(worst, abs(abs(np.trace(U)) ** 2 - fix))
+    return worst
+
+
+def _negated_shifts(N, labels):
+    return {label: AffineMap(linear, tuple(-s if label in labels else s for s in shift), N)
+            for label, (linear, shift) in WALK_MAPS.items()}
+
+
+class TestCharacters:
+    """tr Ad(U_w) = |tr U_w|^2 equals tr P_w = #Fix(w) on every word w: the channel and
+    the walk are one mixture in two equivalent representations, so they share every
+    spectrum, checked here with no eigensolve.  The check sees the maps only up to
+    equivalence; covariance pins which unitary goes with which map."""
+
+    @pytest.mark.parametrize("N", sorted(CHARACTER_WORDS))
+    def test_trace_square_counts_fixed_points(self, N):
+        assert _character_gap(N, generator_map(N)) < 1e-9
+
+    @pytest.mark.parametrize("N", [3, 15, 45])
+    def test_every_shift_negated_still_passes(self, N):
+        # conjugation by v -> -v: an equivalent representation
+        assert _character_gap(N, _negated_shifts(N, set(WALK_MAPS))) < 1e-9
+
+    @pytest.mark.parametrize("N", [15, 45])
+    def test_one_inverse_pair_negated_fails(self, N):
+        assert _character_gap(N, _negated_shifts(N, {"T2", "T2inv"})) > 0.5
+
+    @pytest.mark.parametrize("N", [15, 45])
+    def test_shear_two_unitaries_on_shear_one_maps_fail(self, N):
+        quantum = {label: AffineMap(_SHEAR_TWO.get(linear, linear), shift, N)
+                   for label, (linear, shift) in WALK_MAPS.items()}
+        assert _character_gap(N, quantum) > 0.5
 
 
 class TestKrausValidation:

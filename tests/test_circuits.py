@@ -185,19 +185,28 @@ class TestEvaluate:
         (1, Gate("quadratic_phase", 177147, (1,), 10**10 - 1, 10**10)),
         (2, Gate("cphase", 243, (1, 2), 10**15 - 1, 10**15)),
         (1, Gate("linear_phase", 3, (1,), 10**399, 10**400)),
-    ], ids=["quadratic_phase", "cphase", "linear_phase-past-float-range"])
+        (1, Gate("linear_phase", 3, (1,), np.int64(2**62 + 3), 2**64 + 1)),
+    ], ids=["quadratic_phase", "cphase", "linear_phase-past-float-range",
+            "linear_phase-numpy-coefficient"])
     def test_phase_products_past_int64_are_exact(self, n, g):
         # M is past isqrt(2**63 - 1), so c * e leaves int64 for the largest digits;
         # the first gate's last state takes 0.647-0.763i, the third's turn by tenths.
         e = {"quadratic_phase": lambda j: j * j, "linear_phase": lambda j: j,
              "cphase": lambda j: (j // g.d) * (j % g.d)}[g.kind]
-        exact = [cmath.exp(2j * cmath.pi * (g.c * e(j) % g.M / g.M)) for j in range(g.d ** n)]
+        exact = [cmath.exp(2j * cmath.pi * (int(g.c) * e(j) % g.M / g.M)) for j in range(g.d ** n)]
         out = apply_gates(GateList(g.d, n, (g,)), np.ones(g.d ** n))
         assert np.allclose(out, exact, rtol=0, atol=1e-12)
 
     def test_global_phase_annotation_applied(self):
         gl = GateList(3, 1, (), phase_num=1, phase_den=3)
         assert np.allclose(evaluate(gl), np.exp(2j * np.pi / 3) * np.eye(3), atol=1e-14)
+
+    @pytest.mark.parametrize("num,den", [(1, 10**400), (2**64 + 1, 2**65), (3, 2**64)],
+                             ids=["den-past-float-range", "num-and-den-past-int64",
+                                  "den-past-int64"])
+    def test_global_phase_exact_past_int64(self, num, den):
+        exact = cmath.exp(2j * cmath.pi * (num % den / den))
+        assert abs(GateList(3, 1, (), num, den).global_phase() - exact) < 1e-15
 
     def test_apply_gates_is_the_dense_unitary_on_states(self):
         # T4's list has every gate kind: Fourier pairs, phases and a reversal.
