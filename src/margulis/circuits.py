@@ -6,7 +6,8 @@ built from single-qudit Fourier gates, diagonal phase gates with exact
 integer parameters, two-qudit controlled phases, and an explicit
 digit-reversal permutation.  ``circuit_deviation`` applies a list to states
 (``apply_gates``) and compares with :func:`margulis.phasespace.affine_action`
-up to a phase.
+up to a phase; it is the package's one check of a list, and forms no
+d^n x d^n matrix.  ``evaluate`` forms the list's dense unitary.
 
 Synthesized families:
 
@@ -40,7 +41,6 @@ __all__ = [
     "quadratic_circuit",
     "weyl_circuit",
     "affine_circuit",
-    "equal_up_to_phase",
     "circuit_deviation",
     "gate_list_to_jsonl",
 ]
@@ -243,22 +243,6 @@ def affine_circuit(d: int, n: int, T: AffineMap) -> GateList:
     disp = weyl_circuit(d, n, T.shift[0], T.shift[1])
     return GateList(d, n, gates + disp.gates,
                     phase_num=disp.phase_num, phase_den=disp.phase_den)
-
-
-def equal_up_to_phase(A: np.ndarray, B: np.ndarray) -> tuple[bool, complex]:
-    """Whether B = phase * A for a unimodular phase, and that phase.
-
-    Uses |tr(A^dag B)| = dim, which characterizes projective equality when B
-    is unitary; equal means within 1e-8.
-    """
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    if A.shape != B.shape or A.shape[0] != A.shape[1]:
-        raise ValueError(f"operators must be square and same shape, got {A.shape}, {B.shape}")
-    t = np.vdot(A, B)  # tr(A^dag B) without the d^n x d^n product
-    ok = bool(abs(abs(t) - A.shape[0]) < 1e-8)
-    phase = t / abs(t) if abs(t) > 0 else complex(1.0)
-    return ok, phase
 
 
 def circuit_deviation(ctx: PhaseSpaceContext, T: AffineMap, gl: GateList, seed: int) -> float:

@@ -1,9 +1,10 @@
 """Discrete Weyl-Heisenberg and phase-point operators for odd dimension N.
 
-Provides symmetrized Weyl operators, the parity operator and its
-translates (the phase-point basis), the Wigner transform and its inverse,
-the discrete Fourier transform, quadratic-phase unitaries, and the
-closed-form action of the unitaries of affine phase-space maps.
+Provides the closed-form action of the unitary U_T of each affine
+phase-space map T, the parity operator and its translates (the phase-point
+basis), the Wigner transform and its inverse, and the discrete Fourier
+transform.  The symmetrized Weyl operators and the quadratic-phase
+unitaries are U_T of a translation and of the shears [[1, +-2], [0, 1]].
 
 Conventions, all pinned by tests:
 
@@ -86,24 +87,17 @@ def _phases(exponents, modulus: int, c: int = 1) -> np.ndarray:
     return np.exp(2j * np.pi * r / modulus)
 
 
-def _monomial(ctx: PhaseSpaceContext, rows: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """N x N matrix with omega^{exponents[k]} at (rows[k] mod N, k), zero elsewhere."""
-    m = np.zeros((ctx.N, ctx.N), dtype=complex)
-    m[rows % ctx.N, np.arange(ctx.N)] = _phases(exponents, ctx.N)
-    return m
-
-
 def weyl(ctx: PhaseSpaceContext, p: int, q: int) -> np.ndarray:
     """Symmetrized displacement w(p,q) = omega^{-inv2*p*q} z(p) x(q), with the
     boost z(p)|k> = omega^{pk}|k> and the shift x(q)|k> = |k+q>; so
-    w(p,q)|k> = omega^{p(k+q) - inv2*p*q} |k+q>, labels taken mod N.
+    w(p,q)|k> = omega^{p(k+q) - inv2*p*q} |k+q>, labels taken mod N.  It is the
+    U_T of the translation T(v) = v + (p, q).
 
     Unitary; w(0,0) is the identity, and w(a) w(b) picks up the symplectic
     phase omega^{inv2*(p q' - p' q)} relative to w(a+b).
     """
     _require_integer("label", p, q)
-    p, q, k = p % ctx.N, q % ctx.N, np.arange(ctx.N)
-    return _monomial(ctx, k + q, p * (k + q) - ctx.inv2 * p * q)
+    return affine_unitary(ctx, AffineMap(((1, 0), (0, 1)), (p, q), ctx.N))
 
 
 def parity(ctx: PhaseSpaceContext) -> np.ndarray:
@@ -116,7 +110,9 @@ def phase_point(ctx: PhaseSpaceContext, p: int, q: int) -> np.ndarray:
     omega^{2p(q-m)} |2q-m>, labels taken mod N."""
     _require_integer("label", p, q)
     p, q, m = p % ctx.N, q % ctx.N, np.arange(ctx.N)
-    return _monomial(ctx, 2 * q - m, 2 * p * (q - m))
+    A = np.zeros((ctx.N, ctx.N), dtype=complex)
+    A[(2 * q - m) % ctx.N, m] = _phases(2 * p * (q - m), ctx.N)
+    return A
 
 
 @lru_cache(maxsize=4)
@@ -162,14 +158,11 @@ def fourier(ctx: PhaseSpaceContext) -> np.ndarray:
 
 
 def quadratic_phase(ctx: PhaseSpaceContext, sign: int) -> np.ndarray:
-    """Diagonal unitary diag(exp(sign * 2*pi*i * j^2 / N)), sign = +-1.
-
-    The two signs are mutual adjoints.  sign=+1 conjugates phase-point
-    labels by [[1, 2], [0, 1]], sign=-1 by its inverse.
-    """
+    """Diagonal unitary diag(exp(sign * 2*pi*i * j^2 / N)), sign = +-1: the U_T of
+    the shear T = [[1, 2*sign], [0, 1]], so the two signs are mutual adjoints."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return np.diag(_phases(np.arange(ctx.N) ** 2, ctx.N, sign))
+    return affine_unitary(ctx, AffineMap(((1, 2 * sign), (0, 1)), (0, 0), ctx.N))
 
 
 def _shear_chirp(T: AffineMap) -> tuple[int, int]:

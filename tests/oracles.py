@@ -1,18 +1,20 @@
 """Dense oracles the library does not ship: Weyl and phase-point operators as
 dense products, the phase-point stack, the metaplectic words of the four
 walk linear parts with the unitaries they give, the walk in the Fourier
-frame, as a matrix and as one read per map, and fixed points of map words.
+frame, as a matrix and as one read per map, its block at one gcd class,
+fixed points of map words, and a phase-blind comparison of two matrices.
 
 The words are written out here, independently of the chirp that
-``affine_unitary`` derives from each matrix, and built from the public
-``fourier`` and ``quadratic_phase``.
+``affine_unitary`` derives from each matrix.  They are built from the
+public ``fourier`` and from Q+- = diag(omega^{+-j^2}) formed by ``_omega``,
+not from the library's ``quadratic_phase``, which is itself ``affine_unitary``.
 """
 
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from margulis.phasespace import PhaseSpaceContext, fourier, quadratic_phase
+from margulis.phasespace import PhaseSpaceContext, fourier
 from margulis.walk import AffineMap, generator_map, walk_matrix
 
 #: Walk linear part -> (SL(2, Z) matrix, word in matrix order over Q+/Q-
@@ -24,16 +26,31 @@ LINEAR_WORDS = {
     "S2inv": (((1, 0), (-2, 1)), ("F", "Q+", "Finv")),
 }
 
+def _omega(N: int, exponents) -> np.ndarray:
+    return np.exp(2j * np.pi * (np.asarray(exponents) % N) / N)
+
+
+def quadratic_diagonal(ctx: PhaseSpaceContext, c: int) -> np.ndarray:
+    """diag(omega^{c j^2}) as a dense diagonal; Q+- for c = +-1."""
+    return np.diag(_omega(ctx.N, c * np.arange(ctx.N) ** 2))
+
+
 _PRIMITIVES = {
-    "Q+": lambda ctx: quadratic_phase(ctx, +1),
-    "Q-": lambda ctx: quadratic_phase(ctx, -1),
+    "Q+": lambda ctx: quadratic_diagonal(ctx, +1),
+    "Q-": lambda ctx: quadratic_diagonal(ctx, -1),
     "F": fourier,
     "Finv": lambda ctx: fourier(ctx).conj().T,
 }
 
 
-def _omega(N: int, exponents) -> np.ndarray:
-    return np.exp(2j * np.pi * (np.asarray(exponents) % N) / N)
+def phase_blind_equal(A, B, atol: float = 1e-10) -> bool:
+    """Whether B = c A entrywise within atol for one unimodular c: the phase of
+    tr(A^dag B), which fits c A to B best in the Frobenius norm."""
+    A, B = np.asarray(A), np.asarray(B)
+    if A.shape != B.shape:
+        return False
+    t = np.vdot(A, B)
+    return bool(abs(t) > 0 and np.allclose(t / abs(t) * A, B, rtol=0, atol=atol))
 
 
 def dense_weyl(ctx: PhaseSpaceContext, p: int, q: int) -> np.ndarray:
@@ -106,6 +123,23 @@ def fourier_frame_reads(N: int):
         (a, b), (c, d) = T.linear
         yield ((a * kp + c * kq) % N * N + (b * kp + d * kq) % N,
                _omega(N, -(T.shift[0] * kp + T.shift[1] * kq)) / 8)
+
+
+def gcd_classes(N: int) -> np.ndarray:
+    """gcd(k_p, k_q, N) of every label k = (k_p, k_q) of Z_N^2, flat-indexed as k_p*N + k_q."""
+    k = np.arange(N * N)
+    return np.gcd(np.gcd(k // N, k % N), N)
+
+
+def primitive_frame_block(d: int) -> np.ndarray:
+    """The Fourier-frame walk at modulus d on its primitive frequencies, those with
+    gcd(k_p, k_q, d) = 1, both labels in flat order; scattered densely from
+    fourier_frame_reads(d)."""
+    M = np.zeros((d * d, d * d), dtype=complex)
+    for columns, weights in fourier_frame_reads(d):
+        M[np.arange(d * d), columns.reshape(-1)] += weights.reshape(-1)
+    keep = gcd_classes(d) == 1
+    return M[np.ix_(keep, keep)]
 
 
 def fixed_points(word) -> int:

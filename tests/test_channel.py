@@ -8,12 +8,13 @@ from margulis.channel import (KrausChannel, _weyl_matrix, apply_channel, channel
                               expander_lambda, margulis_channel,
                               random_hermitian, superoperator, verify_identities)
 from margulis.phasespace import (PhaseSpaceContext, affine_action, affine_unitary,
-                                 inverse_wigner, quadratic_phase, weyl, wigner)
+                                 inverse_wigner, wigner)
 from margulis.spectrum import spectral_report
 from margulis.walk import (GABBER_GALIL_BOUND, WALK_MAPS, AffineMap, GridDist, generator_map,
                            walk_matrix, walk_step)
-from oracles import (fixed_points, fourier_frame_reads, fourier_frame_walk, oracle_unitary,
-                     phase_point_basis)
+from oracles import (dense_weyl, fixed_points, fourier_frame_reads, fourier_frame_walk,
+                     gcd_classes, oracle_unitary, phase_point_basis, primitive_frame_block,
+                     quadratic_diagonal)
 
 
 def random_density(N, rng):
@@ -111,14 +112,14 @@ class TestActionOnWeylOperators:
             v = tuple(int(x) for x in rng.integers(0, N, 2))
             if len({image(L, v) for L in shifts}) < len(shifts):
                 continue
-            out = apply_channel(ch, weyl(ctx, *v))
+            out = apply_channel(ch, dense_weyl(ctx, *v))
             expected = sum(np.exp(2j * np.pi * (form(t, image(L, v)) % N) / N)
-                           * weyl(ctx, *image(L, v))
+                           * dense_weyl(ctx, *image(L, v))
                            for L, t in WALK_MAPS.values()) / 8
             assert np.max(np.abs(out - expected)) <= 1e-13
             for L, (t1, t2) in shifts.items():
                 Lv = image(L, v)
-                coefficient = np.trace(weyl(ctx, *Lv).conj().T @ out) / N
+                coefficient = np.trace(dense_weyl(ctx, *Lv).conj().T @ out) / N
                 t_L = (t2[0] - t1[0], t2[1] - t1[1])
                 assert abs(coefficient) == pytest.approx(
                     abs(np.cos(np.pi * form(t_L, Lv) / N)) / 4, abs=1e-13)
@@ -206,6 +207,58 @@ class TestWeylMatrix:
         assert lam == pytest.approx(0.8858, abs=1e-4) and lam > GABBER_GALIL_BOUND
 
 
+def _divisor_spectra(N, block):
+    """{1} and the eigenvalues of block(d) for every divisor d > 1 of N, in one sorted array."""
+    parts = [np.ones(1)]
+    for d in range(2, N + 1):
+        if N % d == 0:
+            B = block(d)
+            assert np.max(np.abs(B - B.conj().T)) <= 1e-15
+            parts.append(np.linalg.eigvalsh(B))
+    return np.sort(np.concatenate(parts))
+
+
+def _primitive_weyl_block(d):
+    """The channel's Weyl matrix at modulus d on the labels v with gcd(v, d) = 1."""
+    keep = gcd_classes(d) == 1
+    return _weyl_matrix(margulis_channel(PhaseSpaceContext(d)))[np.ix_(keep, keep)]
+
+
+class TestDivisorSplit:
+    """Each L^T is invertible mod N, so it keeps g = gcd(k_p, k_q, N): the Fourier-frame
+    walk is block-diagonal by g, and the block of g is the walk at modulus d = N/g on
+    its primitive frequencies, since omega_N^{-g k'.t} = omega_d^{-k'.t}.  So the spectrum
+    at N is {1} and the primitive spectra of every divisor d > 1, as multisets.  The
+    channel in the Weyl basis splits the same way by gcd(v, N)."""
+
+    @pytest.mark.parametrize("N", [9, 15, 25, 27])
+    def test_walk_spectrum_is_the_union_of_primitive_spectra(self, N):
+        want = _divisor_spectra(N, primitive_frame_block)
+        got = np.sort(spectral_report(walk_matrix(N), modulus=N).spectrum)
+        assert got.shape == want.shape == (N * N,)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_channel_spectrum_splits_by_gcd(self):
+        N = 15
+        W = _weyl_matrix(margulis_channel(PhaseSpaceContext(N)))
+        g = gcd_classes(N)
+        assert not np.any(W[g[:, None] != g])
+        for d in (3, 5, 15):
+            block = W[np.ix_(g == N // d, g == N // d)]
+            assert np.max(np.abs(np.linalg.eigvalsh(block)
+                                 - np.linalg.eigvalsh(_primitive_weyl_block(d)))) <= 1e-12
+        want = _divisor_spectra(N, _primitive_weyl_block)
+        got = np.sort(channel_report(margulis_channel(PhaseSpaceContext(N))).spectrum)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_no_read_joins_two_gcd_classes(self):
+        # N = 45 has the classes 1, 3, 5, 9, 15 and 45; no dense matrix is formed.
+        g = gcd_classes(45)
+        assert set(g.tolist()) == {1, 3, 5, 9, 15, 45}
+        for columns, _ in fourier_frame_reads(45):
+            assert np.array_equal(g[columns.reshape(-1)], g)
+
+
 class TestSuperoperator:
     @pytest.mark.parametrize("N", [3, 5, 7])
     def test_hermitian_and_fixes_identity(self, N):
@@ -273,7 +326,8 @@ class TestChannelReport:
         # eigvalsh would read half of it.  T1 alone has the unitary Q+.
         ctx = PhaseSpaceContext(5)
         ch = KrausChannel(ctx, (AffineMap(((1, 2), (0, 1)), (0, 0), 5),))
-        assert np.allclose(affine_unitary(ctx, ch.maps[0]), quadratic_phase(ctx, +1), atol=1e-12)
+        assert np.allclose(affine_unitary(ctx, ch.maps[0]), quadratic_diagonal(ctx, +1),
+                           atol=1e-12)
         for solve in (channel_report, expander_lambda):
             with pytest.raises(ValueError, match="not hermitian"):
                 solve(ch)

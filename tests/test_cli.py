@@ -410,6 +410,13 @@ class TestVerifyCommand:
         checks = json.loads(capsys.readouterr().out)["checks"]
         assert [c["passed"] for c in checks if c["check"] == "golden_operators"] == [True]
 
+    def test_quadratic_dumps_are_the_t1_dumps(self, tmp_path):
+        # quadratic_phase(+-1) is the U_T of T1 and T1inv, zero entries and their signs included.
+        assert main(["verify", "--N", "7", "--dump-operators", str(tmp_path)]) == 0
+        for quadratic, unitary in (("quadratic_plus", "U_T1"), ("quadratic_minus", "U_T1inv")):
+            assert ((tmp_path / f"{quadratic}.json").read_bytes()
+                    == (tmp_path / f"{unitary}.json").read_bytes())
+
 
 class TestCircuitCommand:
     def test_check_and_files(self, tmp_path, capsys):

@@ -8,19 +8,14 @@ from margulis.phasespace import (PhaseSpaceContext, _antidiagonal_indices, affin
                                  operator_from_json, operator_to_json, parity,
                                  phase_point, quadratic_phase, weyl, wigner)
 from margulis.walk import AffineMap, GridDist, apply_affine, generator_map, walk_step
-from oracles import (LINEAR_WORDS, dense_phase_point, dense_weyl, phase_point_basis,
-                     word_unitary)
+from oracles import (LINEAR_WORDS, dense_phase_point, dense_weyl, phase_blind_equal,
+                     phase_point_basis, quadratic_diagonal, word_unitary)
 
 ODD_N = [3, 5, 7, 9]
 
 
 def assert_unitary(U, tol=1e-12):
     assert np.allclose(U @ U.conj().T, np.eye(U.shape[0]), atol=tol)
-
-
-def phase_blind_equal(A, B, tol=1e-10):
-    t = np.trace(A.conj().T @ B)
-    return abs(abs(t) - A.shape[0]) < tol
 
 
 class TestContext:
@@ -323,6 +318,14 @@ class TestQuadraticPhase:
                 moved = Up @ basis[p * N + q] @ Up.conj().T
                 assert np.linalg.norm(moved - target) < 1e-11
 
+    @pytest.mark.parametrize("N", [3, 5, 7, 15, 25, 243])
+    def test_matches_the_dense_diagonal(self, N):
+        # Against diag(omega^{+-j^2}) written out in tests/oracles.py, zero entries included.
+        ctx = PhaseSpaceContext(N)
+        for sign in (1, -1):
+            Q = quadratic_diagonal(ctx, sign)
+            assert np.max(np.abs(quadratic_phase(ctx, sign) - Q)) <= 1e-14
+
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError, match="sign"):
             quadratic_phase(PhaseSpaceContext(3), 2)
@@ -347,7 +350,7 @@ class TestMetaplectic:
     def test_s2_is_conjugated_quadratic(self):
         ctx = PhaseSpaceContext(5)
         F = fourier(ctx)
-        expected = F @ quadratic_phase(ctx, -1) @ F.conj().T
+        expected = F @ quadratic_diagonal(ctx, -1) @ F.conj().T
         assert phase_blind_equal(affine_unitary(ctx, shear("S2", 5)), expected)
 
     def test_word_with_inverse_is_identity_up_to_phase(self):
@@ -373,12 +376,12 @@ class TestAffineUnitary:
     def test_t1_is_quadratic_plus(self):
         ctx = PhaseSpaceContext(7)
         T1 = generator_map(7)["T1"]
-        assert np.allclose(affine_unitary(ctx, T1), quadratic_phase(ctx, +1), atol=1e-13)
+        assert np.allclose(affine_unitary(ctx, T1), quadratic_diagonal(ctx, +1), atol=1e-13)
 
     def test_t2_is_displaced_quadratic(self):
         ctx = PhaseSpaceContext(7)
         T2 = generator_map(7)["T2"]
-        expected = weyl(ctx, 1, 0) @ quadratic_phase(ctx, +1)
+        expected = dense_weyl(ctx, 1, 0) @ quadratic_diagonal(ctx, +1)
         assert np.allclose(affine_unitary(ctx, T2), expected, atol=1e-13)
 
     def test_identity_map(self):
@@ -412,7 +415,7 @@ class TestAffineUnitary:
             mu = word_unitary(ctx, [symbol]) if symbol else np.eye(N)
             for shift in rng.integers(-N, 2 * N, size=(3, 2)).tolist():
                 T = AffineMap(linear, shift, N)
-                expected = weyl(ctx, *T.shift) @ mu
+                expected = dense_weyl(ctx, *T.shift) @ mu
                 assert np.max(np.abs(affine_unitary(ctx, T) - expected)) <= 1e-13
                 for shape in [(N,), (N, 3), (N, N)]:
                     X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
