@@ -117,11 +117,10 @@ def channel_report(ch: KrausChannel) -> SpectralReport:
     direction holds 1, so ``lam`` is ``abs(spectrum[1])``.  Only eigenvalues
     are solved: the one block is all of M and ``residual`` is 0.
     """
-    N = ch.dim
     M = _weyl_matrix(ch)
     _require_hermitian(M, "superoperator is not hermitian; the channel must be "
-                          "an inverse-closed unitary mixture", rows=N)
-    return _sorted_report(np.linalg.eigvalsh(M), N, (N * N,))
+                          "an inverse-closed unitary mixture")
+    return _sorted_report(np.linalg.eigvalsh(M), ch.dim, (len(M),))
 
 
 def expander_lambda(ch: KrausChannel) -> float:

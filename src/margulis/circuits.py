@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phasespace import PhaseSpaceContext, _phases, _shear_chirp, affine_action
+from .phasespace import PhaseSpaceContext, _phases, _shear_chirp, _weyl_scalar, affine_action
 from .walk import AffineMap, _require_integer, _require_odd_modulus
 
 __all__ = [
@@ -45,10 +45,17 @@ __all__ = [
     "gate_list_to_jsonl",
 ]
 
-GATE_KINDS = ("fourier", "fourier_inv", "linear_phase", "quadratic_phase",
-              "cphase", "reverse")
+#: Gate kind -> (target count, inverse kind, diagonal: whether c and M set its phase).
+_KINDS = {
+    "fourier": (1, "fourier_inv", False),
+    "fourier_inv": (1, "fourier", False),
+    "linear_phase": (1, "linear_phase", True),
+    "quadratic_phase": (1, "quadratic_phase", True),
+    "cphase": (2, "cphase", True),
+    "reverse": (0, "reverse", False),
+}
+GATE_KINDS = tuple(_KINDS)
 
-_DIAGONAL_KINDS = ("linear_phase", "quadratic_phase", "cphase")
 
 @dataclass(frozen=True)
 class Gate:
@@ -66,14 +73,13 @@ class Gate:
     M: int = 1
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         _require_integer("d", self.d, lo=2)
         _require_integer("targets", *self.targets)
         _require_integer("c", self.c)
         _require_integer("M", self.M, lo=1)
-        ntargets = {"fourier": 1, "fourier_inv": 1, "linear_phase": 1,
-                    "quadratic_phase": 1, "cphase": 2, "reverse": 0}[self.kind]
+        ntargets = _KINDS[self.kind][0]
         if len(self.targets) != ntargets:
             raise ValueError(f"{self.kind} takes {ntargets} target(s), got {self.targets}")
         if self.kind == "cphase" and self.targets[0] == self.targets[1]:
@@ -148,10 +154,8 @@ def evaluate(gl: GateList) -> np.ndarray:
 
 
 def inverse_gates(gates) -> tuple[Gate, ...]:
-    """Gate-by-gate inverse of a sequence, in reversed order: F and F^dag swap,
-    phase parameters c negate, and reverse (whose c is 0) is its own inverse."""
-    flip = {"fourier": "fourier_inv", "fourier_inv": "fourier"}
-    return tuple(Gate(flip.get(g.kind, g.kind), g.d, g.targets, -g.c, g.M)
+    """Gate-by-gate inverse of a sequence, in reversed order: each kind's inverse, c negated."""
+    return tuple(Gate(_KINDS[g.kind][1], g.d, g.targets, -g.c, g.M)
                  for g in reversed(tuple(gates)))
 
 
@@ -204,11 +208,7 @@ def _linear_phase_gates(d: int, n: int, p: int) -> tuple[Gate, ...]:
 
 
 def weyl_circuit(d: int, n: int, p: int, q: int) -> GateList:
-    """Displacement w(p,q) = omega^{-inv2*p*q} z(p) x(q) as a gate list.
-
-    x(q) is synthesized as F^dag z(q) F; the scalar prefactor is returned as
-    the global-phase annotation.
-    """
+    """Gate list of the displacement w(p,q) = omega^{-inv2*p*q} z(p) x(q); see the module."""
     _require_odd_modulus(d, "qudit dimension")
     _require_integer("n", n, lo=1)
     N = d ** n
@@ -219,8 +219,7 @@ def weyl_circuit(d: int, n: int, p: int, q: int) -> GateList:
         gates += list(_linear_phase_gates(d, n, q))
         gates += list(inverse_gates(_qft_gates(d, n)))
     gates += list(_linear_phase_gates(d, n, p))
-    inv2 = (N + 1) // 2
-    num = (-inv2 * p * q) % N
+    num = _weyl_scalar(N, p, q)
     return GateList(d, n, tuple(gates), phase_num=num, phase_den=N if num else 1)
 
 
@@ -260,11 +259,9 @@ def circuit_deviation(ctx: PhaseSpaceContext, T: AffineMap, gl: GateList, seed: 
 
 def _gate_obj(g: Gate) -> dict:
     obj: dict = {"op": g.kind}
-    if len(g.targets) >= 1:
-        obj["t1"] = g.targets[0]
-    if len(g.targets) == 2:
-        obj["t2"] = g.targets[1]
-    if g.kind in _DIAGONAL_KINDS:
+    for i, t in enumerate(g.targets, 1):
+        obj[f"t{i}"] = t
+    if _KINDS[g.kind][2]:
         obj["c"] = g.c
         obj["M"] = g.M
     obj["d"] = g.d

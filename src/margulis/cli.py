@@ -12,9 +12,11 @@ Subcommands::
 Exit status: 0 success, 1 check failure, 2 usage error.  Each flag's type holds
 its whole domain (bound, oddness, cap), so argparse refuses a bad value in one
 line, ``margulis: error: argument --FLAG: ...``; the checks that need two flags,
-the library or the filesystem print one ``margulis: error: ...`` line.  All
-output is deterministic for a fixed seed.  CSV files write floats with 17
-significant digits (%.17g), JSON reports in JSON's shortest round-trip form.
+the library or the filesystem print one ``margulis: error: ...`` line.  --start,
+--gamma and --mean each take a fixed number of comma-separated int or float
+fields, read by one parser.  All output is deterministic for a fixed seed.  CSV
+files write floats with 17 significant digits (%.17g), JSON reports in JSON's
+shortest round-trip form.
 The default output directory is $MARGULIS_OUT, else the current directory.
 """
 
@@ -103,12 +105,20 @@ def _dense_modulus_list(text: str) -> list[int]:
     return moduli
 
 
-def _point(text: str) -> tuple[int, int]:
-    try:
-        p, q = map(int, text.split(","))
-    except ValueError:  # not two fields, or one not an integer
-        raise argparse.ArgumentTypeError(f"expected 'p,q', got {text!r}") from None
-    return p, q
+def _fields(kind: type, names: str):
+    """argparse type for comma-separated fields, one per name in ``names`` ("p,q"),
+    each a kind (int, or float and finite), as a tuple."""
+    def fields(text: str) -> tuple:
+        try:
+            parts = [kind(t) for t in text.split(",")]
+        except ValueError:
+            parts = []  # refused below with the wrong count's message
+        if len(parts) != len(names.split(",")):
+            raise argparse.ArgumentTypeError(f"expected {names!r}, got {text!r}")
+        if not (kind is int or all(map(math.isfinite, parts))):
+            raise argparse.ArgumentTypeError(f"{text} is not finite")
+        return tuple(parts)
+    return fields
 
 
 def _outdir(args) -> Path:
@@ -235,28 +245,8 @@ def cmd_circuit(args) -> int:
     return status
 
 
-def _finite_floats(text: str, names: str) -> list[float]:
-    try:
-        parts = [float(t) for t in text.split(",")]
-    except ValueError:
-        parts = []  # refused below with the wrong count's message
-    if len(parts) != len(names.split(",")):
-        raise argparse.ArgumentTypeError(f"expected {names!r}, got {text!r}")
-    if not all(map(math.isfinite, parts)):
-        raise argparse.ArgumentTypeError(f"{text} is not finite")
-    return parts
-
-
-def _gamma(text: str) -> CovMatrix:
-    return CovMatrix(*_finite_floats(text, "a,b,c"))
-
-
-def _mean(text: str) -> MeanVector:
-    return MeanVector(*_finite_floats(text, "x,p"))
-
-
 def cmd_moments(args) -> int:
-    text = moments_csv(args.gamma, args.mean, args.iters, args.map)
+    text = moments_csv(CovMatrix(*args.gamma), MeanVector(*args.mean), args.iters, args.map)
     out = _outdir(args)
     (out / "moments.csv").write_text(text)
     print(text.strip().splitlines()[-1])
@@ -289,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("walk", help="iterate the walk from a point mass")
     p.add_argument("--N", type=_number(int, 3, WALK_MAX_MODULUS, "walk", odd=True), default=7)
     p.add_argument("--steps", type=_number(int, 0), default=3)
-    p.add_argument("--start", type=_point, default=(0, 0), metavar="P,Q")
+    p.add_argument("--start", type=_fields(int, "p,q"), default=(0, 0), metavar="P,Q")
     p.add_argument("--fixed-scale", action="store_true",
                    help="share one grayscale range across frames")
     p.add_argument("--out")
@@ -325,9 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_circuit)
 
     p = sub.add_parser("moments", help="iterate the covariance maps")
-    p.add_argument("--gamma", type=_gamma, default=CovMatrix(1.0, 0.0, 1.0),
+    p.add_argument("--gamma", type=_fields(float, "a,b,c"), default=(1.0, 0.0, 1.0),
                    metavar="A,B,C")
-    p.add_argument("--mean", type=_mean, default=MeanVector(0.0, 0.0), metavar="X,P")
+    p.add_argument("--mean", type=_fields(float, "x,p"), default=(0.0, 0.0), metavar="X,P")
     p.add_argument("--iters", type=_number(int, 0, MOMENTS_MAX_ITERS, "moments"), default=4)
     p.add_argument("--map", choices=("g", "f"), default="g")
     p.add_argument("--out")

@@ -212,14 +212,18 @@ _CSV_PIECE = 1 << 16
 
 
 def _csv_pieces(text: str) -> Iterator[str]:
-    """text.strip() in pieces of about _CSV_PIECE characters, each cut after
-    a line feed, without copying text whole."""
+    """text.strip() in pieces of about _CSV_PIECE characters, each cut after a line
+    feed; the ends are stripped a slice of that size at a time, never copying text whole."""
     size = _CSV_PIECE
     start, end = 0, len(text)
-    while start < end and text[start].isspace():
-        start += 1
-    while end > start and text[end - 1].isspace():
-        end -= 1
+    while start < end and text[start:start + size].isspace():
+        start += size
+    head = text[start:start + size]
+    start += len(head) - len(head.lstrip())
+    while end > start and text[max(start, end - size):end].isspace():
+        end -= size
+    tail = text[max(start, end - size):end]
+    end -= len(tail) - len(tail.rstrip())
     while start < end:
         cut = text.find("\n", start + size - 1, end)
         cut = end if cut < 0 else cut + 1

@@ -87,6 +87,11 @@ def _phases(exponents, modulus: int, c: int = 1) -> np.ndarray:
     return np.exp(2j * np.pi * r / modulus)
 
 
+def _weyl_scalar(N: int, p, q) -> int:
+    """-inv2*p*q mod N, the exponent of w(p,q)'s scalar, in Python integers for any labels."""
+    return -((N + 1) // 2) * int(p) * int(q) % N
+
+
 def weyl(ctx: PhaseSpaceContext, p: int, q: int) -> np.ndarray:
     """Symmetrized displacement w(p,q) = omega^{-inv2*p*q} z(p) x(q), with the
     boost z(p)|k> = omega^{pk}|k> and the shift x(q)|k> = |k+q>; so
@@ -182,14 +187,14 @@ def affine_action(ctx: PhaseSpaceContext, T: AffineMap, X) -> np.ndarray:
     U_T A(v) U_T^dag = A(T(v)) for T whose linear part is a unit shear (any other
     raises ValueError).  mu is the chirp of :func:`_shear_chirp` on axis 0 and
     ifft(chirp * fft(X)) on axis 1; w(p, q) then moves row k - q to row k and
-    scales it by omega^{p k - inv2 p q}.  U_T itself is never formed."""
+    scales it by omega^{p k} times w(p, q)'s scalar.  U_T itself is never formed."""
     if T.modulus != ctx.N:
         raise ValueError(f"map modulus {T.modulus} != context N {ctx.N}")
     if np.shape(X)[:1] != (ctx.N,):
         raise ValueError(f"expected {ctx.N} rows, got shape {np.shape(X)}")
     axis, c = _shear_chirp(T)
     (p, q), k = T.shift, np.arange(ctx.N)
-    chirp, phase = _phases(k * k, ctx.N, c), _phases(p * k - ctx.inv2 * p * q, ctx.N)
+    chirp, phase = _phases(k * k, ctx.N, c), _phases(p * k + _weyl_scalar(ctx.N, p, q), ctx.N)
     src, column = (k - q) % ctx.N, (slice(None),) + (None,) * (np.ndim(X) - 1)  # column: down axis 0
     if axis:
         return phase[column] * np.fft.ifft(chirp[column] * np.fft.fft(X, axis=0), axis=0)[src]

@@ -164,12 +164,16 @@ def _eigen_blocks(M: np.ndarray, N: int) -> list[tuple[np.ndarray, int]]:
     return [(B, count) for B, count in blocks if B.size]
 
 
-def _require_hermitian(M: np.ndarray, message: str, rows: int | None = None) -> None:
-    """ValueError(message) unless each strip A of ``rows`` rows (all of M for None) has
-    max|A - B| <= 1e-10 or else np.allclose(A, B, atol=1e-10), B = M[:, strip]^H; NaN fails."""
-    step = rows or len(M)
-    for i in range(0, len(M), step):
-        A, B = M[i:i + step], M[:, i:i + step].conj().T
+#: Entries of M that _require_hermitian compares at a time; they do not change its verdict.
+_HERMITIAN_CELLS = 1 << 15
+
+
+def _require_hermitian(M: np.ndarray, message: str) -> None:
+    """ValueError(message) unless each strip A of M's rows (_HERMITIAN_CELLS entries, or one row)
+    has max|A - B| <= 1e-10 or else np.allclose(A, B, atol=1e-10), B = M[:, strip]^H; NaN fails."""
+    rows = max(1, _HERMITIAN_CELLS // len(M))
+    for i in range(0, len(M), rows):
+        A, B = M[i:i + rows], M[:, i:i + rows].conj().T
         if not (float(np.max(np.abs(A - B))) <= 1e-10 or np.allclose(A, B, atol=1e-10)):
             raise ValueError(message)
 

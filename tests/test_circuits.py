@@ -1,5 +1,6 @@
 import cmath
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from margulis.walk import AffineMap, apply_affine, generator_map
 from oracles import phase_blind_equal, phase_point_basis, quadratic_diagonal
 
 DN = [(3, 2), (3, 3), (5, 2)]
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def ctx_for(d, n):
@@ -320,6 +323,13 @@ class TestWeylCircuit:
             gl = weyl_circuit(d, n, p, q)
             assert np.allclose(evaluate(gl), weyl(ctx_for(d, n), p, q), atol=1e-11)
 
+    def test_numpy_labels_give_the_exact_scalar(self):
+        # At N = 3^14 the unreduced scalar inv2 * p * q of (N-1, N-1) is about
+        # 5.5e19: as an np.int64 product it wraps, to the phase 3679297.
+        N = 3 ** 14
+        gl = weyl_circuit(3, 14, np.int64(N - 1), np.int64(N - 1))
+        assert gl.phase_num == 2391484 and gl.phase_den == N
+
 
 class TestAffineCircuit:
     @pytest.mark.parametrize("d,n", DN)
@@ -423,3 +433,11 @@ class TestSerialization:
             assert obj["d"] == 3 and "op" in obj
         cphases = [o for o in objs if o["op"] == "cphase"]
         assert all({"t1", "t2", "c", "M"} <= set(o) for o in cphases)
+
+    @pytest.mark.parametrize("d,n", [(3, 3), (5, 2)])
+    def test_jsonl_is_the_golden_list(self, d, n):
+        # tests/golden/gates-d{d}-n{n} holds the files of an earlier
+        # `circuit --d d --qudits n`: every map's list, byte for byte.
+        for label, T in generator_map(d ** n).items():
+            golden = GOLDEN_DIR / f"gates-d{d}-n{n}" / f"gates-{label}.jsonl"
+            assert gate_list_to_jsonl(affine_circuit(d, n, T), label).encode() == golden.read_bytes()

@@ -1,3 +1,4 @@
+import cmath
 from functools import reduce
 
 import numpy as np
@@ -422,6 +423,22 @@ class TestAffineUnitary:
                     X /= np.linalg.norm(X, axis=0)
                     assert affine_action(ctx, T, X).shape == shape
                     assert np.max(np.abs(affine_action(ctx, T, X) - expected @ X)) <= 1e-13
+
+    @pytest.mark.parametrize("label", [int, np.int64], ids=["int", "int64"])
+    def test_shift_past_the_int64_scalar(self, label):
+        # At N = 2 700 001 the unreduced scalar inv2 * p * q of the shift
+        # (N-1, N-1) is about 9.8e18, past int64: numpy refuses it as a
+        # Python int and wraps it silently as an np.int64 product.
+        N = 2_700_001
+        ctx = PhaseSpaceContext(N)
+        T = AffineMap(((1, 0), (0, 1)), (label(N - 1), label(N - 1)), N)
+        X = np.zeros(N, dtype=complex)
+        X[0] = 1.0
+        moved = affine_action(ctx, T, X)
+        # w(p, q)|0> = omega^{p q - inv2 p q}|q>, and p q = (N-1)^2 = 1 mod N.
+        residue = (1 - ctx.inv2) % N
+        assert abs(moved[N - 1] - cmath.exp(2j * cmath.pi * residue / N)) <= 1e-12
+        assert np.count_nonzero(moved) == 1
 
     def test_action_refuses_a_wrong_row_count(self):
         ctx = PhaseSpaceContext(5)

@@ -509,35 +509,45 @@ class TestRequireHermitian:
         g = np.random.default_rng(31).standard_normal((6, 6, 2)) @ (1, 1j)
         return scale * (g + g.conj().T) / 2
 
+    @staticmethod
+    def strips_of(rows, monkeypatch):
+        # A cell budget of 6 * rows cuts the 6 x 6 matrix into strips of that
+        # many rows; None keeps the default budget, one strip of all six.
+        if rows:
+            monkeypatch.setattr("margulis.spectrum._HERMITIAN_CELLS", 6 * rows)
+
     @pytest.mark.parametrize("rows", [None, 1, 2, 4])
     @pytest.mark.parametrize("entry", [(1, 2), (2, 1), (3, 4), (5, 0)])
-    def test_one_asymmetric_entry_refused_in_any_strip(self, rows, entry):
+    def test_one_asymmetric_entry_refused_in_any_strip(self, rows, entry, monkeypatch):
         # With 2 rows a strip, (1, 2) and (2, 1) lie either side of a boundary;
         # with 4, (5, 0) lies in the short last strip.
+        self.strips_of(rows, monkeypatch)
         M = self.hermitian()
-        _require_hermitian(M, "not hermitian", rows)
+        _require_hermitian(M, "not hermitian")
         M[entry] += 1e-3
         with pytest.raises(ValueError, match="^not hermitian$"):
-            _require_hermitian(M, "not hermitian", rows)
+            _require_hermitian(M, "not hermitian")
 
     @pytest.mark.parametrize("rows", [None, 4])
     @pytest.mark.parametrize("entry", [(0, 0), (5, 1)])
-    def test_nan_entry_refused(self, rows, entry):
+    def test_nan_entry_refused(self, rows, entry, monkeypatch):
+        self.strips_of(rows, monkeypatch)
         M = self.hermitian()
         M[entry] = np.nan
         with pytest.raises(ValueError, match="not hermitian"):
-            _require_hermitian(M, "not hermitian", rows)
+            _require_hermitian(M, "not hermitian")
 
     @pytest.mark.parametrize("rows", [None, 4])
-    def test_offset_within_rtol_but_past_atol_accepted(self, rows):
+    def test_offset_within_rtol_but_past_atol_accepted(self, rows, monkeypatch):
         # Only np.allclose's rtol passes this: the max|A - B| <= 1e-10 test does not.
+        self.strips_of(rows, monkeypatch)
         M = self.hermitian(1e6)
         M[5, 1] += 1e-6
         assert np.max(np.abs(M - M.conj().T)) > 1e-10
-        _require_hermitian(M, "not hermitian", rows)
+        _require_hermitian(M, "not hermitian")
         M[5, 1] += 1e3
         with pytest.raises(ValueError, match="not hermitian"):
-            _require_hermitian(M, "not hermitian", rows)
+            _require_hermitian(M, "not hermitian")
 
 
 class TestSpectralReport:
@@ -981,6 +991,15 @@ class TestSerialization:
         monkeypatch.setattr("margulis.frames._CSV_PIECE", piece)
         for text in texts:
             assert list(_csv_lines(text)) == [ln for ln in text.strip().splitlines() if ln]
+
+    def test_table_padded_with_a_million_spaces_reads_as_unpadded(self):
+        # The padding spans sixteen pieces at each end: each is stripped by
+        # one scan of a slice, not a Python step per character.
+        f = _table(3, "random", np.random.default_rng(13))
+        pad = " " * 10**6
+        text = pad + grid_to_csv(f) + pad
+        assert grid_from_csv(text).values.tobytes() == f.values.tobytes()
+        assert list(_csv_lines(text)) == grid_to_csv(f).splitlines()
 
     def test_csv_reader_peak_at_n401(self):
         # The grid, its bitmap of cells seen and each row's int32 indices
